@@ -20,10 +20,10 @@ from . import facts
 from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
                        nonintegral_slopes_pq_minus_r, small_p_value, toroidal_gaps_large_p,
                        toroidal_slope)
-from .coxeter import EXCEPTION, FINITE, INFINITE, CoxeterSignature, edjvet_verdict
+from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from .knots import (FamilyTag, PretzelKnot, TorusStatus, family, hyperbolicity_condition,
                     torus_status)
-from .norms import cyclic_infeasibility_minus2_5_q, verify_infeasibility_report
+from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import longitude_triviality_check
 from .slopes import Slope, distance, make_slope
 from .triangle import irreducible_char_count
@@ -529,7 +529,10 @@ def classify_cyclic(k: PretzelKnot) -> Certificate:
             continue
         if p == 5 and q >= 9 and u == 2 * q + 5:
             report = cyclic_infeasibility_minus2_5_q(q)
-            assert report.infeasible_for_all_pairs
+            if not report.infeasible_for_all_pairs:
+                raise ArithmeticError(
+                    f"the norm model of {k} is feasible at pair "
+                    f"{report.offending_pair}; cannot eliminate {u}")
             cert.rule(
                 f"seminorm_infeasibility:{u}", "total_norm_model",
                 {"slope": u, "q": q, "pairs": len(report.verdicts),

@@ -261,10 +261,10 @@ def _absorb_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_absorb_dash_values(
-        list(sys.argv[1:] if argv is None else argv)))
     try:
+        # The parser reads the environment for defaults, so build it in here.
+        args = build_parser().parse_args(_absorb_dash_values(
+            list(sys.argv[1:] if argv is None else argv)))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,12 @@ MAX_COSETS_ENV = "PRETZEL_SURGERY_MAX_COSETS"
 
 def default_max_cosets() -> int:
     raw = os.environ.get(MAX_COSETS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_COSETS
+    if not raw:
+        return DEFAULT_MAX_COSETS
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_COSETS_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,43 @@
 """Exact rational linear feasibility with replayable Farkas certificates.
 
-A small phase-one simplex over ``fractions.Fraction`` with Bland's pivoting
-rule decides systems ``{A x (>=|=|<=) b, x >= 0}``.  Feasible systems come
-back with an exact sample point; infeasible ones with a dual witness ``y``
-such that
+A small phase-one simplex with Bland's pivoting rule decides systems
+``{A x (>=|=|<=) b, x >= 0}``.  Feasible systems come back with an exact
+sample point; infeasible ones with a dual witness ``y`` such that
 
 * ``y_i >= 0`` on ``>=`` rows, ``y_i <= 0`` on ``<=`` rows, free on ``=``,
 * ``sum_i y_i A_i <= 0`` in every column, and
 * ``sum_i y_i b_i > 0``.
 
-Both certificates re-verify by direct evaluation, which the solver does
-before returning (and callers repeat when replaying certificates).
+The simplex pivots fraction-free over ``int`` (Bareiss; the integer
+pivoting of Avis's ``lrs``).  It keeps an integer tableau ``M`` and one
+running determinant ``d > 0``, and the true tableau is always ``T = M/d``.
+A pivot on ``p = M[r][s]`` keeps row ``r`` and replaces every other row,
+the phase-one objective row included, by
+``(M[i][j]*p - M[i][s]*M[r][j]) // d``; then ``d = p``.  Every entry of
+``M`` is a minor of the starting matrix and ``d`` is the basis determinant,
+so the division is exact, which the kernel checks.
+
+To start from integers, each structural column and the rhs column are
+multiplied by the lcm of their denominators; slack and artificial columns
+stay unit columns.  Scaling column ``j`` by ``c_j > 0`` multiplies that
+column of every tableau, and its phase-one reduced cost, by ``c_j``, and
+divides each row by the scale of its basic column.  No sign changes, and
+all ratios of one ratio test change by the same factor, so Bland's rule
+takes the path of the unscaled rational tableau.  The duals are read off
+the unit columns, whose reduced costs are unscaled, so they come out
+unchanged.  The point and the duals become ``Fraction``s only at the end.
+
+Both certificates re-verify by direct evaluation over ``Fraction``
+(:func:`satisfies`, :func:`verify_witness`), independently of the integer
+kernel, before the solver returns; callers repeat the check when replaying
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 EQ = "EQ"
 GE = "GE"
@@ -77,21 +98,6 @@ def verify_witness(rows: list[LinearRow], y: tuple[Fraction, ...]) -> bool:
     return sum((yi * r.rhs for r, yi in zip(rows, y)), Fraction(0)) > 0
 
 
-def _pivot(T, obj, basis, leave: int, enter: int) -> None:
-    piv = T[leave][enter]
-    T[leave] = [v / piv for v in T[leave]]
-    prow = T[leave]
-    for i in range(len(T)):
-        if i != leave and T[i][enter]:
-            f = T[i][enter]
-            T[i] = [v - f * p for v, p in zip(T[i], prow)]
-    if obj[enter]:
-        f = obj[enter]
-        for j in range(len(obj)):
-            obj[j] -= f * prow[j]
-    basis[leave] = enter
-
-
 def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
     """Decide {rows, x >= 0} by a phase-one simplex with Bland's rule."""
     m = len(rows)
@@ -116,78 +122,86 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
         if rel in (LE, GE):
             slack_col[i] = ncols
             ncols += 1
+    first_art = ncols
     for i, (_, rel, _) in enumerate(norm):
         if rel in (GE, EQ):
             art_col[i] = ncols
             ncols += 1
 
-    zero = Fraction(0)
-    T = [[zero] * (ncols + 1) for _ in range(m)]
+    # Integer tableau M = d * T, d = 1: each structural column and the rhs
+    # column are scaled by the lcm of their denominators.
+    scale = [lcm(*(coeffs[j].denominator for coeffs, _, _ in norm)) for j in range(nvars)]
+    rscale = lcm(*(rhs.denominator for _, _, rhs in norm))
+    M: list[list[int]] = []
     basis = [-1] * m
     for i, (coeffs, rel, rhs) in enumerate(norm):
-        for j, c in enumerate(coeffs):
-            T[i][j] = Fraction(c)
-        T[i][ncols] = rhs
+        Mi = [c.numerator * (k // c.denominator) for c, k in zip(coeffs, scale)]
+        Mi += [0] * (ncols - nvars) + [rhs.numerator * (rscale // rhs.denominator)]
         if rel == LE:
-            T[i][slack_col[i]] = Fraction(1)
+            Mi[slack_col[i]] = 1
             basis[i] = slack_col[i]
-        elif rel == GE:
-            T[i][slack_col[i]] = Fraction(-1)
-            T[i][art_col[i]] = Fraction(1)
-            basis[i] = art_col[i]
         else:
-            T[i][art_col[i]] = Fraction(1)
+            if rel == GE:
+                Mi[slack_col[i]] = -1
+            Mi[art_col[i]] = 1
             basis[i] = art_col[i]
+        M.append(Mi)
 
-    artificial = set(art_col.values())
-    # Phase-one reduced costs for min(sum of artificials); obj[ncols] = -w.
-    obj = [zero] * (ncols + 1)
-    for i in range(m):
-        if basis[i] in artificial:
-            for j in range(ncols + 1):
-                obj[j] -= T[i][j]
-    for j in artificial:
+    # Phase-one reduced costs for min(sum of artificials), pivoted as row M[m];
+    # obj[ncols] = -d * w.
+    obj = [0] * (ncols + 1)
+    for i in art_col:
+        obj = [o - v for o, v in zip(obj, M[i])]
+    for j in art_col.values():
         obj[j] += 1
+    M.append(obj)
+    d = 1
 
     while True:
-        enter = -1
-        for j in range(ncols):
-            if j not in artificial and obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(first_art) if obj[j] < 0), -1)
         if enter < 0:
             break
+        # Ratio test by cross-multiplication; d > 0, so M has the signs of T.
         leave = -1
-        best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = M[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                here, best = M[i][ncols] * M[leave][enter], M[leave][ncols] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-one objective unbounded; cannot happen")
-        _pivot(T, obj, basis, leave, enter)
+        # Fraction-free pivot: T = M/d before and after.
+        prow = M[leave]
+        p = prow[enter]
+        for i, Mi in enumerate(M):
+            f = Mi[enter]
+            if i == leave or (not f and p == d):
+                continue
+            num = [v * p - f * w for v, w in zip(Mi, prow)] if f else [v * p for v in Mi]
+            if d != 1 and any(v % d for v in num):
+                raise ArithmeticError("inexact integer pivot")
+            M[i] = [v // d for v in num]
+        obj = M[m]
+        d = p
+        basis[leave] = enter
 
-    infeasibility = -obj[ncols]
-    if infeasibility == 0:
-        x = [zero] * nvars
+    if obj[ncols] == 0:
+        x = [Fraction(0)] * nvars
         for i in range(m):
             if basis[i] < nvars:
-                x[basis[i]] = T[i][ncols]
+                x[basis[i]] = Fraction(M[i][ncols] * scale[basis[i]], d * rscale)
         point = tuple(x)
         if not satisfies(rows, point):
             raise ArithmeticError("feasible sample failed exact recheck")
         return FeasibilityResult(True, point=point)
 
     # Duals from the reduced costs over the initial identity columns.
-    y = [zero] * m
-    for i in range(m):
-        if i in art_col:
-            y[i] = Fraction(1) - obj[art_col[i]]
-        else:
-            y[i] = -obj[slack_col[i]]
+    y = [Fraction(d - obj[art_col[i]] if i in art_col else -obj[slack_col[i]], d)
+         for i in range(m)]
     witness = tuple(flip[i] * y[i] for i in range(m))
     if not verify_witness(rows, witness):
         raise ArithmeticError("Farkas witness failed exact recheck")

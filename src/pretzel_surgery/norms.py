@@ -35,7 +35,8 @@ def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, .
     if not boundary:
         raise ValueError("boundary slope list must be nonempty")
     coeffs = tuple(2 * distance(gamma, b) for b in boundary)
-    assert all(c % 2 == 0 for c in coeffs)
+    if any(c % 2 for c in coeffs):
+        raise ArithmeticError(f"odd norm coefficient in {coeffs}")
     return coeffs
 
 
@@ -262,7 +263,8 @@ def even_filling_lower_bound(gamma: Slope) -> tuple[bool, NormLowerBound | None]
     """
     if gamma.b == 0 or gamma.a % 2 != 0:
         return (False, None)
-    assert gamma.b % 2 == 1  # reduced, so an even numerator forces an odd b
+    if gamma.b % 2 == 0:
+        raise ValueError(f"slope {gamma.a}/{gamma.b} is not reduced")
     return (True, NormLowerBound(gamma, 12))
 
 

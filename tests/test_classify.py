@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -8,6 +9,8 @@ from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, TORUS_IN
                                       quotient_certified_infinite)
 from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.knots import canonicalize
+from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
+                                   minus2_5q_norm_system)
 from pretzel_surgery.replay import replay_certificate, replay_rule
 from pretzel_surgery.schema import validate_certificate_json
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
@@ -32,6 +35,16 @@ def test_cyclic_minus2_5_9_uses_distance_and_norm():
     statuses = _slope_map(cert)
     assert statuses["22"][1].startswith("lens_toroidal_distance")
     assert statuses["23"][1].startswith("seminorm_infeasibility")
+
+
+def test_cyclic_refuses_a_feasible_norm_report(monkeypatch):
+    # ``pretzel_surgery.classify`` resolves to the function, not the module.
+    module = sys.modules["pretzel_surgery.classify"]
+    feasible = PairwiseInfeasibilityReport(
+        9, minus2_5q_norm_system(9), (FeasibilityVerdict(True, (0, 1)),))
+    monkeypatch.setattr(module, "cyclic_infeasibility_minus2_5_q", lambda q: feasible)
+    with pytest.raises(ArithmeticError, match=r"feasible at pair \(0, 1\)"):
+        classify_cyclic(canonicalize(-2, 5, 9))
 
 
 def test_cyclic_minus2_5_7_uses_external_fact():

@@ -126,6 +126,14 @@ def test_group_coxeter_env_default(capsys, monkeypatch):
     assert json.loads(out)["enumeration"] == "INCONCLUSIVE"
 
 
+def test_bad_max_cosets_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PRETZEL_SURGERY_MAX_COSETS", "abc")
+    code, out, err = run(capsys, "norm", "--q", "9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: PRETZEL_SURGERY_MAX_COSETS must be an integer, got 'abc'\n"
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "sweep", "--question", "finite", "--p-range", "3:5",
                 "--q-range", "3:5", "--r-range", "4:6", "--json")

@@ -69,17 +69,18 @@ def test_row_width_mismatch():
         solve_feasibility([row([1, 2], GE, 0)], 3)
 
 
-small = st.integers(-6, 6)
+small_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 
 
-@given(st.lists(st.tuples(small, small, small), min_size=1, max_size=5),
-       st.data())
-def test_random_systems_decided_with_checkable_evidence(raw, data):
-    rows = []
-    for i, (a, b, rhs) in enumerate(raw):
-        rel = data.draw(st.sampled_from([EQ, GE, LE]), label=f"rel{i}")
-        rows.append(row([a, b], rel, rhs))
-    result = solve_feasibility(rows, 2)
+@given(st.integers(1, 4), st.data())
+def test_random_systems_decided_with_checkable_evidence(nvars, data):
+    # Denominators up to 7 make the solver scale columns to integers.
+    raw = data.draw(st.lists(
+        st.tuples(st.lists(small_fraction, min_size=nvars, max_size=nvars),
+                  st.sampled_from([EQ, GE, LE]), small_fraction),
+        min_size=1, max_size=5), label="rows")
+    rows = [row(coeffs, rel, rhs) for coeffs, rel, rhs in raw]
+    result = solve_feasibility(rows, nvars)
     if result.feasible:
         assert satisfies(rows, result.point)
     else:

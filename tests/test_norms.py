@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,19 @@ def test_infeasibility_uniform_in_q():
     report = cyclic_infeasibility_minus2_5_q(99)
     assert report.infeasible_for_all_pairs
     assert verify_infeasibility_report(report)
+
+
+def test_witnesses_pinned_for_the_whole_family():
+    # Every Farkas witness for odd q in 9..99 (690 LPs).  Bland's rule fixes
+    # one pivot path per LP, so a solver that strays from it changes the digest.
+    lines = []
+    for q in range(9, 100, 2):
+        for v in cyclic_infeasibility_minus2_5_q(q).verdicts:
+            i, j = v.pair_tested
+            lines.append(f"{q} {i},{j} " + ",".join(str(w) for w in v.witness))
+    assert len(lines) == 690
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "572bafb61c34e6b00d9ed7e6825282cf88791bdf2547a63ddbaed283a1057058"
 
 
 @pytest.mark.parametrize("q", [7, 8, 5])
