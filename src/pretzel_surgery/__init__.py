@@ -1,31 +1,13 @@
 """Exact classification of cyclic and finite Dehn surgeries on (p,q,r)
 pretzel knots, with rule-by-rule certificates that replay.
+
+The entry points are re-exported here; every submodule name, such as
+``pretzel_surgery.classify``, stays the submodule.
 """
 
-from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
-                       nonintegral_slopes_pq_minus_r, slope_list_minus2_5_q,
-                       toroidal_slope)
-from .classify import (Certificate, Rule, SlopeStatus, classify, classify_cyclic,
-                       classify_finite, emit_certificate, finite_candidate_slopes)
-from .coxeter import (CoxeterSignature, EnumerationResult, FinitenessVerdict,
-                      coxeter_presentation, edjvet_verdict, todd_coxeter)
-from .knots import (FamilyTag, KnotFamily, PretzelKnot, TorusStatus, canonicalize,
-                    enumerate_canonical, family, hyperbolicity_condition, is_torus,
-                    torus_status)
-from .norms import (FeasibilityVerdict, NormSystem, cyclic_infeasibility_minus2_5_q,
-                    even_filling_lower_bound, half_integral_norm_bound,
-                    nearby_nonintegral_window, norm_coefficients, unique_odd_finite_slope,
-                    verify_infeasibility_report)
-from .presentations import (CoxeterQuotient, coxeter_quotient, filled_presentation,
-                            longitude_triviality_check, longitude_word,
-                            wirtinger_presentation)
+from .classify import classify_cyclic, classify_finite, emit_certificate
+from .norms import cyclic_infeasibility_minus2_5_q
 from .replay import replay_certificate
-from .slopes import (LatticePoint, Slope, SlopeError, distance, integer_slope,
-                     make_slope)
-from .smith import AbelianInvariants, abelian_invariants, smith_diagonal
-from .sweeps import SweepReport, sweep_cyclic, sweep_finite
-from .triangle import (TriangleTriple, irreducible_char_count, reducible_char_count,
-                       total_char_count)
-from .words import GroupPresentation, Word, gen
+from .sweeps import sweep_cyclic, sweep_finite
 
 __version__ = "0.1.0"

@@ -21,8 +21,8 @@ from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2
                        nonintegral_slopes_pq_minus_r, small_p_value, toroidal_gaps_large_p,
                        toroidal_slope)
 from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
-from .knots import (FamilyTag, PretzelKnot, TorusStatus, family, hyperbolicity_condition,
-                    torus_status)
+from .knots import (FamilyTag, KnotFamily, PretzelKnot, TorusStatus, family,
+                    hyperbolicity_condition, torus_status)
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import longitude_triviality_check
 from .slopes import Slope, distance, make_slope
@@ -184,7 +184,9 @@ def _coxeter_window(p: int, r: int) -> list[list]:
 def _structural_finite_rules(cert: Certificate, p: int, q: int, r: int) -> None:
     m = r // 2
     weak = Fraction(1, p) + Fraction(1, q) + Fraction(1, m) <= 1
-    assert weak and longitude_triviality_check(p, q, r)
+    if not (weak and longitude_triviality_check(p, q, r)):
+        raise ArithmeticError(f"the longitude of {cert.knot} does not collapse in the "
+                              "triangle quotient; the parity rule does not apply")
     cert.rule(
         "even_numerator_infinite", "character_doubling",
         {"p": p, "q": q, "m": m, "longitude_collapses": True},
@@ -194,7 +196,9 @@ def _structural_finite_rules(cert: Certificate, p: int, q: int, r: int) -> None:
         "denominator_bound", "finite_norm_bound", {},
         "a finite filling slope a/b has b <= 2")
     irr = irreducible_char_count(p, q, m)
-    assert irr >= 3
+    if irr < 3:
+        raise ArithmeticError(f"the ({p},{q},{m}) triangle group has {irr} < 3 "
+                              "irreducible characters; the S + 12 floor does not hold")
     cert.rule(
         "even_norm_floor", "character_doubling",
         {"p": p, "q": q, "m": m, "irreducible_characters": irr},
@@ -240,35 +244,6 @@ def _eliminate_odd_candidate(cert: Certificate, u: int, p: int, q: int, r: int,
     return False
 
 
-def finite_candidate_slopes(k: PretzelKnot) -> list[tuple[int, str]]:
-    """Odd integral candidates (near a non-integral boundary slope) and the
-    status each receives from the distance and quotient rules.
-
-    Raises on CANDIDATE_ONLY boundary data, where the window is unsound.
-    """
-    fam = family(k)
-    if fam.tag is not FamilyTag.PQ_MINUS_R:
-        raise ValueError(f"candidate enumeration needs the (p,q,-r) family, got {k}")
-    if not hyperbolicity_condition(k):
-        raise ValueError(f"{k} fails the strict triangle condition")
-    p, q = fam.odd_pair
-    r = -fam.even_value
-    bset = nonintegral_slopes_pq_minus_r(p, q, r)
-    if bset.completeness is Completeness.CANDIDATE_ONLY:
-        raise ValueError(
-            f"no complete non-integral slope list for {k}; window unsound")
-    tor = toroidal_slope(k)
-    scratch = Certificate(k, FINITE_Q)
-    out = []
-    for u in _integer_candidates(bset, odd_only=True):
-        if _eliminate_odd_candidate(scratch, u, p, q, r, tor):
-            out.append((u, STATUS_ELIMINATED))
-        else:
-            out.append((u, "SURVIVOR"))
-    assert sum(1 for _, st in out if st == "SURVIVOR") <= 1
-    return out
-
-
 # -- the finite pipeline ----------------------------------------------------
 
 
@@ -283,7 +258,9 @@ def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
         cert.verdict = NONE
         return
 
-    assert hyperbolicity_condition(k)
+    if not hyperbolicity_condition(k):
+        raise ArithmeticError(f"{k} fails the strict triangle condition outside the "
+                              "exceptional table")
     _structural_finite_rules(cert, p, q, r)
     tor = toroidal_slope(k)
     cert.data["toroidal_slope"] = str(tor)
@@ -308,7 +285,9 @@ def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
             "non-integral boundary slope")
         if p > 2 * r + 1:
             gaps = toroidal_gaps_large_p(p, q, r)
-            assert all(g >= 11 for g in gaps)
+            if any(g < 11 for g in gaps):
+                raise ArithmeticError(f"a steep slope of {k} lies at gap < 11 from the "
+                                      f"toroidal filling: {[str(g) for g in gaps]}")
             cert.rule(
                 "toroidal_gap_large_p", "exceptional_distance",
                 {"p": p, "q": q, "r": r, "gaps": [str(g) for g in gaps]},
@@ -321,7 +300,9 @@ def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
             return
         if p <= r - 5:
             gap = abs(small_p_value(p, q, r) - 2 * (p + q))
-            assert gap > 10
+            if gap <= 10:
+                raise ArithmeticError(f"the non-integral slope of {k} lies at gap "
+                                      f"{gap} <= 10 from the toroidal filling")
             cert.rule(
                 "toroidal_gap_small_p", "exceptional_distance",
                 {"p": p, "q": q, "r": r, "gap": str(gap)},
@@ -376,48 +357,74 @@ def _finish_survivors(cert: Certificate, p: int, r: int, survivors: list[int]) -
     cert.verdict = UNRESOLVED
 
 
-def classify_finite(k: PretzelKnot) -> Certificate:
-    """Verdict and certificate for non-trivial finite surgeries on k."""
+# -- the opening and the (-2,3,q) table, shared by both questions ------------
+
+
+# Per question, the torus and lamination conclusions.  Built once so that
+# every certificate shares one string: a sweep keeps tens of thousands.
+_OPENING_CONCLUSIONS = {
+    question: (f"torus knots admit infinitely many {fillings} fillings",
+               "a non-torus pretzel knot outside the (p,q,-r) form admits "
+               f"no non-trivial {question} surgery")
+    for question, fillings in ((FINITE_Q, "finite (indeed cyclic)"), (CYCLIC, "cyclic"))}
+
+
+def _open(k: PretzelKnot, question: str) -> tuple[Certificate, KnotFamily | None]:
+    """A new certificate after the torus and lamination rules; the family is
+    None when one of them already settled the verdict."""
     if not k.is_knot:
         raise ValueError(f"{k} is a link, not a knot")
-    cert = Certificate(k, FINITE_Q)
+    torus, lamination = _OPENING_CONCLUSIONS[question]
+    cert = Certificate(k, question)
     ts = torus_status(k)
     if ts is TorusStatus.TORUS:
-        cert.rule("torus_pretzel", "torus_classification", {},
-                  "torus knots admit infinitely many finite (indeed cyclic) fillings")
+        cert.rule("torus_pretzel", "torus_classification", {}, torus)
         cert.verdict = TORUS_INFINITE
-        return cert
+        return cert, None
     if ts is TorusStatus.UNCLASSIFIED:
         cert.rule("unclassified_indices", "torus_classification", {},
                   "triples with a +-1 index outside the encoded patterns are "
                   "not classified here")
         cert.verdict = UNRESOLVED
-        return cert
+        return cert, None
     fam = family(k)
     if fam.tag is FamilyTag.OTHER:
-        cert.rule("lamination_form", "lamination_reduction", {},
-                  "a non-torus pretzel knot outside the (p,q,-r) form admits "
-                  "no non-trivial finite surgery")
+        cert.rule("lamination_form", "lamination_reduction", {}, lamination)
         cert.verdict = NONE
+        return cert, None
+    return cert, fam
+
+
+def _published_minus2_3(cert: Certificate, q: int, known: tuple[int, ...] | None,
+                        examples: str) -> Certificate:
+    """Record the published list of (-2,3,q) surgeries for the question;
+    ``examples`` is the source realizing the listed slopes."""
+    if known is None:
+        raise ArithmeticError(f"no published {cert.question} surgery list covers {cert.knot}")
+    rule_id = f"published_minus2_3_{cert.question}"
+    cert.rule(rule_id, "published_minus2_3_surgeries", {"q": q, "slopes": list(known)},
+              f"the published classification lists exactly these {cert.question} "
+              "surgery slopes")
+    if known:
+        cert.rule("known_examples", examples, {"slopes": list(known)},
+                  f"the listed fillings are realized {cert.question} surgeries")
+    for u in known:
+        cert.mark(make_slope(u, 1), STATUS_REALIZED, rule_id)
+    cert.realized = known
+    cert.verdict = REALIZED if known else NONE
+    return cert
+
+
+def classify_finite(k: PretzelKnot) -> Certificate:
+    """Verdict and certificate for non-trivial finite surgeries on k."""
+    cert, fam = _open(k, FINITE_Q)
+    if fam is None:
         return cert
     if fam.tag is FamilyTag.MINUS2_PQ:
         p, q = fam.odd_pair
         if p == 3:
-            known = facts.known_finite_minus2_3(q)
-            assert known is not None
-            cert.rule(
-                "published_minus2_3_finite", "published_minus2_3_surgeries",
-                {"q": q, "slopes": list(known)},
-                "the published classification lists exactly these finite "
-                "surgery slopes")
-            if known:
-                cert.rule("known_examples", "bleiler_hodgson", {"slopes": list(known)},
-                          "the listed fillings are realized finite surgeries")
-            for u in known:
-                cert.mark(make_slope(u, 1), STATUS_REALIZED, "published_minus2_3_finite")
-            cert.realized = known
-            cert.verdict = REALIZED if known else NONE
-            return cert
+            return _published_minus2_3(cert, q, facts.known_finite_minus2_3(q),
+                                       "bleiler_hodgson")
         cert.rule(
             "not_cyclic_annotation", "cyclic_surgery_theorem",
             {"p": p, "q": q},
@@ -437,31 +444,14 @@ def classify_finite(k: PretzelKnot) -> Certificate:
 
 def classify_cyclic(k: PretzelKnot) -> Certificate:
     """Verdict and certificate for non-trivial cyclic surgeries on k."""
-    if not k.is_knot:
-        raise ValueError(f"{k} is a link, not a knot")
-    cert = Certificate(k, CYCLIC)
-    ts = torus_status(k)
-    if ts is TorusStatus.TORUS:
-        cert.rule("torus_pretzel", "torus_classification", {},
-                  "torus knots admit infinitely many cyclic fillings")
-        cert.verdict = TORUS_INFINITE
-        return cert
-    if ts is TorusStatus.UNCLASSIFIED:
-        cert.rule("unclassified_indices", "torus_classification", {},
-                  "triples with a +-1 index outside the encoded patterns are "
-                  "not classified here")
-        cert.verdict = UNRESOLVED
-        return cert
-    fam = family(k)
-    if fam.tag is FamilyTag.OTHER:
-        cert.rule("lamination_form", "lamination_reduction", {},
-                  "a non-torus pretzel knot outside the (p,q,-r) form admits "
-                  "no non-trivial cyclic surgery")
-        cert.verdict = NONE
+    cert, fam = _open(k, CYCLIC)
+    if fam is None:
         return cert
     if fam.tag is FamilyTag.PQ_MINUS_R:
         fin = classify_finite(k)
-        assert fin.verdict == NONE
+        if fin.verdict != NONE:
+            raise ArithmeticError(f"the finite verdict of {k} is {fin.verdict}, not "
+                                  f"{NONE}; cyclic_via_finite does not apply")
         cert.rule(
             "cyclic_via_finite", "z_filling",
             {"finite_verdict": fin.verdict},
@@ -475,21 +465,8 @@ def classify_cyclic(k: PretzelKnot) -> Certificate:
     tor = toroidal_slope(k)
     cert.data["toroidal_slope"] = str(tor)
     if p == 3:
-        known = facts.known_cyclic_minus2_3(q)
-        assert known is not None
-        cert.rule(
-            "published_minus2_3_cyclic", "published_minus2_3_surgeries",
-            {"q": q, "slopes": list(known)},
-            "the published classification lists exactly these cyclic surgery "
-            "slopes")
-        if known:
-            cert.rule("known_examples", "fintushel_stern", {"slopes": list(known)},
-                      "the listed fillings are realized cyclic surgeries")
-        for u in known:
-            cert.mark(make_slope(u, 1), STATUS_REALIZED, "published_minus2_3_cyclic")
-        cert.realized = known
-        cert.verdict = REALIZED if known else NONE
-        return cert
+        return _published_minus2_3(cert, q, facts.known_cyclic_minus2_3(q),
+                                   "fintushel_stern")
 
     bset = nonintegral_slopes_minus2_pq(p, q)
     cert.data["nonintegral_slopes"] = bset.to_json()

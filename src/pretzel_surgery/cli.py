@@ -13,7 +13,7 @@ import json
 import sys
 
 from .classify import (CYCLIC, FINITE_Q, UNRESOLVED, classify, emit_certificate)
-from .coxeter import (CoxeterSignature, coxeter_presentation, default_max_cosets,
+from .coxeter import (DEFAULT_MAX_COSETS, CoxeterSignature, coxeter_presentation,
                       edjvet_verdict, todd_coxeter)
 from .knots import canonicalize
 from .norms import cyclic_infeasibility_minus2_5_q
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("b", type=int)
     gc.add_argument("c", type=int)
     gc.add_argument("--enumerate", action="store_true")
-    gc.add_argument("--max-cosets", type=int, default=default_max_cosets())
+    gc.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     gc.add_argument("--json", action="store_true")
     gc.set_defaults(func=_cmd_group_coxeter)
 
@@ -262,7 +262,6 @@ def _absorb_dash_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # The parser reads the environment for defaults, so build it in here.
         args = build_parser().parse_args(_absorb_dash_values(
             list(sys.argv[1:] if argv is None else argv)))
         return args.func(args)

@@ -10,23 +10,11 @@ infiniteness, so INCONCLUSIVE outcomes are only ever consistency checks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .words import GroupPresentation, Word, gen
+from .words import GroupPresentation, gen
 
 DEFAULT_MAX_COSETS = 1_000_000
-MAX_COSETS_ENV = "PRETZEL_SURGERY_MAX_COSETS"
-
-
-def default_max_cosets() -> int:
-    raw = os.environ.get(MAX_COSETS_ENV)
-    if not raw:
-        return DEFAULT_MAX_COSETS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_COSETS_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -72,9 +72,6 @@ SOURCES = {
         "Direct case-by-case analysis of the residual window 3 <= p <= 7, "
         "4 <= r <= 10 (SnapPea assisting in a few cases): no non-trivial "
         "finite surgeries there either"),
-    "small_knot": (
-        "Oertel: pretzel knot exteriors contain no closed essential "
-        "surfaces, so these knots are torus or hyperbolic"),
 }
 
 # Torus triples in canonical form (all indices of absolute value > 1).

@@ -16,6 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
+from .facts import TORUS_TRIPLES
+
 
 class FamilyError(ValueError):
     """An operation was applied to a knot outside its family of validity."""
@@ -92,9 +94,6 @@ class KnotFamily:
     even_value: int | None = None
 
 
-_TORUS_TRIPLES = {(-2, 3, 3), (-2, 3, 5)}
-
-
 def torus_status(k: PretzelKnot) -> TorusStatus:
     """Classify torus-ness exactly as far as the encoded patterns reach.
 
@@ -104,7 +103,7 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
     """
     t = k.indices
     if all(abs(v) > 1 for v in t):
-        return TorusStatus.TORUS if t in _TORUS_TRIPLES else TorusStatus.NOT_TORUS
+        return TorusStatus.TORUS if t in TORUS_TRIPLES else TorusStatus.NOT_TORUS
     if t[0] == -2 and t[1] == 1 and t[2] >= 1 and t[2] % 2 == 1:
         return TorusStatus.TORUS
     return TorusStatus.UNCLASSIFIED

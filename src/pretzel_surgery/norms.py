@@ -21,13 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linprog
-from .boundary import BoundarySlopeSet, Completeness, slope_list_minus2_5_q
-from .linprog import EQ, GE, LE, LinearRow
-from .slopes import MERIDIAN, LatticePoint, Slope, distance, make_slope
-
-
-class IncompleteSlopeDataError(ValueError):
-    """A window argument was attempted on a CANDIDATE_ONLY slope set."""
+from .boundary import slope_list_minus2_5_q
+from .linprog import EQ, GE, LinearRow
+from .slopes import MERIDIAN, Slope, distance, make_slope
 
 
 def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, ...]:
@@ -38,16 +34,6 @@ def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, .
     if any(c % 2 for c in coeffs):
         raise ArithmeticError(f"odd norm coefficient in {coeffs}")
     return coeffs
-
-
-def norm_form_str(coeffs: tuple[int, ...]) -> str:
-    terms = []
-    for i, c in enumerate(coeffs, start=1):
-        if c == 0:
-            continue
-        half = c // 2
-        terms.append(f"a{i}" if half == 1 else f"{half}a{i}")
-    return "2[" + " + ".join(terms) + "]" if terms else "0"
 
 
 @dataclass(frozen=True)
@@ -214,85 +200,3 @@ def verify_infeasibility_report(report: PairwiseInfeasibilityReport) -> bool:
             return False
     return True
 
-
-@dataclass(frozen=True)
-class DerivedNormBound:
-    """|point| < S + offset, derived by convexity from midpoint averaging."""
-
-    point: LatticePoint
-    offset: int
-    midpoint_of: tuple[str, str]
-
-    @property
-    def label(self) -> str:
-        return f"|{self.point}| < S+{self.offset}"
-
-
-def half_integral_norm_bound(alpha: Slope) -> tuple[DerivedNormBound, DerivedNormBound]:
-    """Bounds forced at the two integral neighbours of a half-integral class.
-
-    If |alpha| <= S+8 for alpha = (2a+1)/2 while both meridian classes have
-    norm S, then averaging alpha with (1,0) and with (-1,0) bounds the
-    lattice points (a+1, 1) and (a, 1) by S+4.
-    """
-    if alpha.b != 2:
-        raise ValueError(f"need a half-integral slope, got {alpha}")
-    a = (alpha.a - 1) // 2
-    upper = DerivedNormBound(LatticePoint(a + 1, 1), 4, (str(alpha), "1/0"))
-    lower = DerivedNormBound(LatticePoint(a, 1), 4, (str(alpha), "-1/0"))
-    return (upper, lower)
-
-
-@dataclass(frozen=True)
-class NormLowerBound:
-    """|gamma| >= S + offset."""
-
-    gamma: Slope
-    offset: int
-
-    @property
-    def label(self) -> str:
-        return f"|{self.gamma}| >= S+{self.offset}"
-
-
-def even_filling_lower_bound(gamma: Slope) -> tuple[bool, NormLowerBound | None]:
-    """The S+12 floor at even-numerator classes 2a/b (b odd, coprime).
-
-    Only applicable in the triangle-group regime the classifier checks
-    separately; inapplicable classes return (False, None).
-    """
-    if gamma.b == 0 or gamma.a % 2 != 0:
-        return (False, None)
-    if gamma.b % 2 == 0:
-        raise ValueError(f"slope {gamma.a}/{gamma.b} is not reduced")
-    return (True, NormLowerBound(gamma, 12))
-
-
-@dataclass(frozen=True)
-class UniquenessContradiction:
-    """Two odd integral fillings below S+8 trap an even one below S+8,
-    violating the S+12 floor; certifies there is at most one such filling."""
-
-    first: int
-    second: int
-    even_point: int
-
-
-def unique_odd_finite_slope(u: int, v: int) -> UniquenessContradiction:
-    if u % 2 == 0 or v % 2 == 0:
-        raise ValueError("both slopes must be odd integral")
-    if u == v:
-        raise ValueError("slopes must be distinct")
-    lo = min(u, v)
-    return UniquenessContradiction(u, v, lo + 1)
-
-
-def nearby_nonintegral_window(u: int, nonintegral: BoundarySlopeSet) -> bool:
-    """Exact test for a non-integral boundary slope in the open window (u-1, u+1)."""
-    if nonintegral.completeness is Completeness.CANDIDATE_ONLY:
-        raise IncompleteSlopeDataError(
-            "window test is unsound on a CANDIDATE_ONLY slope set")
-    for s in nonintegral.slopes:
-        if abs(u * s.b - s.a) < s.b:
-            return True
-    return False

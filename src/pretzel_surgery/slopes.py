@@ -64,16 +64,7 @@ class Slope:
     def is_non_integral(self) -> bool:
         return self.b >= 2
 
-    @property
-    def has_even_numerator(self) -> bool:
-        return self.a % 2 == 0
-
     # -- conversions --------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        if self.b == 0:
-            raise SlopeError("the meridian 1/0 has no rational value")
-        return Fraction(self.a, self.b)
 
     def sort_key(self) -> tuple[int, Fraction]:
         """Total order with the meridian last; used for deterministic output."""
@@ -123,22 +114,3 @@ def distance(s: Slope, t: Slope) -> int:
     """Minimal geometric intersection number |ad - bc| of two slopes."""
     return abs(s.a * t.b - s.b * t.a)
 
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """An integer point (x, y) of the first homology of the boundary torus."""
-
-    x: int
-    y: int
-
-    @property
-    def is_primitive(self) -> bool:
-        return gcd(abs(self.x), abs(self.y)) == 1
-
-    def as_slope(self) -> Slope:
-        if (self.x, self.y) == (0, 0):
-            raise SlopeError("the origin is not a slope class")
-        return make_slope(self.x, self.y)
-
-    def __str__(self) -> str:
-        return f"({self.x},{self.y})"

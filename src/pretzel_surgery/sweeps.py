@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import facts
-from .classify import (CYCLIC, FINITE_Q, NONE, REALIZED, TORUS_INFINITE, UNRESOLVED,
+from .classify import (CYCLIC, FINITE_Q, REALIZED, TORUS_INFINITE, UNRESOLVED,
                        Certificate, classify_cyclic, classify_finite)
 from .knots import PretzelKnot, canonicalize, enumerate_canonical
 from .replay import replay_certificate
@@ -32,7 +32,7 @@ class SweepReport:
         return [c.knot.indices for c in self.certificates if c.verdict == UNRESOLVED]
 
 
-def sweep_cyclic(bound: int, replay: bool = True) -> SweepReport:
+def sweep_cyclic(bound: int) -> SweepReport:
     """Classify cyclic surgeries on every canonical triple with |index| <= bound."""
     report = SweepReport(CYCLIC)
     for k in enumerate_canonical(bound):
@@ -40,7 +40,7 @@ def sweep_cyclic(bound: int, replay: bool = True) -> SweepReport:
             continue
         cert = classify_cyclic(k)
         report.certificates.append(cert)
-        if replay and not replay_certificate(cert):
+        if not replay_certificate(cert):
             report.violations.append(f"replay failed for {k}")
         if cert.verdict == REALIZED:
             expected = facts.known_cyclic_minus2_3(k.indices[2]) \
@@ -64,14 +64,13 @@ def _pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
                 yield canonicalize(p, q, -r)
 
 
-def sweep_finite(p_range=(3, 15), q_range=(3, 15), r_range=(4, 16),
-                 replay: bool = True) -> SweepReport:
+def sweep_finite(p_range=(3, 15), q_range=(3, 15), r_range=(4, 16)) -> SweepReport:
     """Classify finite surgeries over the (p,q,-r) family ranges (inclusive)."""
     report = SweepReport(FINITE_Q)
     for k in _pqr_knots(p_range, q_range, r_range):
         cert = classify_finite(k)
         report.certificates.append(cert)
-        if replay and not replay_certificate(cert):
+        if not replay_certificate(cert):
             report.violations.append(f"replay failed for {k}")
         if cert.verdict == REALIZED:
             report.violations.append(f"realized finite slope on {k}")

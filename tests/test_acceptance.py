@@ -152,9 +152,9 @@ def test_criterion_8_large_p_gap():
 def test_criterion_9_deterministic_streams():
     def stream():
         lines = [emit_certificate(c, "json")
-                 for c in sweep_finite((3, 9), (3, 9), (4, 10), replay=False).certificates]
+                 for c in sweep_finite((3, 9), (3, 9), (4, 10)).certificates]
         lines += [emit_certificate(c, "json")
-                  for c in sweep_cyclic(11, replay=False).certificates]
+                  for c in sweep_cyclic(11).certificates]
         return "\n".join(lines).encode()
 
     first = stream()

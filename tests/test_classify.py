@@ -1,12 +1,16 @@
+import hashlib
+import importlib
 import json
-import sys
+from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
-from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, TORUS_INFINITE,
-                                      UNRESOLVED, classify_cyclic, classify_finite,
-                                      emit_certificate, finite_candidate_slopes,
+import pretzel_surgery.classify as classify_module
+from pretzel_surgery.classify import (NONE, REALIZED, TORUS_INFINITE, UNRESOLVED,
+                                      classify_cyclic, classify_finite, emit_certificate,
                                       quotient_certified_infinite)
+from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.knots import canonicalize
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
@@ -37,12 +41,16 @@ def test_cyclic_minus2_5_9_uses_distance_and_norm():
     assert statuses["23"][1].startswith("seminorm_infeasibility")
 
 
+def test_submodule_names_are_modules():
+    assert isinstance(classify_module, ModuleType)
+    assert importlib.import_module("pretzel_surgery.classify") is classify_module
+
+
 def test_cyclic_refuses_a_feasible_norm_report(monkeypatch):
-    # ``pretzel_surgery.classify`` resolves to the function, not the module.
-    module = sys.modules["pretzel_surgery.classify"]
     feasible = PairwiseInfeasibilityReport(
         9, minus2_5q_norm_system(9), (FeasibilityVerdict(True, (0, 1)),))
-    monkeypatch.setattr(module, "cyclic_infeasibility_minus2_5_q", lambda q: feasible)
+    monkeypatch.setattr(classify_module, "cyclic_infeasibility_minus2_5_q",
+                        lambda q: feasible)
     with pytest.raises(ArithmeticError, match=r"feasible at pair \(0, 1\)"):
         classify_cyclic(canonicalize(-2, 5, 9))
 
@@ -152,12 +160,19 @@ def test_finite_residual_window_table():
 
 
 def test_finite_candidate_slopes():
-    got = finite_candidate_slopes(canonicalize(9, 9, -4))
-    assert got == [(31, "ELIMINATED")]
-    with pytest.raises(ValueError):
-        finite_candidate_slopes(canonicalize(5, 7, -4))  # CANDIDATE_ONLY window
-    with pytest.raises(ValueError):
-        finite_candidate_slopes(canonicalize(3, 3, -4))  # fails strict condition
+    cert = classify_finite(canonicalize(9, 9, -4))
+    assert [(s.slope.a, s.status) for s in cert.slopes] == [(31, "ELIMINATED")]
+
+
+def test_finite_refuses_a_gap_below_eleven(monkeypatch, capsys):
+    # A soundness guard, not an assert: it must survive ``python -O`` and
+    # reach the CLI as an internal error (exit 1), not a usage error.
+    monkeypatch.setattr(classify_module, "toroidal_gaps_large_p",
+                        lambda p, q, r: (Fraction(21, 2), Fraction(12)))
+    with pytest.raises(ArithmeticError, match="gap < 11"):
+        classify_finite(canonicalize(11, 13, -4))
+    assert main(["classify", "--pretzel", "11,13,-4", "--question", "finite"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: ")
 
 
 def test_quotient_oracle_abstains_on_collapse_corner():
@@ -234,7 +249,29 @@ def test_cyclic_sweep_small_bound():
 
 
 def test_finite_sweep_beyond_default_ranges():
-    report = sweep_finite((3, 25), (3, 25), (4, 24), replay=False)
+    report = sweep_finite((3, 25), (3, 25), (4, 24))
     assert not report.violations
     assert not report.realized
     assert not report.unresolved
+
+
+def test_certificate_streams_pinned():
+    # The certificate bytes of three streams.  A refactor keeps them; a
+    # change of certificate content updates these digests on purpose.
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    cyclic = [emit_certificate(c) for c in sweep_cyclic(11).certificates]
+    finite = [emit_certificate(c)
+              for c in sweep_finite((3, 25), (3, 25), (4, 24)).certificates]
+    minus2 = []
+    for p in range(3, 16, 2):
+        for q in range(p, 16, 2):
+            k = canonicalize(-2, p, q)
+            for cert in (classify_cyclic(k), classify_finite(k)):
+                minus2 += [emit_certificate(cert), emit_certificate(cert, "text", cite=True)]
+    assert [digest(cyclic), digest(finite), digest(minus2)] == [
+        "d4fc10eb7acaa78049c3031ee677c4541f98ae9e6236ca2318965d5110c56f5e",
+        "44e99b325b8020f2c322cb235a3cd365f6ec7ce9105e9a8423b911bdb0261a07",
+        "5ea446451873257b69b2c22af4f5dca619aba8ab488d34ea70d5440eac52e3ba",
+    ]

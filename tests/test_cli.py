@@ -119,19 +119,11 @@ def test_group_coxeter_enumerate(capsys):
     assert payload["order"] == 1092
 
 
-def test_group_coxeter_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("PRETZEL_SURGERY_MAX_COSETS", "50")
+def test_group_coxeter_max_cosets_cap(capsys):
     code, out, _ = run(capsys, "group", "coxeter", "3", "7", "6",
-                       "--enumerate", "--json")
+                       "--enumerate", "--max-cosets", "50", "--json")
+    assert code == 0
     assert json.loads(out)["enumeration"] == "INCONCLUSIVE"
-
-
-def test_bad_max_cosets_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PRETZEL_SURGERY_MAX_COSETS", "abc")
-    code, out, err = run(capsys, "norm", "--q", "9")
-    assert code == 2
-    assert out == ""
-    assert err == "error: PRETZEL_SURGERY_MAX_COSETS must be an integer, got 'abc'\n"
 
 
 def test_deterministic_output(capsys):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pretzel_surgery.slopes import (LONGITUDE, MERIDIAN, LatticePoint, Slope,
-                                    SlopeError, distance, integer_slope, make_slope)
+from pretzel_surgery.slopes import (LONGITUDE, MERIDIAN, Slope, SlopeError, distance,
+                                    integer_slope, make_slope)
 
 
 def test_make_slope_reduces():
@@ -94,10 +94,3 @@ def test_integer_slope_and_longitude():
     assert integer_slope(7) == make_slope(7, 1)
     assert LONGITUDE == make_slope(0, 5)
 
-
-def test_lattice_points():
-    assert LatticePoint(2, 4).is_primitive is False
-    assert LatticePoint(3, 4).is_primitive
-    assert LatticePoint(36, 2).as_slope() == Slope(18, 1)
-    with pytest.raises(SlopeError):
-        LatticePoint(0, 0).as_slope()
