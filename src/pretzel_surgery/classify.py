@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import facts
 from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
@@ -22,7 +22,7 @@ from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2
                        toroidal_slope)
 from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from .knots import (FamilyTag, KnotFamily, PretzelKnot, TorusStatus, family,
-                    hyperbolicity_condition, torus_status)
+                    hyperbolicity_condition, torus_status, triangle_slack)
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import longitude_triviality_check
 from .slopes import Slope, distance, make_slope
@@ -45,8 +45,10 @@ CYCLIC = "cyclic"
 FINITE_Q = "finite"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
+    """One applied rule.  A named tuple, not a frozen dataclass: sweeps build
+    one or more per knot, and a tuple is several times cheaper to construct."""
+
     id: str
     source: str
     citation: str
@@ -183,8 +185,7 @@ def _coxeter_window(p: int, r: int) -> list[list]:
 
 def _structural_finite_rules(cert: Certificate, p: int, q: int, r: int) -> None:
     m = r // 2
-    weak = Fraction(1, p) + Fraction(1, q) + Fraction(1, m) <= 1
-    if not (weak and longitude_triviality_check(p, q, r)):
+    if not (triangle_slack(p, q, m) >= 0 and longitude_triviality_check(p, q, r)):
         raise ArithmeticError(f"the longitude of {cert.knot} does not collapse in the "
                               "triangle quotient; the parity rule does not apply")
     cert.rule(

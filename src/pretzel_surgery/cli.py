@@ -19,7 +19,8 @@ from .knots import canonicalize
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import coxeter_quotient, filled_presentation, wirtinger_presentation
 from .sweeps import sweep_cyclic, sweep_finite
-from .triangle import irreducible_char_count, reducible_char_count, total_char_count
+from .triangle import (TriangleTriple, irreducible_char_count, reducible_char_count,
+                       total_char_count)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -29,6 +30,15 @@ EXIT_UNRESOLVED = 3
 
 class UsageError(ValueError):
     pass
+
+
+def _checked(build, *args):
+    """``build(*args)`` for a constructor whose ValueError can only mean a bad
+    command-line argument; that error becomes a UsageError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
@@ -80,8 +90,11 @@ def _cmd_sweep(args) -> int:
     if args.question == CYCLIC:
         report = sweep_cyclic(args.bound)
     else:
+        r_range = _parse_range(args.r_range)
+        if r_range[0] <= 0 <= r_range[1]:
+            raise UsageError("pretzel indices must be nonzero; the r range contains 0")
         report = sweep_finite(_parse_range(args.p_range), _parse_range(args.q_range),
-                              _parse_range(args.r_range))
+                              r_range)
     for cert in report.certificates:
         if args.json:
             print(emit_certificate(cert, "json"))
@@ -101,6 +114,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    if args.q % 2 == 0 or args.q < 9:
+        raise UsageError(f"the norm system needs odd q >= 9, got {args.q}")
     report = cyclic_infeasibility_minus2_5_q(args.q)
     if args.json:
         print(_dump(report.to_json()))
@@ -124,9 +139,10 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_chars(args) -> int:
-    total = total_char_count(args.p, args.q, args.r)
-    reducible = reducible_char_count(args.p, args.q, args.r)
-    irreducible = irreducible_char_count(args.p, args.q, args.r)
+    triple = _checked(TriangleTriple, args.p, args.q, args.r)
+    total = total_char_count(triple)
+    reducible = reducible_char_count(triple)
+    irreducible = irreducible_char_count(triple)
     if args.json:
         print(_dump({"triple": [args.p, args.q, args.r], "total": total,
                      "reducible": reducible, "irreducible": irreducible}))
@@ -142,12 +158,12 @@ def _cmd_group_present(args) -> int:
         raise UsageError("the presentation covers (p,q,-r); pass a negative r")
     if args.coxeter and args.fill is None:
         raise UsageError("--coxeter needs --fill S")
-    pres = (wirtinger_presentation(p, q, -r) if args.fill is None
-            else filled_presentation(p, q, -r, args.fill))
+    pres = (_checked(wirtinger_presentation, p, q, -r) if args.fill is None
+            else _checked(filled_presentation, p, q, -r, args.fill))
     payload = pres.to_json()
     payload["abelianization"] = str(pres.abelianization())
     if args.coxeter:
-        quotient = coxeter_quotient(p, -r, args.fill)
+        quotient = _checked(coxeter_quotient, p, -r, args.fill)
         payload["coxeter_quotient"] = quotient.two_generator.to_json()
         payload["signature"] = (None if quotient.signature is None
                                 else str(quotient.signature))
@@ -163,7 +179,9 @@ def _cmd_group_present(args) -> int:
 
 
 def _cmd_group_coxeter(args) -> int:
-    sig = CoxeterSignature.of(args.a, args.b, args.c)
+    sig = _checked(CoxeterSignature.of, args.a, args.b, args.c)
+    if args.max_cosets < 1:
+        raise UsageError("--max-cosets must be positive")
     verdict = edjvet_verdict(sig)
     payload = {"signature": [2, sig.a, sig.b, sig.c], "verdict": verdict.status,
                "clause": verdict.clause}
@@ -266,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
             list(sys.argv[1:] if argv is None else argv)))
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 1

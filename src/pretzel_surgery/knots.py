@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .facts import TORUS_TRIPLES
 
@@ -45,11 +44,13 @@ class PretzelKnot:
     r: int
 
     def __post_init__(self) -> None:
-        t = (self.p, self.q, self.r)
-        if any(v == 0 for v in t):
+        p, q, r = self.p, self.q, self.r
+        if not (p and q and r):
             raise ValueError("pretzel indices must be nonzero")
-        if t != _canonical_triple(*t):
-            raise ValueError(f"{t} is not in canonical form; use canonicalize()")
+        # Exactly the fixed points of _canonical_triple: ascending, at most
+        # one negative entry (a triple with no zero is never its own mirror).
+        if not (p <= q <= r and q > 0):
+            raise ValueError(f"{self.indices} is not in canonical form; use canonicalize()")
 
     @property
     def indices(self) -> tuple[int, int, int]:
@@ -57,16 +58,16 @@ class PretzelKnot:
 
     @property
     def even_indices(self) -> tuple[int, ...]:
-        return tuple(v for v in self.indices if v % 2 == 0)
+        return tuple([v for v in (self.p, self.q, self.r) if v % 2 == 0])
 
     @property
     def odd_indices(self) -> tuple[int, ...]:
-        return tuple(v for v in self.indices if v % 2 != 0)
+        return tuple([v for v in (self.p, self.q, self.r) if v % 2])
 
     @property
     def is_knot(self) -> bool:
         """Pretzel triples with two or more even indices give links, not knots."""
-        return len(self.even_indices) <= 1
+        return self.p % 2 + self.q % 2 + self.r % 2 >= 2
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r})"
@@ -85,9 +86,9 @@ def canonicalize(p: int, q: int, r: int) -> PretzelKnot:
     return PretzelKnot(*_canonical_triple(p, q, r))
 
 
-@dataclass(frozen=True)
-class KnotFamily:
-    """Family tag plus the parameters of the matched pattern."""
+class KnotFamily(NamedTuple):
+    """Family tag plus the parameters of the matched pattern.  A named tuple:
+    sweeps and replay ask for the family of every knot several times."""
 
     tag: FamilyTag
     odd_pair: tuple[int, int] | None = None
@@ -101,27 +102,29 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
     with a +-1 index are only classified when they match the degenerate
     (-2,1,n) pattern, and are UNCLASSIFIED otherwise.
     """
-    t = k.indices
-    if all(abs(v) > 1 for v in t):
+    t = (k.p, k.q, k.r)
+    if 1 not in t and -1 not in t:
         return TorusStatus.TORUS if t in TORUS_TRIPLES else TorusStatus.NOT_TORUS
-    if t[0] == -2 and t[1] == 1 and t[2] >= 1 and t[2] % 2 == 1:
+    if t[0] == -2 and t[1] == 1 and t[2] % 2 == 1:
         return TorusStatus.TORUS
     return TorusStatus.UNCLASSIFIED
 
 
-def is_torus(k: PretzelKnot) -> bool:
-    return torus_status(k) is TorusStatus.TORUS
-
-
 def family(k: PretzelKnot) -> KnotFamily:
-    if is_torus(k):
+    if torus_status(k) is TorusStatus.TORUS:
         return KnotFamily(FamilyTag.TORUS)
-    a, b, c = k.indices
+    a, b, c = k.p, k.q, k.r
     if a == -2 and b % 2 == c % 2 == 1 and 3 <= b <= c:
         return KnotFamily(FamilyTag.MINUS2_PQ, odd_pair=(b, c), even_value=-2)
     if a <= -4 and a % 2 == 0 and b % 2 == c % 2 == 1 and 3 <= b <= c:
         return KnotFamily(FamilyTag.PQ_MINUS_R, odd_pair=(b, c), even_value=a)
     return KnotFamily(FamilyTag.OTHER)
+
+
+def triangle_slack(p: int, q: int, m: int) -> int:
+    """pqm(1 - 1/p - 1/q - 1/m) for positive p, q, m: positive exactly when
+    1/p + 1/q + 1/m < 1, and >= 0 exactly when 1/p + 1/q + 1/m <= 1."""
+    return p * q * m - (q * m + p * m + p * q)
 
 
 def hyperbolicity_condition(k: PretzelKnot) -> bool:
@@ -130,8 +133,8 @@ def hyperbolicity_condition(k: PretzelKnot) -> bool:
     if len(evens) != 1:
         raise FamilyError(f"{k} does not have exactly one even index")
     o1, o2 = k.odd_indices
-    total = Fraction(1, abs(o1)) + Fraction(1, abs(o2)) + Fraction(2, abs(evens[0]))
-    return total < 1
+    # 2/|r| = 1/(|r|/2), and |r|/2 is an integer since r is even.
+    return triangle_slack(abs(o1), abs(o2), abs(evens[0]) // 2) > 0
 
 
 def enumerate_canonical(bound: int) -> Iterator[PretzelKnot]:

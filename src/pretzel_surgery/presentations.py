@@ -126,8 +126,7 @@ def triangle_image_of_longitude(p: int, q: int, r: int) -> Word:
         raise ValueError("need odd p, q and even r")
     k, half = (abs(p) - 1) // 2, (abs(q) - 1) // 2
     m = abs(r) // 2
-    return (gen("g", k) * gen("f", m) * gen("g", k + 1)
-            * gen("h", half) * gen("f", m) * gen("h", half + 1))
+    return Word((("g", k), ("f", m), ("g", k + 1), ("h", half), ("f", m), ("h", half + 1)))
 
 
 def reduce_modulo_orders(word: Word, orders: Mapping[str, int]) -> Word:

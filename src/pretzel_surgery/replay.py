@@ -1,11 +1,10 @@
 """Certificate replay: re-evaluate every applied rule's premise from its
 recorded inputs.  A certificate passes only if each elimination or table
-lookup still checks out when recomputed from scratch.
+lookup still checks out when recomputed from scratch, and every knot
+parameter a rule records is the certificate's own.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import facts
 from .boundary import (nonintegral_slopes_minus2_pq, nonintegral_slopes_pq_minus_r,
@@ -13,17 +12,23 @@ from .boundary import (nonintegral_slopes_minus2_pq, nonintegral_slopes_pq_minus
 from .classify import (NONE, Certificate, _coxeter_window, _integer_candidates,
                        classify_finite, quotient_certified_infinite)
 from .coxeter import CoxeterSignature
-from .knots import FamilyTag, PretzelKnot, TorusStatus, family, hyperbolicity_condition, torus_status
+from .knots import (FamilyTag, PretzelKnot, TorusStatus, family, hyperbolicity_condition,
+                    torus_status, triangle_slack)
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import longitude_triviality_check
 from .slopes import distance, make_slope
 from .triangle import irreducible_char_count
 
 
-def _pqr(k: PretzelKnot) -> tuple[int, int, int]:
+def _records_knot(k: PretzelKnot, inputs: dict, keys: str) -> bool:
+    """True when k is a (p,q,-r) knot and the inputs record its own value of
+    each parameter named in keys: p, q, r, or m = r/2."""
     fam = family(k)
-    p, q = fam.odd_pair
-    return p, q, -fam.even_value
+    if fam.tag is not FamilyTag.PQ_MINUS_R:
+        return False
+    (p, q), r = fam.odd_pair, -fam.even_value
+    own = {"p": p, "q": q, "r": r, "m": r // 2}
+    return all(inputs.get(key) == own[key] for key in keys)
 
 
 def _check_torus(k, inputs):
@@ -44,34 +49,36 @@ def _check_cyclic_via_finite(k, inputs):
             and classify_finite(k).verdict == NONE)
 
 
-def _check_published_cyclic(k, inputs):
-    got = facts.known_cyclic_minus2_3(inputs["q"])
-    return got is not None and list(got) == inputs["slopes"]
-
-
-def _check_published_finite(k, inputs):
-    got = facts.known_finite_minus2_3(inputs["q"])
+def _check_published(k, inputs, known):
+    if k.indices != (-2, 3, inputs["q"]):
+        return False
+    got = known(inputs["q"])
     return got is not None and list(got) == inputs["slopes"]
 
 
 def _check_known_examples(k, inputs):
-    return bool(inputs["slopes"])
+    if k.indices[:2] != (-2, 3) or not inputs["slopes"]:
+        return False
+    return any(list(known(k.r) or ()) == inputs["slopes"]
+               for known in (facts.known_cyclic_minus2_3, facts.known_finite_minus2_3))
 
 
 def _check_no_nonintegral(k, inputs):
     fam = family(k)
     if fam.tag is FamilyTag.MINUS2_PQ:
         return nonintegral_slopes_minus2_pq(*fam.odd_pair).is_empty
-    p, q, r = _pqr(k)
-    return nonintegral_slopes_pq_minus_r(p, q, r).is_empty
+    return (fam.tag is FamilyTag.PQ_MINUS_R
+            and nonintegral_slopes_pq_minus_r(*fam.odd_pair, -fam.even_value).is_empty)
 
 
 def _check_proximity_window(k, inputs, odd_only):
     fam = family(k)
     if fam.tag is FamilyTag.MINUS2_PQ:
         bset = nonintegral_slopes_minus2_pq(*fam.odd_pair)
+    elif fam.tag is FamilyTag.PQ_MINUS_R:
+        bset = nonintegral_slopes_pq_minus_r(*fam.odd_pair, -fam.even_value)
     else:
-        bset = nonintegral_slopes_pq_minus_r(*_pqr(k))
+        return False
     return (_integer_candidates(bset, odd_only=odd_only) == inputs["candidates"]
             and [str(s) for s in bset.slopes] == inputs["slopes"])
 
@@ -86,7 +93,10 @@ def _check_snappea(k, inputs):
 
 
 def _check_seminorm(k, inputs):
-    report = cyclic_infeasibility_minus2_5_q(inputs["q"])
+    q = inputs["q"]
+    if k.indices != (-2, 5, q) or inputs["slope"] != 2 * q + 5:
+        return False
+    report = cyclic_infeasibility_minus2_5_q(q)
     return (report.infeasible_for_all_pairs
             and len(report.verdicts) == inputs["pairs"]
             and [[str(w) for w in v.witness] for v in report.verdicts]
@@ -94,28 +104,35 @@ def _check_seminorm(k, inputs):
 
 
 def _check_exceptional_knot(k, inputs):
-    return ((inputs["p"], inputs["q"], inputs["r"]) in facts.EXCEPTIONAL_PQR
+    return (_records_knot(k, inputs, "pqr")
+            and (inputs["p"], inputs["q"], inputs["r"]) in facts.EXCEPTIONAL_PQR
             and not hyperbolicity_condition(k))
 
 
 def _check_parity(k, inputs):
+    if not (_records_knot(k, inputs, "pqm") and inputs["longitude_collapses"] is True):
+        return False
     p, q, m = inputs["p"], inputs["q"], inputs["m"]
-    weak = Fraction(1, p) + Fraction(1, q) + Fraction(1, m) <= 1
-    return weak and longitude_triviality_check(p, q, 2 * m)
+    return triangle_slack(p, q, m) >= 0 and longitude_triviality_check(p, q, 2 * m)
 
 
 def _check_hyperbolic_context(k, inputs):
-    return hyperbolicity_condition(k)
+    # These rules record nothing: the argument rests on the knot alone.
+    return (not inputs and family(k).tag is FamilyTag.PQ_MINUS_R
+            and hyperbolicity_condition(k))
 
 
 def _check_norm_floor(k, inputs):
+    if not _records_knot(k, inputs, "pqm"):
+        return False
     p, q, m = inputs["p"], inputs["q"], inputs["m"]
-    strict = Fraction(1, p) + Fraction(1, q) + Fraction(1, m) < 1
-    return (strict and irreducible_char_count(p, q, m) >= 3
-            and irreducible_char_count(p, q, m) == inputs["irreducible_characters"])
+    irr = irreducible_char_count(p, q, m)
+    return triangle_slack(p, q, m) > 0 and irr >= 3 and irr == inputs["irreducible_characters"]
 
 
 def _check_large_gap(k, inputs):
+    if not _records_knot(k, inputs, "pqr"):
+        return False
     p, q, r = inputs["p"], inputs["q"], inputs["r"]
     if not p > 2 * r + 1:
         return False
@@ -124,6 +141,8 @@ def _check_large_gap(k, inputs):
 
 
 def _check_small_gap(k, inputs):
+    if not _records_knot(k, inputs, "pqr"):
+        return False
     p, q, r = inputs["p"], inputs["q"], inputs["r"]
     if not p <= r - 5:
         return False
@@ -144,6 +163,8 @@ def _check_quotient_infinite(k, inputs):
 
 
 def _check_coxeter_window(k, inputs):
+    if not _records_knot(k, inputs, "pqr"):
+        return False
     p, q, r = inputs["p"], inputs["q"], inputs["r"]
     window = _coxeter_window(p, r)
     dists = [[s, abs(2 * (p + q) - s)] for s, _ in window]
@@ -151,12 +172,13 @@ def _check_coxeter_window(k, inputs):
 
 
 def _check_residual_window(k, inputs):
-    return facts.in_residual_window(inputs["p"], inputs["r"])
+    return _records_knot(k, inputs, "pr") and facts.in_residual_window(inputs["p"], inputs["r"])
 
 
 def _check_not_cyclic_note(k, inputs):
     from .classify import classify_cyclic
-    return classify_cyclic(k).verdict == NONE
+    return (k.indices == (-2, inputs["p"], inputs["q"])
+            and classify_cyclic(k).verdict == NONE)
 
 
 _CHECKS = {
@@ -164,8 +186,8 @@ _CHECKS = {
     "unclassified_indices": _check_unclassified,
     "lamination_form": _check_other_family,
     "cyclic_via_finite": _check_cyclic_via_finite,
-    "published_minus2_3_cyclic": _check_published_cyclic,
-    "published_minus2_3_finite": _check_published_finite,
+    "published_minus2_3_cyclic": lambda k, i: _check_published(k, i, facts.known_cyclic_minus2_3),
+    "published_minus2_3_finite": lambda k, i: _check_published(k, i, facts.known_finite_minus2_3),
     "known_examples": _check_known_examples,
     "no_nonintegral_slopes": _check_no_nonintegral,
     "nonintegral_proximity": lambda k, i: _check_proximity_window(k, i, False),

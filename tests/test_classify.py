@@ -226,6 +226,58 @@ def test_replay_accepts_genuine_and_rejects_tampered():
                                                "signature": [2, 3, 7, 6]})
 
 
+# Rules that record knot parameters, each with two knots where it applies.
+COPIED_RULES = [
+    ("toroidal_gap_large_p", classify_finite, (11, 13, -4), (11, 15, -4)),
+    ("toroidal_gap_small_p", classify_finite, (3, 5, -8), (3, 5, -10)),
+    ("coxeter_distance_window", classify_finite, (5, 5, -4), (5, 7, -4)),
+    ("residual_case_table", classify_finite, (3, 5, -6), (3, 9, -4)),
+    ("even_numerator_infinite", classify_finite, (3, 3, -8), (3, 3, -10)),
+    ("even_norm_floor", classify_finite, (3, 3, -8), (3, 3, -10)),
+    ("exceptional_knot_table", classify_finite, (3, 3, -4), (3, 3, -6)),
+    ("not_cyclic_annotation", classify_finite, (-2, 5, 9), (-2, 5, 11)),
+    ("published_minus2_3_cyclic", classify_cyclic, (-2, 3, 7), (-2, 3, 9)),
+    ("published_minus2_3_finite", classify_finite, (-2, 3, 7), (-2, 3, 9)),
+    ("seminorm_infeasibility", classify_cyclic, (-2, 5, 9), (-2, 5, 11)),
+]
+
+
+@pytest.mark.parametrize("rule_id,classifier,source,target", COPIED_RULES,
+                         ids=[case[0] for case in COPIED_RULES])
+def test_replay_rejects_a_rule_copied_from_another_knot(rule_id, classifier, source,
+                                                        target):
+    def recorded(triple):
+        cert = classifier(canonicalize(*triple))
+        return next(r for r in cert.rules if r.id.split(":")[0] == rule_id)
+
+    rule = recorded(source)
+    assert recorded(target).inputs != rule.inputs
+    assert replay_rule(canonicalize(*source), rule.id, rule.inputs)
+    assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
+
+
+def test_replay_rejects_parameters_of_another_knot():
+    gaps = next(r for r in classify_finite(canonicalize(11, 13, -4)).rules
+                if r.id == "toroidal_gap_large_p")
+    assert not replay_rule(canonicalize(3, 5, -4), gaps.id, gaps.inputs)
+    assert not replay_rule(canonicalize(9, 9, -4), "residual_case_table",
+                           {"p": 5, "r": 4, "survivors": [999]})
+
+
+def test_replay_rejects_inputs_that_were_never_recorded():
+    k = canonicalize(9, 9, -4)
+    for rule_id in ("denominator_bound", "half_integral_excluded", "odd_uniqueness"):
+        assert replay_rule(k, rule_id, {})
+        assert not replay_rule(k, rule_id, {"b": 99})
+        assert not replay_rule(canonicalize(-2, 5, 9), rule_id, {})
+    minus2_3_7 = canonicalize(-2, 3, 7)
+    for cert in (classify_cyclic(minus2_3_7), classify_finite(minus2_3_7)):
+        examples = next(r for r in cert.rules if r.id == "known_examples")
+        assert replay_rule(minus2_3_7, examples.id, examples.inputs)
+        assert not replay_rule(canonicalize(-2, 5, 7), examples.id, examples.inputs)
+    assert not replay_rule(minus2_3_7, "known_examples", {"slopes": [1]})
+
+
 def test_replay_unknown_rule_raises():
     cert = classify_cyclic(canonicalize(-2, 3, 7))
     with pytest.raises(KeyError):

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pretzel_surgery.cli as cli_module
 from pretzel_surgery.cli import main
 from pretzel_surgery.schema import validate_certificate_json
 
@@ -49,6 +55,40 @@ def test_classify_usage_errors(capsys):
                "--question", "cyclic")[0] == 2
     assert run(capsys, "classify", "--pretzel", "-2,4,6",
                "--question", "cyclic")[0] == 2
+
+
+def test_user_input_faults_are_usage_errors(capsys):
+    for argv in (["sweep", "--question", "finite", "--r-range", "0:4"],
+                 ["chars", "1", "3", "7"],
+                 ["group", "present", "2", "3", "-4"],
+                 ["group", "present", "3", "3", "-4", "--fill", "6", "--coxeter"],
+                 ["group", "coxeter", "1", "3", "3"],
+                 ["group", "coxeter", "3", "7", "6", "--enumerate", "--max-cosets", "0"]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err.startswith("error: ")) == (2, True), argv
+
+
+def test_internal_value_error_is_an_internal_error(monkeypatch, capsys):
+    def broken(knot, question):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(cli_module, "classify", broken)
+    code, out, err = run(capsys, "classify", "--pretzel", "-2,3,7", "--question", "cyclic")
+    assert (code, out, err) == (1, "", "internal error: broken invariant\n")
+
+
+def test_sweep_under_python_O_matches_the_pinned_stream():
+    # -O strips assert statements; the sweep must give the same bytes without them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pretzel_surgery.cli", "sweep", "--question", "cyclic",
+         "--bound", "11", "--json"],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.removesuffix("\n").encode()).hexdigest()
+    # The sweep_cyclic(11) digest of test_classify.py::test_certificate_streams_pinned.
+    assert digest == "d4fc10eb7acaa78049c3031ee677c4541f98ae9e6236ca2318965d5110c56f5e"
 
 
 def test_sweep_finite_json_stream(capsys):

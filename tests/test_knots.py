@@ -1,12 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pretzel_surgery.knots import (FamilyError, FamilyTag, PretzelKnot, TorusStatus,
-                                   canonicalize, enumerate_canonical, family,
-                                   hyperbolicity_condition, is_torus, torus_status)
+                                   _canonical_triple, canonicalize, enumerate_canonical,
+                                   family, hyperbolicity_condition, torus_status,
+                                   triangle_slack)
 
 
 def test_canonicalize_permutation():
@@ -31,6 +33,33 @@ def test_raw_constructor_rejects_noncanonical():
         PretzelKnot(3, -2, 7)
 
 
+def test_constructor_accepts_exactly_the_canonical_fixed_points():
+    indices = [v for v in range(-12, 13) if v != 0]
+    for t in itertools.product(indices, repeat=3):
+        if _canonical_triple(*t) != t:
+            with pytest.raises(ValueError):
+                PretzelKnot(*t)
+            continue
+        k = PretzelKnot(*t)
+        evens = tuple(v for v in t if v % 2 == 0)
+        assert k.even_indices == evens
+        assert k.odd_indices == tuple(v for v in t if v % 2 != 0)
+        assert k.is_knot == (len(evens) <= 1)
+
+
+def test_triangle_slack_matches_the_fraction_definition():
+    wrong = []
+    for p in range(2, 81):
+        for q in range(2, 81):
+            # 1/p + 1/q + 1/m against 1, as 1/m against 1 - 1/p - 1/q.
+            rest = 1 - Fraction(1, p) - Fraction(1, q)
+            for m in range(2, 81):
+                slack, third = triangle_slack(p, q, m), Fraction(1, m)
+                if (slack > 0) != (third < rest) or (slack >= 0) != (third <= rest):
+                    wrong.append((p, q, m))
+    assert wrong == []
+
+
 nonzero = st.integers(-20, 20).filter(lambda v: v != 0)
 
 
@@ -50,10 +79,9 @@ def test_family_invariant_under_permutation_and_mirror(p, q, r):
 
 
 def test_torus_status():
-    assert is_torus(canonicalize(-2, 3, 5))
-    assert is_torus(canonicalize(2, -3, -3))
-    assert not is_torus(canonicalize(-2, 3, 7))
-    assert not is_torus(canonicalize(-2, 5, 5))
+    assert torus_status(canonicalize(-2, 3, 5)) is TorusStatus.TORUS
+    assert torus_status(canonicalize(2, -3, -3)) is TorusStatus.TORUS
+    assert torus_status(canonicalize(-2, 3, 7)) is TorusStatus.NOT_TORUS
     assert torus_status(canonicalize(-2, 1, 7)) is TorusStatus.TORUS
     assert torus_status(canonicalize(1, 3, 4)) is TorusStatus.UNCLASSIFIED
     assert torus_status(canonicalize(-2, 5, 5)) is TorusStatus.NOT_TORUS

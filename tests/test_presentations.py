@@ -118,6 +118,17 @@ def test_longitude_triviality_negative_control():
     assert reduce_modulo_orders(genuine, orders).is_trivial
 
 
+def test_longitude_image_equals_the_product_of_its_runs():
+    for p in range(-31, 32, 2):
+        for q in range(-31, 32, 2):
+            k, half = (abs(p) - 1) // 2, (abs(q) - 1) // 2
+            for r in range(-40, 41, 2):
+                m = abs(r) // 2
+                product = (gen("g", k) * gen("f", m) * gen("g", k + 1)
+                           * gen("h", half) * gen("f", m) * gen("h", half + 1))
+                assert triangle_image_of_longitude(p, q, r) == product, (p, q, r)
+
+
 def test_reduce_modulo_orders_cascades():
     word = Word([("g", 2), ("f", 3), ("g", 1), ("h", 7)])
     reduced = reduce_modulo_orders(word, {"f": 3, "g": 3, "h": 7})
