@@ -7,7 +7,6 @@ arbitrary-precision integer arithmetic; floats never appear.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -21,8 +20,8 @@ class SlopeError(ValueError):
 class Slope:
     """A slope a/b in lowest terms, with b >= 0 and b = 0 only for 1/0.
 
-    Construct through :func:`make_slope` (or :meth:`Slope.parse`), which
-    reduces and fixes signs; the raw constructor insists on normal form.
+    Construct through :func:`make_slope`, which reduces and fixes signs;
+    the raw constructor insists on normal form.
     """
 
     a: int
@@ -41,28 +40,8 @@ class Slope:
     # -- predicates ---------------------------------------------------
 
     @property
-    def is_meridian(self) -> bool:
-        return self.b == 0
-
-    @property
     def is_integral(self) -> bool:
         return self.b == 1
-
-    @property
-    def is_even_integral(self) -> bool:
-        return self.b == 1 and self.a % 2 == 0
-
-    @property
-    def is_odd_integral(self) -> bool:
-        return self.b == 1 and self.a % 2 != 0
-
-    @property
-    def is_half_integral(self) -> bool:
-        return self.b == 2
-
-    @property
-    def is_non_integral(self) -> bool:
-        return self.b >= 2
 
     # -- conversions --------------------------------------------------
 
@@ -71,15 +50,6 @@ class Slope:
         if self.b == 0:
             return (1, Fraction(0))
         return (0, Fraction(self.a, self.b))
-
-    @staticmethod
-    def parse(text: str) -> "Slope":
-        m = re.fullmatch(r"\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?", text)
-        if not m:
-            raise SlopeError(f"cannot parse slope {text!r}")
-        a = int(m.group(1))
-        b = int(m.group(2)) if m.group(2) is not None else 1
-        return make_slope(a, b)
 
     def __str__(self) -> str:
         if self.b == 1:
@@ -102,12 +72,7 @@ def make_slope(a: int, b: int) -> Slope:
     return Slope(a, b)
 
 
-def integer_slope(n: int) -> Slope:
-    return Slope(n, 1)
-
-
 MERIDIAN = Slope(1, 0)
-LONGITUDE = Slope(0, 1)
 
 
 def distance(s: Slope, t: Slope) -> int:

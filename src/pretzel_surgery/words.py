@@ -133,7 +133,3 @@ class GroupPresentation:
         gens = ",".join(self.generators)
         rels = ", ".join(str(w) for w in self.relators)
         return f"< {gens} | {rels} >"
-
-
-def abelianization(presentation: GroupPresentation) -> AbelianInvariants:
-    return presentation.abelianization()

@@ -7,16 +7,18 @@ from types import ModuleType
 import pytest
 
 import pretzel_surgery.classify as classify_module
-from pretzel_surgery.classify import (NONE, REALIZED, TORUS_INFINITE, UNRESOLVED,
-                                      classify_cyclic, classify_finite, emit_certificate,
+from pretzel_surgery.classify import (NONE, REALIZED, STATUS_ELIMINATED, TORUS_INFINITE,
+                                      UNRESOLVED, Rule, classify_cyclic,
+                                      classify_finite, emit_certificate,
                                       quotient_certified_infinite)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.knots import canonicalize
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
-from pretzel_surgery.replay import replay_certificate, replay_rule
+from pretzel_surgery.replay import _OPENING, _RULES, replay_certificate, replay_rule
 from pretzel_surgery.schema import validate_certificate_json
+from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
 
 
@@ -226,7 +228,39 @@ def test_replay_accepts_genuine_and_rejects_tampered():
                                                "signature": [2, 3, 7, 6]})
 
 
+def _add_rule(rule_id, inputs):
+    def forge(cert):
+        cert.rules.append(Rule(rule_id, "forged", "", inputs, ""))
+        return cert
+    return forge
+
+
+def _edit_rule(rule_id, **changes):
+    def forge(cert):
+        i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
+        cert.rules[i] = cert.rules[i]._replace(inputs={**cert.rules[i].inputs, **changes})
+        return cert
+    return forge
+
+
+def _add_mark(u, rule_id):
+    def forge(cert):
+        cert.mark(make_slope(u, 1), STATUS_ELIMINATED, rule_id)
+        return cert
+    return forge
+
+
+def _set(**fields):
+    def forge(cert):
+        for name, value in fields.items():
+            setattr(cert, name, value)
+        return cert
+    return forge
+
+
 # Rules that record knot parameters, each with two knots where it applies.
+# The last cases forge a certificate of the source knot instead: the target
+# is then the forging function.
 COPIED_RULES = [
     ("toroidal_gap_large_p", classify_finite, (11, 13, -4), (11, 15, -4)),
     ("toroidal_gap_small_p", classify_finite, (3, 5, -8), (3, 5, -10)),
@@ -239,6 +273,21 @@ COPIED_RULES = [
     ("published_minus2_3_cyclic", classify_cyclic, (-2, 3, 7), (-2, 3, 9)),
     ("published_minus2_3_finite", classify_finite, (-2, 3, 7), (-2, 3, 9)),
     ("seminorm_infeasibility", classify_cyclic, (-2, 5, 9), (-2, 5, 11)),
+    ("coxeter_signature_of_another_knot", classify_finite, (3, 5, -6),
+     _add_rule("coxeter_quotient_infinite:1", {"slope": 1, "signature": [2, 9, 13, 2]})),
+    ("toroidal_of_another_knot", classify_finite, (7, 9, -10),
+     _edit_rule("exceptional_distance:43", toroidal="28")),
+    ("verdict_flipped", classify_finite, (-2, 5, 9), _set(verdict=NONE)),
+    ("realized_slope_dropped", classify_cyclic, (-2, 3, 7), _set(realized=(18,))),
+    ("residual_survivors_forged", classify_finite, (3, 5, -6),
+     _edit_rule("residual_case_table", survivors=[999])),
+    ("residual_survivors_not_a_list", classify_finite, (3, 5, -6),
+     _edit_rule("residual_case_table", survivors=5)),
+    ("residual_slope_added", classify_finite, (3, 5, -6), _add_mark(1, "residual_case_table")),
+    ("slope_linked_to_another_slope", classify_finite, (7, 9, -10),
+     _add_mark(1001, "exceptional_distance:43")),
+    ("rule_of_another_family", classify_cyclic, (-2, 3, 11),
+     _add_rule("cyclic_via_finite", {"finite_verdict": NONE})),
 ]
 
 
@@ -246,6 +295,12 @@ COPIED_RULES = [
                          ids=[case[0] for case in COPIED_RULES])
 def test_replay_rejects_a_rule_copied_from_another_knot(rule_id, classifier, source,
                                                         target):
+    if callable(target):
+        cert = classifier(canonicalize(*source))
+        assert replay_certificate(cert)
+        assert not replay_certificate(target(cert))
+        return
+
     def recorded(triple):
         cert = classifier(canonicalize(*triple))
         return next(r for r in cert.rules if r.id.split(":")[0] == rule_id)
@@ -276,6 +331,20 @@ def test_replay_rejects_inputs_that_were_never_recorded():
         assert replay_rule(minus2_3_7, examples.id, examples.inputs)
         assert not replay_rule(canonicalize(-2, 5, 7), examples.id, examples.inputs)
     assert not replay_rule(minus2_3_7, "known_examples", {"slopes": [1]})
+
+
+def test_replay_table_covers_exactly_the_emitted_rules():
+    certs = sweep_cyclic(11).certificates + sweep_finite((3, 25), (3, 25), (4, 24)).certificates
+    for p in range(3, 16, 2):
+        for q in range(p, 16, 2):
+            k = canonicalize(-2, p, q)
+            certs += [classify_cyclic(k), classify_finite(k)]
+    emitted = set()
+    for cert in certs:
+        for rule in cert.rules:
+            base, colon, _ = rule.id.partition(":")
+            emitted.add(base + colon)
+    assert emitted == set(_RULES) | set(_OPENING)
 
 
 def test_replay_unknown_rule_raises():
