@@ -525,7 +525,21 @@ def _published_minus2_3(cert: Certificate, q: int) -> Certificate:
 
 
 def classify_finite(k: PretzelKnot) -> Certificate:
-    """Verdict and certificate for non-trivial finite surgeries on k."""
+    """Verdict and certificate for non-trivial finite surgeries on k.
+
+    The last knot's certificate is kept: a cyclic sweep needs a (p,q,-r)
+    knot's finite verdict in classify and again in replay, back to back.
+    Each call returns a new certificate with its own lists and data dict, so
+    editing one never reaches the kept one; the rule inputs and the values
+    of ``data`` are shared, read-only records.
+    """
+    cert = _classify_finite(k)
+    return Certificate(cert.knot, cert.question, cert.verdict, cert.realized,
+                       [*cert.slopes], [*cert.rules], [*cert.annotations], {**cert.data})
+
+
+@lru_cache(maxsize=1)
+def _classify_finite(k: PretzelKnot) -> Certificate:
     cert, fam = _open(k, FINITE_Q)
     if fam is None:
         return cert

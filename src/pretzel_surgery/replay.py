@@ -2,12 +2,14 @@
 certificate's own knot, must return exactly the inputs the rule recorded.
 
 The premises live in :mod:`classify`, one per rule, so classify and replay
-share each threshold.  Two premises rerun a nested computation: the one of
-``cyclic_via_finite`` classifies the knot's finite surgeries again
-(``classify_finite``), and the one of ``seminorm_infeasibility`` solves the
-norm LPs again (``cyclic_infeasibility_minus2_5_q``); both names are
+share each threshold.  Two premises rest on a nested computation: the one of
+``cyclic_via_finite`` reads the knot's finite verdict from
+``classify_finite``, which keeps the last knot's run, so replaying right
+after classifying reuses it; the one of ``seminorm_infeasibility`` solves
+the norm LPs again (``cyclic_infeasibility_minus2_5_q``).  Both names are
 importable from here too.  Replay also checks that each eliminated slope is
-the one its rule names, and that the verdict follows from the chain.
+the one its rule names, that a window rule's candidates are each settled by
+exactly one mark, and that the verdict follows from the chain.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ _RULES = {
 }
 
 
+# The window rules: rule id -> the candidates its inputs list.  The slopes a
+# certificate marks, other than realized ones, are exactly these candidates.
+_WINDOWS = {
+    "finite_window": lambda inputs: inputs["candidates"],
+    "nonintegral_proximity": lambda inputs: inputs["candidates"],
+    "coxeter_distance_window": lambda inputs: [s for s, _ in inputs["window"]],
+}
+
+
 def _holds(k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: dict,
            questions: tuple[str, ...]) -> bool:
     opening = _OPENING.get(rule_id)
@@ -96,16 +107,19 @@ def replay_rule(k: PretzelKnot, rule_id: str, inputs: dict) -> bool:
 
 def replay_certificate(cert: Certificate) -> bool:
     """True when every rule replays on the certificate's knot, every
-    eliminated slope is linked to its rule, and the verdict and realized
-    slopes follow from the chain."""
-    k, questions, ids = cert.knot, (cert.question,), set()
+    eliminated slope is linked to its rule, every window candidate is marked
+    once, and the verdict and realized slopes follow from the chain."""
+    k, questions, ids, candidates = cert.knot, (cert.question,), set(), []
     fam = family(k)
     for rule in cert.rules:
         if not _holds(k, fam, rule.id, rule.inputs, questions):
             return False
         ids.add(rule.id)
+        window = _WINDOWS.get(rule.id)
+        if window is not None:
+            candidates += window(rule.inputs)
     unresolved = "unclassified_indices" in ids or "not_cyclic_annotation" in ids
-    if cert.slopes or cert.realized:
+    if cert.slopes or cert.realized or candidates:
         for s in cert.slopes:
             # An eliminated slope names a rule of the chain, and "id:u" names u.
             if s.status == STATUS_ELIMINATED and (
@@ -119,6 +133,10 @@ def replay_certificate(cert: Certificate) -> bool:
                 ([s.slope for s in cert.slopes if s.status == STATUS_REALIZED], cert.realized)):
             if [(s.a, s.b) for s in marked] != [(u, 1) for u in listed]:
                 return False
+        settled = sorted((s.slope.a, s.slope.b) for s in cert.slopes
+                         if s.status != STATUS_REALIZED)
+        if settled != [(u, 1) for u in sorted(candidates)]:
+            return False
     verdict = (TORUS_INFINITE if "torus_pretzel" in ids else REALIZED if cert.realized
                else UNRESOLVED if unresolved else NONE)
     return cert.verdict == verdict

@@ -169,10 +169,17 @@ def test_finite_candidate_slopes():
 def test_finite_refuses_a_gap_below_eleven(monkeypatch, capsys):
     # A soundness guard, not an assert: it must survive ``python -O`` and
     # reach the CLI as an internal error (exit 1), not a usage error.
+    # The knot is classified unpatched first, so the patch is seen only
+    # because the kept last-knot run is cleared.
+    k = canonicalize(11, 13, -4)
+    assert classify_finite(k).verdict == NONE
+    classify_module._classify_finite.cache_clear()
     monkeypatch.setattr(classify_module, "toroidal_gaps_large_p",
                         lambda p, q, r: (Fraction(21, 2), Fraction(12)))
     with pytest.raises(ArithmeticError, match="gap < 11"):
-        classify_finite(canonicalize(11, 13, -4))
+        classify_finite(k)
+    with pytest.raises(ArithmeticError, match="gap < 11"):
+        classify_finite(k)  # a raise is not kept
     assert main(["classify", "--pretzel", "11,13,-4", "--question", "finite"]) == 1
     assert capsys.readouterr().err.startswith("internal error: ")
 
@@ -250,6 +257,14 @@ def _add_mark(u, rule_id):
     return forge
 
 
+def _drop_rule(rule_id):
+    def forge(cert):
+        cert.rules = [r for r in cert.rules if r.id != rule_id]
+        cert.slopes = [s for s in cert.slopes if s.rule_id != rule_id]
+        return cert
+    return forge
+
+
 def _set(**fields):
     def forge(cert):
         for name, value in fields.items():
@@ -288,6 +303,10 @@ COPIED_RULES = [
      _add_mark(1001, "exceptional_distance:43")),
     ("rule_of_another_family", classify_cyclic, (-2, 3, 11),
      _add_rule("cyclic_via_finite", {"finite_verdict": NONE})),
+    ("proximity_candidate_dropped", classify_cyclic, (-2, 5, 9),
+     _drop_rule("seminorm_infeasibility:23")),
+    ("finite_window_candidate_dropped", classify_finite, (7, 9, -10),
+     _drop_rule("exceptional_distance:43")),
 ]
 
 
@@ -345,6 +364,44 @@ def test_replay_table_covers_exactly_the_emitted_rules():
             base, colon, _ = rule.id.partition(":")
             emitted.add(base + colon)
     assert emitted == set(_RULES) | set(_OPENING)
+
+
+def test_cyclic_sweep_runs_each_finite_pipeline_once(monkeypatch):
+    # cyclic_via_finite asks for the finite verdict in classify and again in
+    # replay; the second call reuses the kept run.
+    calls = {"classify_finite": 0, "_finite_pq_minus_r": 0}
+
+    def counting(name):
+        fn = getattr(classify_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(classify_module, name, counting(name))
+    classify_module._classify_finite.cache_clear()
+    report = sweep_cyclic(11)
+    knots = sum(1 for c in report.certificates if c.rules[0].id == "cyclic_via_finite")
+    assert knots > 0 and not report.violations
+    assert calls == {"classify_finite": 2 * knots, "_finite_pq_minus_r": knots}
+
+
+def test_editing_a_finite_certificate_never_reaches_the_kept_run():
+    k = canonicalize(7, 9, -10)
+    original = emit_certificate(classify_finite(k))
+    cert = classify_finite(k)
+    assert cert.rules and cert.slopes and cert.data
+    cert.verdict = UNRESOLVED
+    cert.rules.pop()
+    cert.slopes.append(cert.slopes[0])
+    cert.annotations.append("forged")
+    cert.data["toroidal_slope"] = "0"
+    hits = classify_module._classify_finite.cache_info().hits
+    assert emit_certificate(classify_finite(k)) == original
+    assert classify_module._classify_finite.cache_info().hits == hits + 1
+    assert replay_certificate(classify_cyclic(k))
 
 
 def test_replay_unknown_rule_raises():

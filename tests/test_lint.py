@@ -22,3 +22,28 @@ def test_replay_uses_only_public_names_of_classify():
                if isinstance(node, ast.ImportFrom) and node.module == "classify"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """Functions decorated with functools.cache, or with lru_cache of any
+    maxsize other than a literal 1."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for d in getattr(node, "decorator_list", ()):
+            call = d if isinstance(d, ast.Call) else None
+            func = call.func if call else d
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in ("cache", "lru_cache"):
+                continue
+            sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1] \
+                if call else []
+            if name == "cache" or not sizes or getattr(sizes[0], "value", None) != 1:
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_keeps_one_entry(path):
+    # A sweep visits tens of thousands of knots once each; a memo that keeps
+    # more than the last one only grows the process.
+    assert _unbounded_caches(path.read_text()) == []
