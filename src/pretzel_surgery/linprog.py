@@ -27,10 +27,10 @@ takes the path of the unscaled rational tableau.  The duals are read off
 the unit columns, whose reduced costs are unscaled, so they come out
 unchanged.  The point and the duals become ``Fraction``s only at the end.
 
-Both certificates re-verify by direct evaluation over ``Fraction``
-(:func:`satisfies`, :func:`verify_witness`), independently of the integer
-kernel, before the solver returns; callers repeat the check when replaying
-certificates.
+Both certificates re-verify by exact integer evaluation after clearing
+denominators (:func:`satisfies`, :func:`verify_witness`), reading only the
+rows and the returned vector, never ``M``, ``d`` or the basis, before the
+solver returns; callers repeat the check when replaying certificates.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 EQ = "EQ"
 GE = "GE"
@@ -53,17 +54,6 @@ class LinearRow:
     rhs: Fraction
     label: str = ""
 
-    def evaluate(self, x: tuple[Fraction, ...]) -> Fraction:
-        return sum((c * v for c, v in zip(self.coeffs, x)), Fraction(0))
-
-    def holds_at(self, x: tuple[Fraction, ...]) -> bool:
-        lhs = self.evaluate(x)
-        if self.rel == EQ:
-            return lhs == self.rhs
-        if self.rel == GE:
-            return lhs >= self.rhs
-        return lhs <= self.rhs
-
 
 def row(coeffs, rel: str, rhs, label: str = "") -> LinearRow:
     if rel not in (EQ, GE, LE):
@@ -78,8 +68,22 @@ class FeasibilityResult:
     witness: tuple[Fraction, ...] | None = None
 
 
+def _cleared(values) -> list[int]:
+    """The values times the lcm of their denominators, as ints."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*(b for _, b in ratios))
+    return [a * (d // b) for a, b in ratios]
+
+
 def satisfies(rows: list[LinearRow], x: tuple[Fraction, ...]) -> bool:
-    return all(r.holds_at(x) for r in rows)
+    """Every row a.x ~ b holds: with X = D*x and L*a, L*b the cleared row, (L*a).X ~ L*b*D."""
+    *X, D = _cleared((*x, 1))  # the appended 1 comes back as D
+    for r in rows:
+        *A, b = _cleared((*r.coeffs, r.rhs))
+        lhs, rhs = sum(map(mul, A, X)), b * D
+        if not (lhs == rhs if r.rel == EQ else lhs >= rhs if r.rel == GE else lhs <= rhs):
+            return False
+    return True
 
 
 def verify_witness(rows: list[LinearRow], y: tuple[Fraction, ...]) -> bool:
@@ -91,11 +95,12 @@ def verify_witness(rows: list[LinearRow], y: tuple[Fraction, ...]) -> bool:
             return False
         if r.rel == LE and yi > 0:
             return False
+    Y = _cleared(y)  # y and each column below times a positive lcm: the same signs
     nvars = len(rows[0].coeffs) if rows else 0
     for j in range(nvars):
-        if sum((yi * r.coeffs[j] for r, yi in zip(rows, y)), Fraction(0)) > 0:
+        if sum(map(mul, Y, _cleared([r.coeffs[j] for r in rows]))) > 0:
             return False
-    return sum((yi * r.rhs for r, yi in zip(rows, y)), Fraction(0)) > 0
+    return sum(map(mul, Y, _cleared([r.rhs for r in rows]))) > 0
 
 
 def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
@@ -200,9 +205,9 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
         return FeasibilityResult(True, point=point)
 
     # Duals from the reduced costs over the initial identity columns.
-    y = [Fraction(d - obj[art_col[i]] if i in art_col else -obj[slack_col[i]], d)
-         for i in range(m)]
-    witness = tuple(flip[i] * y[i] for i in range(m))
+    witness = tuple(
+        Fraction(flip[i] * (d - obj[art_col[i]] if i in art_col else -obj[slack_col[i]]), d)
+        for i in range(m))
     if not verify_witness(rows, witness):
         raise ArithmeticError("Farkas witness failed exact recheck")
     return FeasibilityResult(False, witness=witness)

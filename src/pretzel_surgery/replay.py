@@ -107,8 +107,9 @@ def replay_rule(k: PretzelKnot, rule_id: str, inputs: dict) -> bool:
 
 def replay_certificate(cert: Certificate) -> bool:
     """True when every rule replays on the certificate's knot, every
-    eliminated slope is linked to its rule, every window candidate is marked
-    once, and the verdict and realized slopes follow from the chain."""
+    eliminated slope is linked to its rule (``coxeter_distance_window``: one
+    at recorded distance > 9), every window candidate is marked once, and
+    the verdict and realized slopes follow from the chain."""
     k, questions, ids, candidates = cert.knot, (cert.question,), set(), []
     fam = family(k)
     for rule in cert.rules:
@@ -128,8 +129,12 @@ def replay_certificate(cert: Certificate) -> bool:
             unresolved = unresolved or s.status == STATUS_UNRESOLVED
         survivors = [u for rule in cert.rules if rule.id == "residual_case_table"
                      for u in rule.inputs["survivors"]]
+        # The window slopes beyond the exceptional-distance bound (9).
+        far = [u for rule in cert.rules if rule.id == "coxeter_distance_window"
+               for u, dist in rule.inputs["distances"] if dist > exceptional_distance.args[0]]
         for marked, listed in (
                 ([s.slope for s in cert.slopes if s.rule_id == "residual_case_table"], survivors),
+                ([s.slope for s in cert.slopes if s.rule_id == "coxeter_distance_window"], far),
                 ([s.slope for s in cert.slopes if s.status == STATUS_REALIZED], cert.realized)):
             if [(s.a, s.b) for s in marked] != [(u, 1) for u in listed]:
                 return False

@@ -98,10 +98,6 @@ class AbelianInvariants:
     def is_trivial(self) -> bool:
         return not self.torsion and self.free_rank == 0
 
-    @property
-    def is_infinite_cyclic(self) -> bool:
-        return not self.torsion and self.free_rank == 1
-
     def is_cyclic_of_order(self, n: int) -> bool:
         n = abs(n)
         if n == 1:

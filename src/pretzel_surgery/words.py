@@ -67,14 +67,8 @@ class Word:
             for _ in range(abs(e)):
                 yield (g, step)
 
-    def letter_count(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
-
     def exponent_sum(self, g: str) -> int:
         return sum(e for h, e in self.runs if h == g)
-
-    def total_exponent_sum(self) -> int:
-        return sum(e for _, e in self.runs)
 
     def alphabet(self) -> set[str]:
         return {g for g, _ in self.runs}

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from types import ModuleType
 
@@ -265,6 +266,16 @@ def _drop_rule(rule_id):
     return forge
 
 
+def _relink(rule_id, new_id):
+    # Drop a rule and link the slopes it eliminated to another rule instead.
+    def forge(cert):
+        cert.rules = [r for r in cert.rules if r.id != rule_id]
+        cert.slopes = [replace(s, rule_id=new_id) if s.rule_id == rule_id else s
+                       for s in cert.slopes]
+        return cert
+    return forge
+
+
 def _set(**fields):
     def forge(cert):
         for name, value in fields.items():
@@ -307,6 +318,9 @@ COPIED_RULES = [
      _drop_rule("seminorm_infeasibility:23")),
     ("finite_window_candidate_dropped", classify_finite, (7, 9, -10),
      _drop_rule("exceptional_distance:43")),
+    # Slopes within distance 9 of 2(p+q) that only the residual table settles.
+    *((f"near_slope_relinked_to_distance_window_{q}", classify_finite, (5, q, -4),
+       _relink("residual_case_table", "coxeter_distance_window")) for q in (5, 7, 9)),
 ]
 
 

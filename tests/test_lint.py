@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,14 @@ def test_every_cache_keeps_one_entry(path):
     # A sweep visits tens of thousands of knots once each; a memo that keeps
     # more than the last one only grows the process.
     assert _unbounded_caches(path.read_text()) == []
+
+
+def test_readme_lists_every_module():
+    # Every module is named in the first column of the README's
+    # "Ingredients" table.
+    readme = (SRC.parent.parent / "README.md").read_text()
+    table = readme.split("## Ingredients", 1)[1].split("\n## ", 1)[0]
+    listed = {name for line in table.splitlines() if line.startswith("| `")
+              for name in re.findall(r"`(\w+)`", line.split("|")[1])}
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert sorted(modules - listed) == []

@@ -27,7 +27,7 @@ def test_inverse_and_power():
 def test_exponent_sums_and_letters():
     w = gen("x", -2) * gen("y") * gen("x")
     assert w.exponent_sum("x") == -1
-    assert w.total_exponent_sum() == 0
+    assert sum(e for _, e in w.runs) == 0
     assert list(w.letters()) == [("x", -1), ("x", -1), ("y", 1), ("x", 1)]
     assert str(w) == "x^-2.y.x"
 
