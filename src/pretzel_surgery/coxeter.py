@@ -6,6 +6,8 @@ decided by Edjvet's classification, plus a Todd-Coxeter coset enumerator
 used as an independent desk-scale oracle.  The enumerator proves finiteness
 (with the exact order) whenever the coset table closes; it can never prove
 infiniteness, so INCONCLUSIVE outcomes are only ever consistency checks.
+Its coset table is one list per column (generator or inverse), and its HLT
+definition order, hence every result's cosets_defined, is pinned by the tests.
 """
 
 from __future__ import annotations
@@ -108,7 +110,14 @@ class _CosetCap(Exception):
 def todd_coxeter(presentation: GroupPresentation,
                  max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
     """Enumerate cosets of the trivial subgroup (HLT relator filling with
-    immediate coincidence handling; deterministic scan order).
+    immediate coincidence handling).
+
+    The table is one list per column: column 2i is generator i, column
+    2i ^ 1 its inverse, and cols[c][x] is the coset x.c, or -1 while
+    undefined.  Each relator is compiled once into its forward columns and
+    its inverse columns, so a scan step is one list index.  The definition
+    order is pinned: alpha ascending, relators in presentation order, then
+    alpha's undefined columns in column order.
 
     Returns FINITE with the exact group order when the table closes within
     max_cosets total coset definitions, INCONCLUSIVE otherwise.
@@ -117,21 +126,14 @@ def todd_coxeter(presentation: GroupPresentation,
         raise ValueError("max_cosets must be positive")
 
     index = {g: i for i, g in enumerate(presentation.generators)}
-    width = 2 * len(index)
-
-    def col(g: str, e: int) -> int:
-        return 2 * index[g] + (0 if e > 0 else 1)
-
-    def inv(c: int) -> int:
-        return c ^ 1
-
+    cols: list[list[int]] = [[-1] for _ in range(2 * len(index))]
+    pairs = [(col, cols[c ^ 1]) for c, col in enumerate(cols)]
     relators = []
     for w in presentation.relators:
-        letters = tuple(col(g, e) for g, e in w.letters())
-        if letters:
-            relators.append(letters)
-
-    table: list[list[int | None]] = [[None] * width]
+        word = [2 * index[g] + (e < 0) for g, e in w.letters()]
+        if word:
+            relators.append((tuple(cols[c] for c in word),
+                             tuple(cols[c ^ 1] for c in word)))
     parent = [0]
 
     def find(x: int) -> int:
@@ -141,11 +143,13 @@ def todd_coxeter(presentation: GroupPresentation,
         return x
 
     def new_coset() -> int:
-        if len(table) >= max_cosets:
+        n = len(parent)
+        if n >= max_cosets:
             raise _CosetCap
-        table.append([None] * width)
-        parent.append(len(table) - 1)
-        return len(table) - 1
+        for col in cols:
+            col.append(-1)
+        parent.append(n)
+        return n
 
     def merge(x: int, y: int, queue: list[int]) -> None:
         x, y = find(x), find(y)
@@ -161,78 +165,73 @@ def todd_coxeter(presentation: GroupPresentation,
         merge(x, y, queue)
         while queue:
             dead = queue.pop()
-            row_ = table[dead]
-            for c in range(width):
-                target = row_[c]
-                if target is None:
+            for col, back_col in pairs:
+                target = col[dead]
+                if target < 0:
                     continue
-                row_[c] = None
-                if table[target][inv(c)] == dead:
-                    table[target][inv(c)] = None
+                col[dead] = -1
+                if back_col[target] == dead:
+                    back_col[target] = -1
                 mu, nu = find(dead), find(target)
-                existing = table[mu][c]
-                if existing is not None:
+                existing = col[mu]
+                if existing >= 0:
                     merge(nu, find(existing), queue)
                 else:
-                    back = table[nu][inv(c)]
-                    if back is not None:
+                    back = back_col[nu]
+                    if back >= 0:
                         merge(mu, find(back), queue)
                     else:
-                        table[mu][c] = nu
-                        table[nu][inv(c)] = mu
-
-    def scan_and_fill(alpha: int, word: tuple[int, ...]) -> None:
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j:
-                t = table[f][word[i]]
-                if t is None:
-                    break
-                f = find(t)
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i:
-                t = table[b][inv(word[j])]
-                if t is None:
-                    break
-                b = find(t)
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][inv(word[i])] = f
-                return
-            d = new_coset()
-            table[f][word[i]] = d
-            table[d][inv(word[i])] = f
+                        col[mu] = nu
+                        back_col[nu] = mu
 
     try:
         alpha = 0
-        while alpha < len(table):
-            if find(alpha) == alpha:
-                for word in relators:
-                    if find(alpha) != alpha:
+        while alpha < len(parent):
+            for fwd, bwd in relators:
+                if parent[alpha] != alpha:
+                    break
+                # Scan alpha.word = alpha from both ends; fill a one-letter
+                # gap by deduction, a longer one with a new coset.
+                f, i = alpha, 0
+                b, j = alpha, len(fwd) - 1
+                while True:
+                    while i <= j:
+                        t = fwd[i][f]
+                        if t < 0:
+                            break
+                        f = t if parent[t] == t else find(t)
+                        i += 1
+                    if i > j:
+                        if f != b:
+                            coincidence(f, b)
                         break
-                    scan_and_fill(alpha, word)
-                if find(alpha) == alpha:
-                    row_ = table[alpha]
-                    for c in range(width):
-                        if row_[c] is None:
-                            d = new_coset()
-                            row_[c] = d
-                            table[d][inv(c)] = alpha
+                    while j >= i:
+                        t = bwd[j][b]
+                        if t < 0:
+                            break
+                        b = t if parent[t] == t else find(t)
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                        break
+                    if j == i:
+                        fwd[i][f] = b
+                        bwd[i][b] = f
+                        break
+                    d = new_coset()
+                    fwd[i][f] = d
+                    bwd[i][d] = f
+            if parent[alpha] == alpha:
+                for col, back_col in pairs:
+                    if col[alpha] < 0:
+                        d = new_coset()
+                        col[alpha] = d
+                        back_col[d] = alpha
             alpha += 1
     except _CosetCap:
-        return EnumerationResult("INCONCLUSIVE", None, len(table))
+        return EnumerationResult("INCONCLUSIVE", None, len(parent))
 
-    live = [i for i in range(len(table)) if find(i) == i]
-    for i in live:
-        if any(v is None for v in table[i]):
-            raise ArithmeticError("closed enumeration left undefined entries")
-    return EnumerationResult(FINITE, len(live), len(table))
+    live = [x for x in range(len(parent)) if parent[x] == x]
+    if any(col[x] < 0 for col in cols for x in live):
+        raise ArithmeticError("closed enumeration left undefined entries")
+    return EnumerationResult(FINITE, len(live), len(parent))

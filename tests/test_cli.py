@@ -159,6 +159,14 @@ def test_group_coxeter_enumerate(capsys):
     assert payload["order"] == 1092
 
 
+def test_group_coxeter_enumerate_json_bytes_pinned(capsys):
+    # Recorded at commit d93b71a, before the per-column enumerator.
+    code, out, _ = run(capsys, "group", "coxeter", "3", "7", "4", "--enumerate", "--json")
+    assert code == 0
+    assert out == ('{"clause":"iii","cosets_defined":382,"enumeration":"FINITE",'
+                   '"order":168,"signature":[2,3,7,4],"verdict":"FINITE"}\n')
+
+
 def test_group_coxeter_max_cosets_cap(capsys):
     code, out, _ = run(capsys, "group", "coxeter", "3", "7", "6",
                        "--enumerate", "--max-cosets", "50", "--json")
