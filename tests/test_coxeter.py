@@ -386,8 +386,8 @@ def test_random_presentations_match_the_reference_enumerator(ngens, data):
 
 
 def test_column_fill_order_is_the_reference_order():
-    # Filling alpha's undefined columns in any other order runs into the cap
-    # here: the cap of 6 is exactly the cosets the reference order defines.
+    # Filling alpha's undefined columns in reverse order hits the cap here:
+    # 6 is exactly the number of cosets the reference order defines.
     x, y, z = gen("x"), gen("y"), gen("z")
     pres = GroupPresentation(("x", "y", "z"), (x * y ** 2, x ** 2, ~y * z))
     expected = EnumerationResult(FINITE, 4, 6)
