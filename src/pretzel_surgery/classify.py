@@ -1,10 +1,14 @@
 """Rule-chained verdicts on cyclic and finite surgeries, with certificates.
 
 Each certificate records the applied rules in order; every rule carries a
-source descriptor, the inputs it was applied to, and a conclusion.  Every
-computed rule has one premise function here, which returns the inputs the
-rule records; :func:`replay_certificate` calls it again on the
-certificate's knot and compares, so a certificate is evidence, not prose.
+source descriptor, the inputs it was applied to, and a conclusion.  Each
+rule is one row of :data:`RULES`, per question: the knot family it applies
+to, its source, its premise, its conclusion and what it settles.  A premise
+returns the inputs its rule records; :func:`conclude` turns a chain of rules
+into the slope marks, realized slopes and verdict it implies.  The pipelines
+here only apply rows and conclude once; :func:`replay_certificate` calls
+each premise again on the certificate's knot, requires exactly the recorded
+inputs, and requires what ``conclude`` derives from the chain.
 
 Imported theorems (lamination reduction, distance bounds, published case
 analyses, SnapPea checks) enter only through the facts table; computed
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import facts
 from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
@@ -83,15 +87,6 @@ class Certificate:
     annotations: list[str] = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
-    def rule(self, rule_id: str, source: str, inputs: dict, conclusion: str) -> Rule:
-        citation = facts.SOURCES.get(source, source)
-        r = Rule(rule_id, source, citation, inputs, conclusion)
-        self.rules.append(r)
-        return r
-
-    def mark(self, slope: Slope, status: str, rule_id: str | None = None) -> None:
-        self.slopes.append(SlopeStatus(slope, status, rule_id))
-
     def to_json(self) -> dict:
         return {
             "pretzel": list(self.knot.indices),
@@ -129,12 +124,25 @@ def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -
 
 # -- premises ----------------------------------------------------------------
 #
-# One function per computed rule.  It takes the knot's parameters, (p, q, r)
-# for (p,q,-r) and (p, q, 2) for (-2,p,q), and the slope u of a per-slope
-# rule "id:u", and returns the inputs the rule records when its premise
-# holds, None when it does not.  Classify records what it returns; replay
-# calls it on the certificate's knot and compares.  A bound the paper proves
-# on the whole branch raises ArithmeticError when it fails.
+# One function per rule.  It returns the inputs the rule records when its
+# premise holds, None when it does not.  An opening rule, which applies to
+# any knot, takes the knot and its family.  The other rules take the knot's
+# parameters, (p, q, r) for (p,q,-r) and (p, q, 2) for (-2,p,q), and the
+# slope u of a per-slope rule "id:u".  A bound the paper proves on the whole
+# branch raises ArithmeticError when it fails.
+
+
+def torus_pretzel(k: PretzelKnot, fam: KnotFamily) -> dict | None:
+    return {} if fam.tag is FamilyTag.TORUS else None
+
+
+def unclassified_indices(k: PretzelKnot, fam: KnotFamily) -> dict | None:
+    return {} if torus_status(k) is TorusStatus.UNCLASSIFIED else None
+
+
+def lamination_form(k: PretzelKnot, fam: KnotFamily) -> dict | None:
+    outside = fam.tag is FamilyTag.OTHER and torus_status(k) is TorusStatus.NOT_TORUS
+    return {} if outside else None
 
 
 @lru_cache(maxsize=1)
@@ -287,15 +295,10 @@ published_minus2_3_cyclic = partial(_published, facts.known_cyclic_minus2_3)
 published_minus2_3_finite = partial(_published, facts.known_finite_minus2_3)
 
 
-# Per question: the premise of the published (-2,3,q) list and the source
-# realizing its slopes.
-_PUBLISHED = {CYCLIC: (published_minus2_3_cyclic, "fintushel_stern"),
-              FINITE_Q: (published_minus2_3_finite, "bleiler_hodgson")}
-
-
-def known_examples(p: int, q: int, r: int, question: str) -> dict | None:
-    published = _PUBLISHED[question][0](p, q, r)
-    return {"slopes": published["slopes"]} if published and published["slopes"] else None
+def _known_examples(published, p: int, q: int, r: int) -> dict | None:
+    """The slopes of a non-empty published list, as realized examples."""
+    listed = published(p, q, r)
+    return {"slopes": listed["slopes"]} if listed and listed["slopes"] else None
 
 
 def not_cyclic_annotation(p: int, q: int, r: int) -> dict | None:
@@ -323,205 +326,253 @@ def seminorm_infeasibility(p: int, q: int, r: int, u: int) -> dict | None:
             "witnesses": [[str(w) for w in v.witness] for v in report.verdicts]}
 
 
-# -- per-slope elimination ----------------------------------------------------
+# -- the rule table -----------------------------------------------------------
+#
+# What a rule settles, read by conclude: a verdict, NONE or TORUS_INFINITE,
+# when the rule settles the question alone; None when it settles nothing;
+# else one of these.
+
+WINDOW = "every slope but its candidates"
+SLOPE = "its slope u"
+CANDIDATES = "the window's candidates"
+FAR = "every slope but its window, and its window slopes at distance > 9"
+SURVIVORS = "its survivors"
+PUBLISHED = "its published slopes"
 
 
-# Per pipeline, the per-slope rules in the order they are tried: id, source,
-# premise, and the conclusion, formatted with u and the recorded inputs.
-_FINITE_SLOPE_RULES = (
-    ("exceptional_distance", "exceptional_distance", exceptional_distance,
-     "slope {u} has distance {distance} > 9 from the toroidal filling {toroidal}"),
-    ("coxeter_quotient_infinite", "quotient_surjection", coxeter_quotient_infinite,
-     "the filled group surjects onto the infinite group (2,{signature[1]},{signature[2]};"
-     "{signature[3]}), so the {u}-filling is not finite"),
-)
-_CYCLIC_SLOPE_RULES = (
-    ("lens_toroidal_distance", "lens_toroidal_distance", lens_toroidal_distance,
-     "a cyclic filling at {u} would be a lens space at distance {distance} > 5 from the "
-     "toroidal filling {toroidal}"),
-    ("snappea_hyperbolic", "snappea_check", snappea_hyperbolic,
-     "the {u}-filling is verified hyperbolic, hence not cyclic"),
-    ("seminorm_infeasibility", "total_norm_model", seminorm_infeasibility,
-     "assuming {u} attains the minimal norm S is infeasible for every pair of nonzero "
-     "coefficients (exact Farkas witnesses)"),
-)
+class RuleRow(NamedTuple):
+    """One rule, as classify applies it and replay checks it."""
+
+    family: FamilyTag | None  # None: any knot, and the premise takes (k, family(k))
+    source: str  # a key of facts.SOURCES
+    premise: Callable[..., dict | None]
+    conclusion: str  # formatted with u and the inputs for a per-slope rule "id:u"
+    settles: str | None
 
 
-def _eliminate(cert: Certificate, rules: tuple, p: int, q: int, r: int, u: int) -> bool:
-    """Record the first per-slope rule "id:u" whose premise holds and mark u
-    eliminated by it; False when none holds."""
-    for rule, source, premise, conclusion in rules:
-        inputs = premise(p, q, r, u)
-        if inputs is not None:
-            rule_id = f"{rule}:{u}"
-            cert.rule(rule_id, source, inputs, conclusion.format(u=u, **inputs))
-            cert.mark(make_slope(u, 1), STATUS_ELIMINATED, rule_id)
-            return True
-    return False
+_M2, _PQR = FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R
 
 
-# -- the finite pipeline ----------------------------------------------------
+def _shared_rows(question: str, fillings: str, published, examples_source: str) -> dict:
+    """The opening rows and the (-2,3,q) rows, in the words of the question."""
+    return {
+        "torus_pretzel": RuleRow(None, "torus_classification", torus_pretzel, (
+            f"torus knots admit infinitely many {fillings} fillings"), TORUS_INFINITE),
+        "unclassified_indices": RuleRow(None, "torus_classification", unclassified_indices, (
+            "triples with a +-1 index outside the encoded patterns are not classified here"),
+            None),
+        "lamination_form": RuleRow(None, "lamination_reduction", lamination_form, (
+            "a non-torus pretzel knot outside the (p,q,-r) form admits no non-trivial "
+            f"{question} surgery"), NONE),
+        f"published_minus2_3_{question}": RuleRow(_M2, "published_minus2_3_surgeries", published, (
+            f"the published classification lists exactly these {question} surgery slopes"),
+            PUBLISHED),
+        "known_examples": RuleRow(_M2, examples_source, partial(_known_examples, published), (
+            f"the listed fillings are realized {question} surgeries"), None),
+    }
 
 
-_NORM_RULES = (
-    ("even_numerator_infinite", "character_doubling", even_numerator_infinite,
-     "fillings 2a/b factor through the infinite triangle quotient, so any finite "
-     "filling has odd numerator"),
-    ("denominator_bound", "finite_norm_bound", strict_triangle,
-     "a finite filling slope a/b has b <= 2"),
-    ("even_norm_floor", "character_doubling", even_norm_floor,
-     "even-numerator classes have total norm >= S + 12"),
-    ("half_integral_excluded", "finite_norm_bound", strict_triangle,
-     "a half-integral finite filling would force norm < S + 4 at an even integral "
-     "midpoint, against the S + 12 floor; so the filling is odd integral"),
-    ("odd_uniqueness", "finite_norm_bound", strict_triangle,
-     "two odd integral fillings of norm <= S + 8 would trap an even integral class "
-     "of norm <= S + 8; at most one finite filling exists"),
-)
+# Per question: rule id -> its row.  A per-slope rule "id:u" is keyed "id:".
+RULES: dict[str, dict[str, RuleRow]] = {
+    FINITE_Q: {
+        **_shared_rows(FINITE_Q, "finite (indeed cyclic)", published_minus2_3_finite,
+                       "bleiler_hodgson"),
+        "not_cyclic_annotation": RuleRow(_M2, "cyclic_surgery_theorem", not_cyclic_annotation, (
+            "this knot admits no non-trivial cyclic surgery, so any finite filling here is not "
+            "cyclic"), None),
+        "exceptional_knot_table": RuleRow(_PQR, "residual_case_analysis", exceptional_knot_table, (
+            "the strict triangle condition fails here; the published direct analysis finds no "
+            "non-trivial finite surgeries"), NONE),
+        "even_numerator_infinite": RuleRow(_PQR, "character_doubling", even_numerator_infinite, (
+            "fillings 2a/b factor through the infinite triangle quotient, so any finite filling "
+            "has odd numerator"), None),
+        "denominator_bound": RuleRow(_PQR, "finite_norm_bound", strict_triangle, (
+            "a finite filling slope a/b has b <= 2"), None),
+        "even_norm_floor": RuleRow(_PQR, "character_doubling", even_norm_floor, (
+            "even-numerator classes have total norm >= S + 12"), None),
+        "half_integral_excluded": RuleRow(_PQR, "finite_norm_bound", strict_triangle, (
+            "a half-integral finite filling would force norm < S + 4 at an even integral "
+            "midpoint, against the S + 12 floor; so the filling is odd integral"), None),
+        "odd_uniqueness": RuleRow(_PQR, "finite_norm_bound", strict_triangle, (
+            "two odd integral fillings of norm <= S + 8 would trap an even integral class of "
+            "norm <= S + 8; at most one finite filling exists"), None),
+        "no_nonintegral_slopes": RuleRow(
+            _PQR, "montesinos_boundary_slopes", no_nonintegral_slopes, (
+                "there are no non-integral boundary slopes, so no odd integral slope sits "
+                "within distance one of one; no finite surgery"), NONE),
+        "finite_window": RuleRow(_PQR, "montesinos_boundary_slopes", finite_window, (
+            "a finite filling must be an odd integer within distance one of a non-integral "
+            "boundary slope"), WINDOW),
+        "toroidal_gap_large_p": RuleRow(_PQR, "exceptional_distance", toroidal_gap_large_p, (
+            "both steep slopes lie at gap >= 11 from the toroidal filling 2(p+q), so every "
+            "windowed candidate violates the distance bound; no finite surgery"), CANDIDATES),
+        "toroidal_gap_small_p": RuleRow(_PQR, "exceptional_distance", toroidal_gap_small_p, (
+            "the lone non-integral slope lies at gap > 10 from the toroidal filling 2(p+q); no "
+            "finite surgery"), CANDIDATES),
+        "exceptional_distance:": RuleRow(_PQR, "exceptional_distance", exceptional_distance, (
+            "slope {u} has distance {distance} > 9 from the toroidal filling {toroidal}"), SLOPE),
+        "coxeter_quotient_infinite:": RuleRow(
+            _PQR, "quotient_surjection", coxeter_quotient_infinite, (
+                "the filled group surjects onto the infinite group (2,{signature[1]},"
+                "{signature[2]};{signature[3]}), so the {u}-filling is not finite"), SLOPE),
+        "coxeter_distance_window": RuleRow(_PQR, "coxeter_finiteness", coxeter_distance_window, (
+            "any finite filling s must keep the quotient (2,p,|s-2p|;r/2) finite, confining s to "
+            "the listed window; slopes at distance > 9 from 2(p+q) are excluded by the "
+            "exceptional-distance bound"), FAR),
+        "residual_case_table": RuleRow(_PQR, "residual_case_analysis", residual_case_table, (
+            "inside the window 3 <= p <= 7, 4 <= r <= 10 the published direct analysis rules out "
+            "all remaining candidates"), SURVIVORS),
+    },
+    CYCLIC: {
+        **_shared_rows(CYCLIC, "cyclic", published_minus2_3_cyclic, "fintushel_stern"),
+        "cyclic_via_finite": RuleRow(_PQR, "z_filling", cyclic_via_finite, (
+            "a cyclic filling would be finite cyclic (excluded: the knot has no non-trivial "
+            "finite surgery) or infinite cyclic (excluded for any non-trivial knot)"), NONE),
+        "no_nonintegral_slopes": RuleRow(_M2, "nonintegral_proximity", no_nonintegral_slopes, (
+            "with no non-integral boundary slopes there is no candidate within distance one of "
+            "one; no cyclic surgery"), NONE),
+        "nonintegral_proximity": RuleRow(_M2, "nonintegral_proximity", nonintegral_proximity, (
+            "a non-trivial cyclic filling must be an integer within distance one of a "
+            "non-integral boundary slope"), WINDOW),
+        "lens_toroidal_distance:": RuleRow(_M2, "lens_toroidal_distance", lens_toroidal_distance, (
+            "a cyclic filling at {u} would be a lens space at distance {distance} > 5 from the "
+            "toroidal filling {toroidal}"), SLOPE),
+        "snappea_hyperbolic:": RuleRow(_M2, "snappea_check", snappea_hyperbolic, (
+            "the {u}-filling is verified hyperbolic, hence not cyclic"), SLOPE),
+        "seminorm_infeasibility:": RuleRow(_M2, "total_norm_model", seminorm_infeasibility, (
+            "assuming {u} attains the minimal norm S is infeasible for every pair of nonzero "
+            "coefficients (exact Farkas witnesses)"), SLOPE),
+    },
+}
 
-_GAP_RULES = (
-    ("toroidal_gap_large_p", toroidal_gap_large_p,
-     "both steep slopes lie at gap >= 11 from the toroidal filling 2(p+q), so every "
-     "windowed candidate violates the distance bound; no finite surgery"),
-    ("toroidal_gap_small_p", toroidal_gap_small_p,
-     "the lone non-integral slope lies at gap > 10 from the toroidal filling 2(p+q); "
-     "no finite surgery"),
-)
-
-
-def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
-    k = cert.knot
-    table = exceptional_knot_table(p, q, r)
-    if table is not None:
-        cert.rule(
-            "exceptional_knot_table", "residual_case_analysis", table,
-            "the strict triangle condition fails here; the published direct "
-            "analysis finds no non-trivial finite surgeries")
-        cert.verdict = NONE
-        return
-
-    # Outside the exceptional table the paper proves every premise here.
-    for rule_id, source, premise, conclusion in _NORM_RULES:
-        inputs = premise(p, q, r)
-        if inputs is None:
-            raise ArithmeticError(f"the premise of {rule_id} fails on {k}")
-        cert.rule(rule_id, source, inputs, conclusion)
-    cert.data["toroidal_slope"] = str(toroidal_slope(k))
-    cert.data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
-
-    empty = no_nonintegral_slopes(p, q, r)
-    if empty is not None:
-        cert.rule(
-            "no_nonintegral_slopes", "montesinos_boundary_slopes", empty,
-            "there are no non-integral boundary slopes, so no odd integral "
-            "slope sits within distance one of one; no finite surgery")
-        cert.verdict = NONE
-        return
-    window = finite_window(p, q, r)
-    if window is not None:
-        cert.rule(
-            "finite_window", "montesinos_boundary_slopes", window,
-            "a finite filling must be an odd integer within distance one of a "
-            "non-integral boundary slope")
-        for rule_id, premise, conclusion in _GAP_RULES:
-            gaps = premise(p, q, r)
-            if gaps is not None:
-                cert.rule(rule_id, "exceptional_distance", gaps, conclusion)
-                for u in window["candidates"]:
-                    cert.mark(make_slope(u, 1), STATUS_ELIMINATED, rule_id)
-                cert.verdict = NONE
-                return
-        survivors = [u for u in window["candidates"]
-                     if not _eliminate(cert, _FINITE_SLOPE_RULES, p, q, r, u)]
-    else:
-        # Middle window r <= p <= 2r: no slope formula, so bound the
-        # candidate set through the quotient groups instead.
-        window = coxeter_distance_window(p, q, r)
-        cert.rule(
-            "coxeter_distance_window", "coxeter_finiteness", window,
-            "any finite filling s must keep the quotient (2,p,|s-2p|;r/2) "
-            "finite, confining s to the listed window; slopes at distance > 9 "
-            "from 2(p+q) are excluded by the exceptional-distance bound")
-        survivors = [s for s, _ in window["window"] if exceptional_distance(p, q, r, s) is None]
-        for s, _ in window["window"]:
-            if s not in survivors:
-                cert.mark(make_slope(s, 1), STATUS_ELIMINATED, "coxeter_distance_window")
-    if not survivors:
-        cert.verdict = NONE
-        return
-    table = residual_case_table(p, q, r, survivors)
-    if table is not None:
-        cert.rule(
-            "residual_case_table", "residual_case_analysis", table,
-            "inside the window 3 <= p <= 7, 4 <= r <= 10 the published direct "
-            "analysis rules out all remaining candidates")
-        for u in survivors:
-            cert.mark(make_slope(u, 1), STATUS_ELIMINATED, "residual_case_table")
-        cert.verdict = NONE
-        return
-    for u in survivors:
-        cert.mark(make_slope(u, 1), STATUS_UNRESOLVED)
-    cert.verdict = UNRESOLVED
+_SETTLES = {key: row.settles for rows in RULES.values() for key, row in rows.items()}
 
 
-# -- the opening and the (-2,3,q) table, shared by both questions ------------
+def conclude(rules: list[Rule]) -> tuple[list[tuple[int, int, str, str | None]],
+                                         tuple[int, ...], str]:
+    """The slope marks ``(a, b, status, rule id)``, the realized slopes and
+    the verdict that a chain of rules implies.
+
+    A window rule opens its candidates and settles every other slope.  A
+    later rule eliminates those of its slopes still open, in the order it
+    lists them, and the candidates left open are unresolved.  A published
+    list marks its slopes realized.  The verdict is the one a rule settles
+    the question with, REALIZED for a non-empty published list, NONE after
+    a window; UNRESOLVED when a candidate is left open or no rule settles
+    the question.
+    """
+    marks, realized, verdict, open_ = [], (), UNRESOLVED, []
+    for rule in rules:
+        settles = _SETTLES.get(rule.id, SLOPE)  # "id:u" is keyed "id:"
+        if settles is None:
+            continue
+        if settles is NONE or settles is TORUS_INFINITE:
+            verdict = settles
+            continue
+        inputs, settled = rule.inputs, ()
+        if settles is SLOPE:
+            settled = (inputs["slope"],)
+        elif settles is CANDIDATES:
+            settled = [*open_]
+        elif settles is SURVIVORS:
+            settled = inputs["survivors"]
+        elif settles is WINDOW:
+            open_, verdict = [*inputs["candidates"]], NONE
+        elif settles is FAR:
+            open_, verdict = [s for s, _ in inputs["window"]], NONE
+            settled = [s for s, d in inputs["distances"] if d > exceptional_distance.args[0]]
+        elif settles is PUBLISHED:
+            realized = tuple(inputs["slopes"])
+            marks += [(u, 1, STATUS_REALIZED, rule.id) for u in realized]
+            verdict = REALIZED if realized else NONE
+        for u in settled:
+            if u in open_:
+                open_.remove(u)
+                marks.append((u, 1, STATUS_ELIMINATED, rule.id))
+    if open_:
+        marks += [(u, 1, STATUS_UNRESOLVED, None) for u in open_]
+        verdict = UNRESOLVED
+    return marks, realized, verdict
 
 
-# Per question, the torus and lamination conclusions.  Built once so that
-# every certificate shares one string: a sweep keeps tens of thousands.
-_OPENING_CONCLUSIONS = {
-    question: (f"torus knots admit infinitely many {fillings} fillings",
-               "a non-torus pretzel knot outside the (p,q,-r) form admits "
-               f"no non-trivial {question} surgery")
-    for question, fillings in ((FINITE_Q, "finite (indeed cyclic)"), (CYCLIC, "cyclic"))}
+def _apply(cert: Certificate, key: str, *args) -> dict | None:
+    """Apply the row ``key`` of the certificate's question to ``args``: when
+    its premise holds, record the rule and return the inputs it records.  A
+    per-slope row "id:" is recorded as "id:u", u the last argument."""
+    row = RULES[cert.question][key]
+    inputs = row.premise(*args)
+    if inputs is not None:
+        rule_id, conclusion = key, row.conclusion
+        if key[-1] == ":":
+            rule_id, conclusion = f"{key}{args[-1]}", conclusion.format(u=args[-1], **inputs)
+        cert.rules.append(Rule(rule_id, row.source, facts.SOURCES.get(row.source, row.source),
+                               inputs, conclusion))
+    return inputs
+
+
+def _concluded(cert: Certificate) -> Certificate:
+    """Write what the chain implies: the one place a pipeline sets the
+    slopes, the realized slopes and the verdict."""
+    marks, cert.realized, cert.verdict = conclude(cert.rules)
+    if marks:
+        cert.slopes = [SlopeStatus(make_slope(a, b), status, rule) for a, b, status, rule in marks]
+    return cert
+
+
+def _eliminated(cert: Certificate, keys: tuple[str, ...], p: int, q: int, r: int,
+                u: int) -> bool:
+    """Apply the first per-slope row of ``keys`` that holds at u."""
+    return any(_apply(cert, key, p, q, r, u) is not None for key in keys)
+
+
+# -- the pipelines ------------------------------------------------------------
 
 
 def _open(k: PretzelKnot, question: str) -> tuple[Certificate, KnotFamily | None]:
-    """A new certificate after the torus and lamination rules; the family is
-    None when one of them already settled the verdict."""
+    """A new certificate after the opening rules; the family is None when one
+    of them applies."""
     if not k.is_knot:
         raise ValueError(f"{k} is a link, not a knot")
-    torus, lamination = _OPENING_CONCLUSIONS[question]
-    cert = Certificate(k, question)
-    ts = torus_status(k)
-    if ts is TorusStatus.TORUS:
-        cert.rule("torus_pretzel", "torus_classification", {}, torus)
-        cert.verdict = TORUS_INFINITE
-        return cert, None
-    if ts is TorusStatus.UNCLASSIFIED:
-        cert.rule("unclassified_indices", "torus_classification", {},
-                  "triples with a +-1 index outside the encoded patterns are "
-                  "not classified here")
-        cert.verdict = UNRESOLVED
-        return cert, None
-    fam = family(k)
-    if fam.tag is FamilyTag.OTHER:
-        cert.rule("lamination_form", "lamination_reduction", {}, lamination)
-        cert.verdict = NONE
-        return cert, None
+    cert, fam = Certificate(k, question), family(k)
+    # At most one of these premises holds; the commonest is tried first.
+    for key in ("lamination_form", "unclassified_indices", "torus_pretzel"):
+        if _apply(cert, key, k, fam) is not None:
+            return cert, None
     return cert, fam
 
 
-def _published_minus2_3(cert: Certificate, q: int) -> Certificate:
-    """Record the published list of (-2,3,q) surgeries for the question."""
-    premise, examples_source = _PUBLISHED[cert.question]
-    published = premise(3, q, 2)
-    if published is None:
+def _published_minus2_3(cert: Certificate, p: int, q: int, r: int) -> None:
+    if _apply(cert, f"published_minus2_3_{cert.question}", p, q, r) is None:
         raise ArithmeticError(f"no published {cert.question} surgery list covers {cert.knot}")
-    rule_id = f"published_minus2_3_{cert.question}"
-    cert.rule(rule_id, "published_minus2_3_surgeries", published,
-              f"the published classification lists exactly these {cert.question} "
-              "surgery slopes")
-    examples = known_examples(3, q, 2, cert.question)
-    if examples is not None:
-        cert.rule("known_examples", examples_source, examples,
-                  f"the listed fillings are realized {cert.question} surgeries")
-    known = tuple(published["slopes"])
-    for u in known:
-        cert.mark(make_slope(u, 1), STATUS_REALIZED, rule_id)
-    cert.realized = known
-    cert.verdict = REALIZED if known else NONE
-    return cert
+    _apply(cert, "known_examples", p, q, r)
+
+
+def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
+    if _apply(cert, "exceptional_knot_table", p, q, r) is not None:
+        return
+    # Outside the exceptional table the paper proves every premise here.
+    for key in ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
+                "half_integral_excluded", "odd_uniqueness"):
+        if _apply(cert, key, p, q, r) is None:
+            raise ArithmeticError(f"the premise of {key} fails on {cert.knot}")
+    cert.data["toroidal_slope"] = str(toroidal_slope(cert.knot))
+    cert.data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
+    if _apply(cert, "no_nonintegral_slopes", p, q, r) is not None:
+        return
+    window = _apply(cert, "finite_window", p, q, r)
+    if window is None:
+        # Middle window r <= p <= 2r: no slope formula, so bound the
+        # candidate set through the quotient groups instead.
+        window = _apply(cert, "coxeter_distance_window", p, q, r)
+        survivors = [s for s, _ in window["window"] if exceptional_distance(p, q, r, s) is None]
+    elif (_apply(cert, "toroidal_gap_large_p", p, q, r) is not None
+          or _apply(cert, "toroidal_gap_small_p", p, q, r) is not None):
+        return
+    else:
+        survivors = [u for u in window["candidates"] if not _eliminated(
+            cert, ("exceptional_distance:", "coxeter_quotient_infinite:"), p, q, r, u)]
+    if survivors:
+        _apply(cert, "residual_case_table", p, q, r, survivors)
 
 
 def classify_finite(k: PretzelKnot) -> Certificate:
@@ -541,73 +592,46 @@ def classify_finite(k: PretzelKnot) -> Certificate:
 @lru_cache(maxsize=1)
 def _classify_finite(k: PretzelKnot) -> Certificate:
     cert, fam = _open(k, FINITE_Q)
-    if fam is None:
-        return cert
-    (p, q), r = fam.odd_pair, -fam.even_value
-    if fam.tag is FamilyTag.PQ_MINUS_R:
-        _finite_pq_minus_r(cert, p, q, r)
-        return cert
+    if fam is not None:
+        (p, q), r = fam.odd_pair, -fam.even_value
+        if fam.tag is FamilyTag.PQ_MINUS_R:
+            _finite_pq_minus_r(cert, p, q, r)
+        elif p == 3:
+            _published_minus2_3(cert, p, q, r)
+        elif _apply(cert, "not_cyclic_annotation", p, q, r) is None:
+            raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
+                                  "not-cyclic annotation does not apply")
+        else:
+            cert.annotations += ["any non-trivial finite filling is not cyclic",
+                                 "no finite filling is known; none is expected"]
+    return _concluded(cert)
+
+
+def _cyclic_minus2_pq(cert: Certificate, p: int, q: int, r: int) -> None:
+    cert.data["toroidal_slope"] = str(toroidal_slope(cert.knot))
     if p == 3:
-        return _published_minus2_3(cert, q)
-    note = not_cyclic_annotation(p, q, r)
-    if note is None:
-        raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
-                              "not-cyclic annotation does not apply")
-    cert.rule(
-        "not_cyclic_annotation", "cyclic_surgery_theorem", note,
-        "this knot admits no non-trivial cyclic surgery, so any finite "
-        "filling here is not cyclic")
-    cert.annotations.append("any non-trivial finite filling is not cyclic")
-    cert.annotations.append("no finite filling is known; none is expected")
-    cert.verdict = UNRESOLVED
-    return cert
-
-
-# -- the cyclic pipeline ------------------------------------------------------
+        _published_minus2_3(cert, p, q, r)
+        return
+    cert.data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
+    if _apply(cert, "no_nonintegral_slopes", p, q, r) is not None:
+        return
+    window = _apply(cert, "nonintegral_proximity", p, q, r)
+    for u in window["candidates"]:
+        _eliminated(cert, ("lens_toroidal_distance:", "snappea_hyperbolic:",
+                           "seminorm_infeasibility:"), p, q, r, u)
 
 
 def classify_cyclic(k: PretzelKnot) -> Certificate:
     """Verdict and certificate for non-trivial cyclic surgeries on k."""
     cert, fam = _open(k, CYCLIC)
-    if fam is None:
-        return cert
-    (p, q), r = fam.odd_pair, -fam.even_value
-    if fam.tag is FamilyTag.PQ_MINUS_R:
-        via = cyclic_via_finite(p, q, r)
-        if via is None:
+    if fam is not None:
+        (p, q), r = fam.odd_pair, -fam.even_value
+        if fam.tag is FamilyTag.MINUS2_PQ:
+            _cyclic_minus2_pq(cert, p, q, r)
+        elif _apply(cert, "cyclic_via_finite", p, q, r) is None:
             raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
                                   "cyclic_via_finite does not apply")
-        cert.rule(
-            "cyclic_via_finite", "z_filling", via,
-            "a cyclic filling would be finite cyclic (excluded: the knot has "
-            "no non-trivial finite surgery) or infinite cyclic (excluded for "
-            "any non-trivial knot)")
-        cert.verdict = NONE
-        return cert
-
-    cert.data["toroidal_slope"] = str(toroidal_slope(k))
-    if p == 3:
-        return _published_minus2_3(cert, q)
-    cert.data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
-    empty = no_nonintegral_slopes(p, q, r)
-    if empty is not None:
-        cert.rule(
-            "no_nonintegral_slopes", "nonintegral_proximity", empty,
-            "with no non-integral boundary slopes there is no candidate "
-            "within distance one of one; no cyclic surgery")
-        cert.verdict = NONE
-        return cert
-    window = nonintegral_proximity(p, q, r)
-    cert.rule(
-        "nonintegral_proximity", "nonintegral_proximity", window,
-        "a non-trivial cyclic filling must be an integer within distance one "
-        "of a non-integral boundary slope")
-    unresolved = [u for u in window["candidates"]
-                  if not _eliminate(cert, _CYCLIC_SLOPE_RULES, p, q, r, u)]
-    for u in unresolved:
-        cert.mark(make_slope(u, 1), STATUS_UNRESOLVED)
-    cert.verdict = UNRESOLVED if unresolved else NONE
-    return cert
+    return _concluded(cert)
 
 
 def classify(k: PretzelKnot, question: str) -> Certificate:

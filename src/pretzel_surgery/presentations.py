@@ -77,19 +77,18 @@ def filled_presentation(p: int, q: int, r: int, s: int) -> GroupPresentation:
 
 @dataclass(frozen=True)
 class CoxeterQuotient:
-    """The two-generator factor group of an odd filling, its y,z-intermediate
-    form, and the normalized signature (a None signature flags |s-2p| < 2,
-    where the (2,a,b;c) form degenerates)."""
+    """The two-generator factor group of an odd filling and its normalized
+    signature (a None signature flags |s-2p| < 2, where the (2,a,b;c) form
+    degenerates)."""
 
     two_generator: GroupPresentation
-    intermediate: GroupPresentation
     signature: CoxeterSignature | None
-    substitution: str = "w = (zy)^((p-1)/2)"
 
 
 def coxeter_quotient(p: int, r: int, s: int) -> CoxeterQuotient:
     """Factor group of the s-filling obtained by killing (yz^-1)^(r/2),
-    y x^-1 and (zx)^p; isomorphic to (2, p, |s-2p|; r/2)."""
+    y x^-1 and (zx)^p, on y and w = (zy)^((p-1)/2); isomorphic to
+    (2, p, |s-2p|; r/2)."""
     if p % 2 == 0 or p < 3:
         raise ValueError(f"need odd p >= 3, got p={p}")
     if r % 2 != 0 or r < 4:
@@ -100,15 +99,7 @@ def coxeter_quotient(p: int, r: int, s: int) -> CoxeterQuotient:
         raise ValueError("degenerate quotient: s - 2p = 0")
 
     half_r = r // 2
-    y, z, w = gen("y"), gen("z"), gen("w")
-    zy = z * y
-    conj = zy ** ((p + 1) // 2) * y * zy ** (-((p + 1) // 2))
-    intermediate = GroupPresentation(
-        ("y", "z"),
-        ((y * ~z) ** half_r, zy ** p, z * ~conj, gen("y", s - 2 * p)),
-        display=(f"(yz^-1)^{half_r}", f"(zy)^{p}",
-                 f"z = (zy)^{(p + 1) // 2} y (zy)^{-(p + 1) // 2}", f"y^{s - 2 * p}"),
-    )
+    y, w = gen("y"), gen("w")
     two_generator = GroupPresentation(
         ("w", "y"),
         ((y * y * w * w) ** half_r, w ** p, (w * y) ** 2, gen("y", s - 2 * p)),
@@ -116,7 +107,7 @@ def coxeter_quotient(p: int, r: int, s: int) -> CoxeterQuotient:
     )
     d = abs(s - 2 * p)
     signature = CoxeterSignature.of(p, d, half_r) if d >= 2 else None
-    return CoxeterQuotient(two_generator, intermediate, signature)
+    return CoxeterQuotient(two_generator, signature)
 
 
 def triangle_image_of_longitude(p: int, q: int, r: int) -> Word:

@@ -8,19 +8,19 @@ from types import ModuleType
 import pytest
 
 import pretzel_surgery.classify as classify_module
-from pretzel_surgery.classify import (NONE, REALIZED, STATUS_ELIMINATED, TORUS_INFINITE,
-                                      UNRESOLVED, Rule, classify_cyclic,
-                                      classify_finite, emit_certificate,
+from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
+                                      TORUS_INFINITE, UNRESOLVED, Rule, SlopeStatus,
+                                      classify_cyclic, classify_finite, emit_certificate,
                                       quotient_certified_infinite)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.knots import canonicalize
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
-from pretzel_surgery.replay import _OPENING, _RULES, replay_certificate, replay_rule
-from pretzel_surgery.schema import validate_certificate_json
+from pretzel_surgery.replay import replay_certificate, replay_rule
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
+from schema import validate_certificate_json
 
 
 def _slope_map(cert):
@@ -253,8 +253,15 @@ def _edit_rule(rule_id, **changes):
 
 def _add_mark(u, rule_id):
     def forge(cert):
-        cert.mark(make_slope(u, 1), STATUS_ELIMINATED, rule_id)
+        cert.slopes.append(SlopeStatus(make_slope(u, 1), STATUS_ELIMINATED, rule_id))
         return cert
+    return forge
+
+
+def _add_elimination(rule_id, inputs):
+    # A per-slope rule and the mark of its slope.
+    def forge(cert):
+        return _add_mark(inputs["slope"], rule_id)(_add_rule(rule_id, inputs)(cert))
     return forge
 
 
@@ -272,6 +279,15 @@ def _relink(rule_id, new_id):
         cert.rules = [r for r in cert.rules if r.id != rule_id]
         cert.slopes = [replace(s, rule_id=new_id) if s.rule_id == rule_id else s
                        for s in cert.slopes]
+        return cert
+    return forge
+
+
+def _cut_after(rule_id):
+    # Keep the chain up to rule_id and none of its marks.
+    def forge(cert):
+        cert.rules = cert.rules[:next(i for i, r in enumerate(cert.rules) if r.id == rule_id) + 1]
+        cert.slopes = []
         return cert
     return forge
 
@@ -318,6 +334,13 @@ COPIED_RULES = [
      _drop_rule("seminorm_infeasibility:23")),
     ("finite_window_candidate_dropped", classify_finite, (7, 9, -10),
      _drop_rule("exceptional_distance:43")),
+    # A chain that settles no slope leaves the question open.
+    ("chain_cut_after_the_norm_rules", classify_finite, (7, 9, -10),
+     _cut_after("odd_uniqueness")),
+    # A true elimination of a slope outside the window marks nothing.
+    ("slope_outside_the_window_eliminated", classify_finite, (7, 9, -10),
+     _add_elimination("exceptional_distance:1001",
+                      {"slope": 1001, "toroidal": "32", "distance": 969})),
     # Slopes within distance 9 of 2(p+q) that only the residual table settles.
     *((f"near_slope_relinked_to_distance_window_{q}", classify_finite, (5, q, -4),
        _relink("residual_case_table", "coxeter_distance_window")) for q in (5, 7, 9)),
@@ -377,7 +400,14 @@ def test_replay_table_covers_exactly_the_emitted_rules():
         for rule in cert.rules:
             base, colon, _ = rule.id.partition(":")
             emitted.add(base + colon)
-    assert emitted == set(_RULES) | set(_OPENING)
+    assert emitted == set(RULES[CYCLIC]) | set(RULES[FINITE_Q])
+
+
+def test_a_rule_of_both_questions_settles_the_same():
+    # conclude reads what a rule settles by its id alone.
+    shared = set(RULES[CYCLIC]) & set(RULES[FINITE_Q])
+    assert shared
+    assert all(RULES[CYCLIC][key].settles == RULES[FINITE_Q][key].settles for key in shared)
 
 
 def test_cyclic_sweep_runs_each_finite_pipeline_once(monkeypatch):

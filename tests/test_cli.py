@@ -9,7 +9,7 @@ import pytest
 
 import pretzel_surgery.cli as cli_module
 from pretzel_surgery.cli import main
-from pretzel_surgery.schema import validate_certificate_json
+from schema import validate_certificate_json
 
 
 def run(capsys, *argv):

@@ -25,6 +25,18 @@ def test_replay_uses_only_public_names_of_classify():
     assert private == []
 
 
+def test_rule_ids_live_only_in_the_classify_table():
+    # Replay reads each rule's family, premise and what it settles from
+    # classify.RULES; a rule id spelled out in replay would be a second table.
+    from pretzel_surgery.classify import RULES
+    ids = {key for rows in RULES.values() for key in rows}
+    ids |= {key.rstrip(":") for key in ids}
+    tree = ast.parse((SRC / "replay.py").read_text())
+    spelled = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and node.value in ids]
+    assert spelled == []
+
+
 def _unbounded_caches(source: str) -> list[str]:
     """Functions decorated with functools.cache, or with lru_cache of any
     maxsize other than a literal 1."""
