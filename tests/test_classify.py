@@ -11,6 +11,7 @@ import pretzel_surgery.classify as classify_module
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
                                       TORUS_INFINITE, UNRESOLVED, Rule, SlopeStatus,
                                       classify_cyclic, classify_finite, emit_certificate,
+                                      even_norm_floor, premise_value,
                                       quotient_certified_infinite)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import CoxeterSignature
@@ -446,6 +447,153 @@ def test_editing_a_finite_certificate_never_reaches_the_kept_run():
     assert emit_certificate(classify_finite(k)) == original
     assert classify_module._classify_finite.cache_info().hits == hits + 1
     assert replay_certificate(classify_cyclic(k))
+
+
+# -- the premise values classify stores for replay ---------------------------
+
+# A knot outside every stream and forgery below: classifying it leaves no
+# stored premise value and no kept finite run of any other knot.
+_ELSEWHERE = canonicalize(27, 29, -26)
+
+
+def _inputs(cert, rule_id):
+    return next(r for r in cert.rules if r.id == rule_id).inputs
+
+
+@pytest.fixture
+def kept_run_cleared():
+    # An in-place edit of a rule's inputs also reaches the kept finite run.
+    yield
+    classify_module._classify_finite.cache_clear()
+
+
+@pytest.mark.parametrize("classifier,triple,rule_id,edit", [
+    (classify_finite, (21, 35, -12), "coxeter_distance_window",
+     lambda inputs: inputs["window"][0].__setitem__(1, "forged")),
+    (classify_finite, (7, 9, -10), "even_norm_floor",
+     lambda inputs: inputs.__setitem__("irreducible_characters",
+                                       inputs["irreducible_characters"] + 1)),
+    (classify_finite, (7, 9, -10), "finite_window",
+     lambda inputs: inputs["candidates"].append(1001)),
+    (classify_cyclic, (-2, 5, 23), "nonintegral_proximity",
+     lambda inputs: inputs["slopes"].append("1/3")),
+], ids=["window_entry", "irreducible_characters", "window_candidate", "proximity_slopes"])
+def test_replay_rejects_inputs_edited_in_place_right_after_classify(
+        kept_run_cleared, classifier, triple, rule_id, edit):
+    classify_finite(_ELSEWHERE)
+    cert = classifier(canonicalize(*triple))
+    edit(_inputs(cert, rule_id))
+    assert not replay_certificate(cert)
+
+
+def _stream_jobs():
+    """(classifier, knot) for every certificate of the three pinned streams."""
+    jobs = [(classify_cyclic, c.knot) for c in sweep_cyclic(11).certificates]
+    jobs += [(classify_finite, c.knot)
+             for c in sweep_finite((3, 25), (3, 25), (4, 24)).certificates]
+    for p in range(3, 16, 2):
+        for q in range(p, 16, 2):
+            jobs += [(classify_cyclic, canonicalize(-2, p, q)),
+                     (classify_finite, canonicalize(-2, p, q))]
+    return jobs
+
+
+def test_replay_agrees_right_after_classify_and_after_another_knot():
+    jobs = _stream_jobs()
+    assert len(jobs) == 1486
+    warm = [job for job in jobs if not replay_certificate(job[0](job[1]))]
+    cold = []
+    for classifier, k in jobs:
+        cert = classifier(k)
+        classify_finite(_ELSEWHERE)
+        if not replay_certificate(cert):
+            cold.append((classifier, k))
+    assert warm == [] and cold == []
+
+
+@pytest.mark.parametrize("rule_id,classifier,source,target", COPIED_RULES,
+                         ids=[case[0] for case in COPIED_RULES])
+def test_a_copied_rule_is_rejected_with_the_store_warm_and_cold(rule_id, classifier, source,
+                                                               target):
+    if callable(target):
+        classify_finite(_ELSEWHERE)
+        forged = target(classifier(canonicalize(*source)))
+        assert not replay_certificate(forged)
+        classify_finite(_ELSEWHERE)
+        assert not replay_certificate(forged)
+        return
+    rule = next(r for r in classifier(canonicalize(*source)).rules
+                if r.id.split(":")[0] == rule_id)
+    classify_finite(_ELSEWHERE)
+    classifier(canonicalize(*target))
+    assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
+    classify_finite(_ELSEWHERE)
+    assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
+
+
+def test_the_store_keeps_only_the_last_knot(monkeypatch):
+    a, b = canonicalize(7, 9, -10), canonicalize(9, 9, -4)
+    classify_finite(_ELSEWHERE)
+    recorded = _inputs(classify_finite(a), "even_norm_floor")
+    counted = []
+
+    def counting(p, q, m):
+        counted.append((p, q, m))
+        return irreducible_char_count(p, q, m)
+
+    irreducible_char_count = classify_module.irreducible_char_count
+    monkeypatch.setattr(classify_module, "irreducible_char_count", counting)
+    assert premise_value(even_norm_floor, (7, 9, 10)) == recorded
+    assert counted == []
+    classify_finite(b)
+    assert premise_value(even_norm_floor, (7, 9, 10)) == recorded
+    assert counted == [(9, 9, 2), (7, 9, 5)]
+
+
+def test_the_finite_run_inside_cyclic_via_finite_stores_nothing(monkeypatch):
+    # No replay reads the premise values of that nested run.
+    classify_finite(_ELSEWHERE)
+    classify_module._classify_finite.cache_clear()
+    classify_cyclic(canonicalize(7, 9, -10))
+    calls = _counting(monkeypatch, ("irreducible_char_count",))
+    premise_value(even_norm_floor, (7, 9, 10))
+    assert calls == {"irreducible_char_count": 1}
+
+def _counting(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(classify_module, name, counted(name, getattr(classify_module, name)))
+    return calls
+
+
+def test_finite_sweep_computes_each_premise_once_per_knot(monkeypatch):
+    # Replay reads the values classify stored for the knot it just classified.
+    classify_module._classify_finite.cache_clear()
+    calls = _counting(monkeypatch, ("longitude_triviality_check", "irreducible_char_count"))
+    report = sweep_finite((3, 25), (3, 25), (4, 24))
+    knots = sum(1 for c in report.certificates
+                if any(r.id == "even_numerator_infinite" for r in c.rules))
+    assert knots > 0 and not report.violations
+    assert calls == {"longitude_triviality_check": knots, "irreducible_char_count": knots}
+
+
+def test_cyclic_sweep_still_recomputes_nested_runs_and_norm_models(monkeypatch):
+    # cyclic_via_finite and seminorm_infeasibility stay out of the store.
+    classify_module._classify_finite.cache_clear()
+    calls = _counting(monkeypatch, ("classify_finite", "cyclic_infeasibility_minus2_5_q"))
+    report = sweep_cyclic(11)
+    pqr = sum(1 for c in report.certificates if c.rules[0].id == "cyclic_via_finite")
+    norm = sum(1 for c in report.certificates if c.knot.indices[:2] == (-2, 5)
+               and c.knot.indices[2] >= 9)
+    assert pqr > 0 and norm > 0 and not report.violations
+    assert calls == {"classify_finite": 2 * pqr, "cyclic_infeasibility_minus2_5_q": 2 * norm}
 
 
 def test_replay_unknown_rule_raises():
