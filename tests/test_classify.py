@@ -535,13 +535,12 @@ def test_the_store_keeps_only_the_last_knot(monkeypatch):
     a, b = canonicalize(7, 9, -10), canonicalize(9, 9, -4)
     classify_finite(_ELSEWHERE)
     recorded = _inputs(classify_finite(a), "even_norm_floor")
-    counted = []
+    original, counted = classify_module.irreducible_char_count, []
 
     def counting(p, q, m):
         counted.append((p, q, m))
-        return irreducible_char_count(p, q, m)
+        return original(p, q, m)
 
-    irreducible_char_count = classify_module.irreducible_char_count
     monkeypatch.setattr(classify_module, "irreducible_char_count", counting)
     assert premise_value(even_norm_floor, (7, 9, 10)) == recorded
     assert counted == []
@@ -558,6 +557,7 @@ def test_the_finite_run_inside_cyclic_via_finite_stores_nothing(monkeypatch):
     calls = _counting(monkeypatch, ("irreducible_char_count",))
     premise_value(even_norm_floor, (7, 9, 10))
     assert calls == {"irreducible_char_count": 1}
+
 
 def _counting(monkeypatch, names):
     calls = dict.fromkeys(names, 0)
