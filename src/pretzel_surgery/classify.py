@@ -8,7 +8,8 @@ returns the inputs its rule records; :func:`conclude` turns a chain of rules
 into the slope marks, realized slopes and verdict it implies.  The pipelines
 here only apply rows and conclude once; :func:`replay_certificate` requires
 each premise to give exactly the recorded inputs on the certificate's knot,
-and requires what ``conclude`` derives from the chain.  The premise values
+each rule's text to be what :func:`rule_text` derives from its row, and
+what ``conclude`` derives from the chain.  The premise values
 are those classify computed for the same knot (:func:`premise_value`): it
 keeps a copy of the inputs of each rule of (p, q, r) for the last knot, and
 never reads them.  Not kept: per-slope rules and ``strict_triangle``, cheaper
@@ -19,6 +20,10 @@ benchmark counts; nor the values of the finite run inside the first.
 Imported theorems (lamination reduction, distance bounds, published case
 analyses, SnapPea checks) enter only through the facts table; computed
 steps recompute their arithmetic at apply time.
+
+:func:`emit_certificate` writes a JSON line field by field, with constant
+strings escaped once at import: the bytes of ``json.dumps(..., sort_keys=True,
+separators=(",", ":"))`` on the certificate's dict form, with no dict built.
 """
 
 from __future__ import annotations
@@ -68,19 +73,12 @@ class Rule(NamedTuple):
     inputs: dict
     conclusion: str
 
-    def to_json(self) -> dict:
-        return {"id": self.id, "source": self.source, "citation": self.citation,
-                "inputs": self.inputs, "conclusion": self.conclusion}
-
 
 @dataclass(frozen=True)
 class SlopeStatus:
     slope: Slope
     status: str
     rule_id: str | None = None
-
-    def to_json(self) -> dict:
-        return {"slope": str(self.slope), "status": self.status, "rule": self.rule_id}
 
 
 @dataclass
@@ -94,18 +92,6 @@ class Certificate:
     annotations: list[str] = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "pretzel": list(self.knot.indices),
-            "question": self.question,
-            "verdict": self.verdict,
-            "realized": list(self.realized),
-            "slopes": [s.to_json() for s in self.slopes],
-            "rules": [r.to_json() for r in self.rules],
-            "annotations": list(self.annotations),
-            "data": self.data,
-        }
-
 
 # One encoder for every certificate; a certificate is a tree, so no cycle check.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
@@ -114,7 +100,17 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular
 def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -> str:
     """Deterministic serialization; 'json' or 'text'."""
     if fmt == "json":
-        return _encode(cert.to_json())
+        e, k = _ESCAPED, cert.knot
+        rules = ",".join([f'{{"citation":{e[r.citation]},"conclusion":{e[r.conclusion]},'
+                          f'"id":{e[r.id]},"inputs":{_encode(r.inputs) if r.inputs else "{}"},'
+                          f'"source":{e[r.source]}}}' for r in cert.rules])
+        slopes = ",".join([f'{{"rule":{e[s.rule_id]},"slope":{_encode(str(s.slope))},'
+                           f'"status":{e[s.status]}}}' for s in cert.slopes])
+        return (f'{{"annotations":{_encode(cert.annotations) if cert.annotations else "[]"},'
+                f'"data":{_encode(cert.data) if cert.data else "{}"},'
+                f'"pretzel":[{k.p},{k.q},{k.r}],"question":{e[cert.question]},'
+                f'"realized":{_encode(cert.realized) if cert.realized else "[]"},'
+                f'"rules":[{rules}],"slopes":[{slopes}],"verdict":{e[cert.verdict]}}}')
     if fmt != "text":
         raise ValueError(f"unknown certificate format {fmt!r}")
     lines = [f"knot {cert.knot}  question={cert.question}  verdict={cert.verdict}"]
@@ -464,6 +460,20 @@ RULES: dict[str, dict[str, RuleRow]] = {
 
 _SETTLES = {key: row.settles for rows in RULES.values() for key, row in rows.items()}
 
+
+
+class _Escaped(dict):
+    """The JSON text of each constant string; any other value is encoded, never added."""
+    def __missing__(self, value) -> str:
+        return _encode(value)
+
+
+_ESCAPED = _Escaped((text, _encode(text)) for text in (
+    None, REALIZED, NONE, TORUS_INFINITE, UNRESOLVED, STATUS_REALIZED, STATUS_ELIMINATED,
+    STATUS_UNRESOLVED, CYCLIC, FINITE_Q, *facts.SOURCES, *facts.SOURCES.values(),
+    *(text for rows in RULES.values() for key, row in rows.items()
+      for text in (key, row.source, row.conclusion))))
+
 # Never stored (see the module docstring): cheaper than a copy, or counted.
 _RECOMPUTED = {strict_triangle, cyclic_via_finite, not_cyclic_annotation}
 
@@ -536,12 +546,19 @@ def _apply(cert: Certificate, key: str, *args) -> dict | None:
         if len(args) == 3 and row.premise not in _RECOMPUTED and not _NESTED:
             # A deep copy in C of the tree of dicts, lists, str, int and bool.
             _computed(*args)[row.premise, args] = marshal.loads(marshal.dumps(inputs))
-        rule_id, conclusion = key, row.conclusion
-        if key[-1] == ":":
-            rule_id, conclusion = f"{key}{args[-1]}", conclusion.format(u=args[-1], **inputs)
-        cert.rules.append(Rule(rule_id, row.source, facts.SOURCES.get(row.source, row.source),
-                               inputs, conclusion))
+        rule_id = f"{key}{args[-1]}" if key[-1] == ":" else key
+        source, citation, conclusion = rule_text(cert.question, rule_id, inputs)
+        cert.rules.append(Rule(rule_id, source, citation, inputs, conclusion))
     return inputs
+
+
+def rule_text(question: str, rule_id: str, inputs: dict) -> tuple[str, str, str]:
+    """The source, citation and conclusion of the rule ``rule_id`` of the question;
+    a per-slope rule "id:u" formats its row's conclusion with u and ``inputs``."""
+    key, colon, u = rule_id.partition(":")
+    row = RULES[question][key + colon]
+    return (row.source, facts.SOURCES.get(row.source, row.source),
+            row.conclusion.format(u=u, **inputs) if colon else row.conclusion)
 
 
 def _concluded(cert: Certificate) -> Certificate:

@@ -1,7 +1,8 @@
 """Certificate replay: every rule's premise, on the certificate's own knot,
-must return exactly the inputs the rule recorded, and the slope marks,
-realized slopes and verdict must be the ones ``conclude`` derives from the
-chain.
+must return exactly the inputs the rule recorded, its source, citation and
+conclusion must be those ``rule_text`` derives from its row, and the slope
+marks, realized slopes and verdict must be the ones ``conclude`` derives
+from the chain.
 
 Premises, families and what each rule settles all live in one table,
 :data:`classify.RULES`, so classify and replay share each threshold.  A
@@ -17,7 +18,7 @@ from here.
 from __future__ import annotations
 
 from .classify import (RULES, SURVIVORS, Certificate, classify_finite, conclude,  # noqa: F401
-                       premise_value)
+                       premise_value, rule_text)
 from .knots import KnotFamily, PretzelKnot, family
 from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 
@@ -52,12 +53,14 @@ def replay_rule(k: PretzelKnot, rule_id: str, inputs: dict) -> bool:
 
 def replay_certificate(cert: Certificate) -> bool:
     """True when every rule's premise holds on the certificate's knot with
-    exactly the recorded inputs, and the slopes, realized slopes and verdict
-    are the ones the chain implies."""
+    exactly the recorded inputs and its text is its row's, and the slopes,
+    realized slopes and verdict are the ones the chain implies."""
     rows, k = RULES[cert.question], cert.knot
     fam = family(k)
     for rule in cert.rules:
-        if not _holds(rows, k, fam, rule.id, rule.inputs):
+        if (not _holds(rows, k, fam, rule.id, rule.inputs)
+                or rule_text(cert.question, rule.id, rule.inputs)
+                != (rule.source, rule.citation, rule.conclusion)):
             return False
     slopes = [(s.slope.a, s.slope.b, s.status, s.rule_id) for s in cert.slopes]
     return (slopes, cert.realized, cert.verdict) == conclude(cert.rules)

@@ -1,0 +1,89 @@
+"""The JSON line of a certificate, against the serializer it replaces.
+
+``emit_certificate(cert, "json")`` writes the line field by field, with the
+constant strings escaped once at import.  The reference below is the dict
+form the certificate classes built before, encoded by ``json.dumps`` with
+sorted keys; the two must agree byte for byte on every certificate, hostile
+strings included.
+"""
+
+import json
+
+from hypothesis import given
+from hypothesis import strategies as st
+from test_replay_mutants import STREAMS
+
+import pretzel_surgery.classify as classify_module
+from pretzel_surgery.classify import Certificate, Rule, SlopeStatus, emit_certificate
+from pretzel_surgery.knots import canonicalize
+from pretzel_surgery.slopes import make_slope
+from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
+
+# -- the reference serializer -------------------------------------------------
+
+
+def reference_dict(cert):
+    return {
+        "pretzel": list(cert.knot.indices),
+        "question": cert.question,
+        "verdict": cert.verdict,
+        "realized": list(cert.realized),
+        "slopes": [{"slope": str(s.slope), "status": s.status, "rule": s.rule_id}
+                   for s in cert.slopes],
+        "rules": [{"id": r.id, "source": r.source, "citation": r.citation,
+                   "inputs": r.inputs, "conclusion": r.conclusion} for r in cert.rules],
+        "annotations": list(cert.annotations),
+        "data": cert.data,
+    }
+
+
+def reference_json(cert):
+    return json.dumps(reference_dict(cert), sort_keys=True, separators=(",", ":"))
+
+
+def test_the_pinned_streams_match_the_reference():
+    for stream in STREAMS.values():
+        for cert in stream():
+            assert emit_certificate(cert) == reference_json(cert), f"{cert.knot} {cert.question}"
+
+
+# -- hostile certificates -----------------------------------------------------
+
+_TABLE = sorted(text for text in classify_module._ESCAPED if isinstance(text, str))
+_HOSTILE = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é \ud800\U0001f600')
+                   | st.characters(), max_size=12)
+_TEXT = st.sampled_from(_TABLE) | _HOSTILE
+_VALUE = st.recursive(st.none() | st.booleans() | st.integers() | _TEXT,
+                      lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=8)
+_INPUTS = st.dictionaries(_TEXT, _VALUE, max_size=4)
+_NONZERO = st.integers(-99, 99).filter(bool)
+
+certificates = st.builds(
+    Certificate,
+    knot=st.builds(canonicalize, _NONZERO, _NONZERO, _NONZERO),
+    question=_TEXT,
+    verdict=_TEXT,
+    realized=st.lists(st.integers(), max_size=3).map(tuple),
+    slopes=st.lists(st.builds(SlopeStatus,
+                              st.builds(make_slope, st.integers(-60, 60), st.integers(1, 9)),
+                              _TEXT, st.none() | _TEXT), max_size=3),
+    rules=st.lists(st.builds(Rule, _TEXT, _TEXT, _TEXT, _INPUTS, _TEXT), max_size=3),
+    annotations=st.lists(_TEXT, max_size=3),
+    data=_INPUTS,
+)
+
+
+@given(certificates)
+def test_any_certificate_matches_the_reference(cert):
+    size = len(classify_module._ESCAPED)
+    assert emit_certificate(cert) == reference_json(cert)
+    assert len(classify_module._ESCAPED) == size
+
+
+def test_the_escape_table_never_grows():
+    table = dict(classify_module._ESCAPED)
+    for cert in [*sweep_cyclic(11).certificates, *sweep_finite().certificates]:
+        emit_certificate(cert)
+    assert len(classify_module._ESCAPED) == len(table)
+    assert classify_module._ESCAPED == table

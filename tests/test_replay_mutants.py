@@ -73,3 +73,19 @@ def test_replay_rejects_every_mutant_of_the_pinned_certificates(stream):
                         forged.append(f"{cert.knot} {cert.question} {operator}")
     assert tried > len(certs)
     assert forged == []
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+def test_replay_rejects_every_edited_rule_text(stream):
+    # The source, citation and conclusion of a rule are those of its row.
+    certs, forged, tried = STREAMS[stream](), [], 0
+    for cert in certs:
+        for i, rule in enumerate(cert.rules):
+            for name in ("source", "citation", "conclusion"):
+                edited = rule._replace(**{name: getattr(rule, name) + "."})
+                tried += 1
+                if replay_certificate(replace(cert, rules=[*cert.rules[:i], edited,
+                                                           *cert.rules[i + 1:]])):
+                    forged.append(f"{cert.knot} {cert.question} {rule.id} {name}")
+    assert tried > len(certs)
+    assert forged == []
