@@ -470,7 +470,7 @@ class _Escaped(dict):
 
 _ESCAPED = _Escaped((text, _encode(text)) for text in (
     None, REALIZED, NONE, TORUS_INFINITE, UNRESOLVED, STATUS_REALIZED, STATUS_ELIMINATED,
-    STATUS_UNRESOLVED, CYCLIC, FINITE_Q, *facts.SOURCES, *facts.SOURCES.values(),
+    STATUS_UNRESOLVED, CYCLIC, FINITE_Q, *facts.SOURCES.values(),
     *(text for rows in RULES.values() for key, row in rows.items()
       for text in (key, row.source, row.conclusion))))
 

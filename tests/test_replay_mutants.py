@@ -2,8 +2,9 @@
 
 Each certificate of the three pinned streams (those of
 ``test_certificate_streams_pinned``) is mutated in its slope marks, its
-realized slopes and its verdict.  A mutant that still emits the genuine
-bytes is not tampered; every other mutant must fail replay.
+realized slopes and its verdict, and in the text of each rule.  A mutant
+that still emits the genuine bytes is not tampered; every other mutant must
+fail replay.
 """
 
 from dataclasses import replace
