@@ -18,8 +18,9 @@ than the copy; ``residual_case_table``, of a list argument;
 benchmark counts; nor the values of the finite run inside the first.
 
 Imported theorems (lamination reduction, distance bounds, published case
-analyses, SnapPea checks) enter only through the facts table; computed
-steps recompute their arithmetic at apply time.
+analyses, SnapPea checks) enter only through the facts table.  Computed
+steps are int kernels (slopes and gaps as reduced pairs, no ``Fraction``);
+the text of every row without a slope is built once, at import.
 
 :func:`emit_certificate` writes a JSON line field by field, with constant
 strings escaped once at import: the bytes of ``json.dumps(..., sort_keys=True,
@@ -36,14 +37,13 @@ from typing import Callable, NamedTuple
 
 from . import facts
 from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
-                       nonintegral_slopes_pq_minus_r, small_p_value, toroidal_gaps_large_p,
-                       toroidal_slope)
+                       nonintegral_slopes_pq_minus_r, small_p_pair, toroidal_gap_pairs_large_p)
 from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from .knots import (FamilyTag, KnotFamily, PretzelKnot, TorusStatus, family, torus_status,
                     triangle_slack)
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import longitude_triviality_check
-from .slopes import Slope, make_slope
+from .slopes import Slope, ratio_text
 from .triangle import irreducible_char_count
 
 # Verdicts ---------------------------------------------------------------
@@ -219,19 +219,20 @@ nonintegral_proximity = partial(_window, False)
 def toroidal_gap_large_p(p: int, q: int, r: int) -> dict | None:
     if not p > 2 * r + 1:
         return None
-    gaps = toroidal_gaps_large_p(p, q, r)
-    if any(g < 11 for g in gaps):
+    gaps = toroidal_gap_pairs_large_p(p, q, r)
+    if any(n < 11 * d for n, d in gaps):
         raise ArithmeticError(f"a steep slope of ({-r},{p},{q}) lies at gap < 11 from 2(p+q)")
-    return {"p": p, "q": q, "r": r, "gaps": [str(g) for g in gaps]}
+    return {"p": p, "q": q, "r": r, "gaps": [ratio_text(n, d) for n, d in gaps]}
 
 
 def toroidal_gap_small_p(p: int, q: int, r: int) -> dict | None:
     if not p <= r - 5:
         return None
-    gap = abs(small_p_value(p, q, r) - 2 * (p + q))
-    if gap <= 10:
-        raise ArithmeticError(f"the slope of ({-r},{p},{q}) lies at gap {gap} <= 10 from 2(p+q)")
-    return {"p": p, "q": q, "r": r, "gap": str(gap)}
+    n, d = small_p_pair(p, q, r)
+    g = abs(n - 2 * (p + q) * d)  # the gap is g/d, reduced as n/d is
+    if g <= 10 * d:
+        raise ArithmeticError(f"the slope of ({-r},{p},{q}) lies at gap {g}/{d} <= 10 from 2(p+q)")
+    return {"p": p, "q": q, "r": r, "gap": ratio_text(g, d)}
 
 
 def coxeter_quotient_infinite(p: int, q: int, r: int, u: int) -> dict | None:
@@ -459,7 +460,10 @@ RULES: dict[str, dict[str, RuleRow]] = {
 }
 
 _SETTLES = {key: row.settles for rows in RULES.values() for key, row in rows.items()}
-
+# Per question, the source, citation and conclusion of each row without a slope.
+_TEXTS = {question: {key: (row.source, facts.SOURCES.get(row.source, row.source), row.conclusion)
+                     for key, row in rows.items() if key[-1] != ":"}
+          for question, rows in RULES.items()}
 
 
 class _Escaped(dict):
@@ -555,10 +559,13 @@ def _apply(cert: Certificate, key: str, *args) -> dict | None:
 def rule_text(question: str, rule_id: str, inputs: dict) -> tuple[str, str, str]:
     """The source, citation and conclusion of the rule ``rule_id`` of the question;
     a per-slope rule "id:u" formats its row's conclusion with u and ``inputs``."""
-    key, colon, u = rule_id.partition(":")
-    row = RULES[question][key + colon]
-    return (row.source, facts.SOURCES.get(row.source, row.source),
-            row.conclusion.format(u=u, **inputs) if colon else row.conclusion)
+    text = _TEXTS[question].get(rule_id)
+    if text is None:
+        key, colon, u = rule_id.partition(":")
+        row = RULES[question][key + colon]
+        text = (row.source, facts.SOURCES.get(row.source, row.source),
+                row.conclusion.format(u=u, **inputs))
+    return text
 
 
 def _concluded(cert: Certificate) -> Certificate:
@@ -566,7 +573,7 @@ def _concluded(cert: Certificate) -> Certificate:
     slopes, the realized slopes and the verdict."""
     marks, cert.realized, cert.verdict = conclude(cert.rules)
     if marks:
-        cert.slopes = [SlopeStatus(make_slope(a, b), status, rule) for a, b, status, rule in marks]
+        cert.slopes = [SlopeStatus(Slope(a, b), status, rule) for a, b, status, rule in marks]
     return cert
 
 
@@ -585,6 +592,8 @@ def _open(k: PretzelKnot, question: str) -> tuple[Certificate, KnotFamily | None
     if not k.is_knot:
         raise ValueError(f"{k} is a link, not a knot")
     cert, fam = Certificate(k, question), family(k)
+    if fam.tag is _M2 or fam.tag is _PQR:  # the three premises need another tag
+        return cert, fam
     # At most one of these premises holds; the commonest is tried first.
     for key in ("lamination_form", "unclassified_indices", "torus_pretzel"):
         if _apply(cert, key, k, fam) is not None:
@@ -606,7 +615,7 @@ def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
                 "half_integral_excluded", "odd_uniqueness"):
         if _apply(cert, key, p, q, r) is None:
             raise ArithmeticError(f"the premise of {key} fails on {cert.knot}")
-    cert.data["toroidal_slope"] = str(toroidal_slope(cert.knot))
+    cert.data["toroidal_slope"] = str(2 * (p + q))
     cert.data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
     if _apply(cert, "no_nonintegral_slopes", p, q, r) is not None:
         return
@@ -659,7 +668,7 @@ def _classify_finite(k: PretzelKnot) -> Certificate:
 
 
 def _cyclic_minus2_pq(cert: Certificate, p: int, q: int, r: int) -> None:
-    cert.data["toroidal_slope"] = str(toroidal_slope(cert.knot))
+    cert.data["toroidal_slope"] = str(2 * (p + q))
     if p == 3:
         _published_minus2_3(cert, p, q, r)
         return

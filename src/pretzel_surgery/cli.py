@@ -19,8 +19,7 @@ from .knots import canonicalize
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import coxeter_quotient, filled_presentation, wirtinger_presentation
 from .sweeps import sweep_cyclic, sweep_finite
-from .triangle import (TriangleTriple, irreducible_char_count, reducible_char_count,
-                       total_char_count)
+from .triangle import irreducible_char_count, reducible_char_count, total_char_count
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -139,10 +138,9 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_chars(args) -> int:
-    triple = _checked(TriangleTriple, args.p, args.q, args.r)
-    total = total_char_count(triple)
-    reducible = reducible_char_count(triple)
-    irreducible = irreducible_char_count(triple)
+    irreducible = _checked(irreducible_char_count, args.p, args.q, args.r)
+    total = total_char_count(args.p, args.q, args.r)
+    reducible = reducible_char_count(args.p, args.q, args.r)
     if args.json:
         print(_dump({"triple": [args.p, args.q, args.r], "total": total,
                      "reducible": reducible, "irreducible": irreducible}))

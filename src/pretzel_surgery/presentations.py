@@ -122,20 +122,18 @@ def triangle_image_of_longitude(p: int, q: int, r: int) -> Word:
 
 def reduce_modulo_orders(word: Word, orders: Mapping[str, int]) -> Word:
     """Normal form of a word in the free product of the cyclic groups
-    <g | g^orders[g]>; empty output means the word is trivial there."""
-    current = word
-    while True:
-        runs = []
-        for g, e in current.runs:
-            n = orders.get(g)
-            if n:
-                e %= n
-            if e:
-                runs.append((g, e))
-        reduced = Word(runs)
-        if reduced == current:
-            return reduced
-        current = reduced
+    <g | g^orders[g]>; empty output means the word is trivial there.  One pass
+    over a stack of runs: merge a repeated generator, reduce mod its order."""
+    stack: list[tuple[str, int]] = []
+    for g, e in word.runs:
+        if stack and stack[-1][0] == g:
+            e += stack.pop()[1]
+        n = orders.get(g)
+        if n:
+            e %= n
+        if e:
+            stack.append((g, e))
+    return Word(stack)
 
 
 def longitude_triviality_check(p: int, q: int, r: int) -> bool:

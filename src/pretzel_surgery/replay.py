@@ -33,8 +33,9 @@ def _holds(rows: dict, k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: di
     if fam.tag is not row.family:
         return False
     (p, q), r = fam.odd_pair, -fam.even_value
-    if colon:
-        return u.removeprefix("-").isdecimal() and row.premise(p, q, r, int(u)) == inputs
+    if colon:  # u as str(int(u)) spells it: no "+", leading zero or non-ASCII digit
+        return (u.removeprefix("-").isdecimal() and str(int(u)) == u
+                and row.premise(p, q, r, int(u)) == inputs)
     if row.settles is SURVIVORS:  # the premise is applied to the slopes it eliminates
         survivors = inputs.get("survivors")
         return isinstance(survivors, list) and row.premise(p, q, r, survivors) == inputs

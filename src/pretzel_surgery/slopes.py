@@ -8,7 +8,6 @@ arbitrary-precision integer arithmetic; floats never appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -45,19 +44,16 @@ class Slope:
 
     # -- conversions --------------------------------------------------
 
-    def sort_key(self) -> tuple[int, Fraction]:
-        """Total order with the meridian last; used for deterministic output."""
-        if self.b == 0:
-            return (1, Fraction(0))
-        return (0, Fraction(self.a, self.b))
-
     def __str__(self) -> str:
-        if self.b == 1:
-            return str(self.a)
-        return f"{self.a}/{self.b}"
+        return ratio_text(self.a, self.b)
 
     def __repr__(self) -> str:
         return f"Slope({self})"
+
+
+def ratio_text(n: int, d: int) -> str:
+    """n/d as ``str(Fraction(n, d))`` prints a reduced pair: n alone when d is 1."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def make_slope(a: int, b: int) -> Slope:

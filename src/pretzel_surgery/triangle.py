@@ -10,52 +10,35 @@ of the even-filling norm floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
-@dataclass(frozen=True)
-class TriangleTriple:
-    p: int
-    q: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if min(self.p, self.q, self.r) < 2:
-            raise ValueError("triangle group orders must be >= 2")
-
-
-def _as_triple(p, q=None, r=None) -> TriangleTriple:
-    if isinstance(p, TriangleTriple):
-        return p
-    return TriangleTriple(p, q, r)
-
-
-def total_char_count(p, q=None, r=None) -> int:
-    """Number of PSL(2,C)-characters, reducible ones included."""
-    t = _as_triple(p, q, r)
-    p, q, r = t.p, t.q, t.r
+def _counts(p: int, q: int, r: int) -> tuple[int, int]:
+    """(total, reducible) character counts; the orders are checked here, once."""
+    if min(p, q, r) < 2:
+        raise ValueError("triangle group orders must be >= 2")
+    a = gcd(p, q, r)
+    b = gcd(p * q, gcd(p * r, q * r))
     return ((p - p // 2 - 1) * (q - q // 2 - 1) * (r - r // 2 - 1)
             + (p // 2) * (q // 2) * (r // 2)
             + gcd(p, q) // 2 + gcd(p, r) // 2 + gcd(q, r) // 2
-            + 1)
+            + 1), b // 2 + (2 if a % 2 == 0 else 1)
 
 
-def reducible_char_count(p, q=None, r=None) -> int:
+def total_char_count(p: int, q: int, r: int) -> int:
+    """Number of PSL(2,C)-characters, reducible ones included."""
+    return _counts(p, q, r)[0]
+
+
+def reducible_char_count(p: int, q: int, r: int) -> int:
     """Number of characters of reducible representations, counted through
     the abelianization Z/a + Z/(b/a) with a = gcd(p,q,r), b = gcd(pq,pr,qr)."""
-    t = _as_triple(p, q, r)
-    p, q, r = t.p, t.q, t.r
-    a = gcd(p, q, r)
-    b = gcd(p * q, gcd(p * r, q * r))
-    return b // 2 + (2 if a % 2 == 0 else 1)
+    return _counts(p, q, r)[1]
 
 
-def irreducible_char_count(p, q=None, r=None) -> int:
-    t = _as_triple(p, q, r)
-    total = total_char_count(t)
-    reducible = reducible_char_count(t)
+def irreducible_char_count(p: int, q: int, r: int) -> int:
+    total, reducible = _counts(p, q, r)
     if total < reducible:
         raise ArithmeticError(
-            f"character counts out of order for {t}: {total} < {reducible}")
+            f"character counts out of order for ({p},{q},{r}): {total} < {reducible}")
     return total - reducible

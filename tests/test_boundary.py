@@ -3,11 +3,13 @@ from math import gcd
 
 import pytest
 
-from pretzel_surgery.boundary import (Completeness, nonintegral_slopes_minus2_pq,
+from pretzel_surgery.boundary import (BoundarySlopeSet, Completeness,
+                                      nonintegral_slopes_minus2_pq,
                                       nonintegral_slopes_pq_minus_r, slope_list_minus2_5_q,
                                       small_p_value, toroidal_gaps_large_p, toroidal_slope)
+from pretzel_surgery.classify import toroidal_gap_large_p, toroidal_gap_small_p
 from pretzel_surgery.knots import FamilyError, canonicalize
-from pretzel_surgery.slopes import make_slope
+from pretzel_surgery.slopes import Slope, make_slope
 
 
 def test_minus2_pq_both_branches_coincide():
@@ -113,3 +115,81 @@ def test_gap_identity():
 def test_gap_formula_needs_large_p():
     with pytest.raises(FamilyError):
         toroidal_gaps_large_p(7, 9, 4)
+
+
+# -- the int kernels against the Fraction forms they replaced -----------------
+
+
+def _steep_reference(v, r=2):
+    return Fraction(v * (v - 1) + 1 - 3 * r, (v - 1 - r) // 2)
+
+
+def _small_p_reference(p, q, r):
+    return 2 * (p + q + r - 1) - Fraction(2 * (p - 1) * (q - 1), p + q - 2)
+
+
+def _pack_reference(values):
+    """(non-integral, dropped integral) slopes, each sorted by the old key
+    (0, Fraction(a, b)), the meridian last."""
+    def key(s):
+        return (1, Fraction(0)) if s.b == 0 else (0, Fraction(s.a, s.b))
+    slopes = {make_slope(v.numerator, v.denominator) for v in values}
+    return (tuple(sorted((s for s in slopes if not s.is_integral), key=key)),
+            tuple(sorted((s for s in slopes if s.is_integral), key=key)))
+
+
+def _pq_minus_r_reference(p, q, r):
+    if p >= 2 * r + 1:
+        return _pack_reference([_steep_reference(p, r), _steep_reference(q, r)])
+    if p < r:
+        return _pack_reference([_small_p_reference(p, q, r)])
+    return (), ()
+
+
+def test_pq_minus_r_kernel_matches_the_fraction_form():
+    for p in range(3, 100, 2):
+        for q in range(p, 100, 2):
+            for r in range(4, 101, 2):
+                got = nonintegral_slopes_pq_minus_r(p, q, r)
+                assert (got.slopes, got.dropped_integral) == _pq_minus_r_reference(p, q, r)
+
+
+def test_minus2_pq_kernel_matches_the_fraction_form():
+    for p in range(3, 200, 2):
+        for q in range(p, 200, 2):
+            got = nonintegral_slopes_minus2_pq(p, q)
+            want = _pack_reference([_steep_reference(v) for v in (p, q) if v >= 7])
+            assert (got.slopes, got.dropped_integral) == want
+
+
+def test_slope_list_minus2_5_q_matches_the_fraction_form():
+    for q in range(5, 200, 2):
+        values = [Fraction(0), Fraction(14), Fraction(15), _steep_reference(q),
+                  Fraction(2 * q + 10), Fraction(2 * q + 12)]
+        slopes = {make_slope(v.numerator, v.denominator) for v in values}
+        want = tuple(sorted(slopes, key=lambda s: Fraction(s.a, s.b)))
+        assert slope_list_minus2_5_q(q).slopes == want
+
+
+def test_gap_texts_match_the_fraction_form():
+    for p in range(3, 100, 2):
+        for q in range(p, 100, 2):
+            for r in range(4, 101, 2):
+                tor = 2 * (p + q)
+                if p > 2 * r + 1:
+                    want = [str(tor - _steep_reference(v, r)) for v in (p, q)]
+                    assert toroidal_gap_large_p(p, q, r)["gaps"] == want
+                    assert list(toroidal_gaps_large_p(p, q, r)) == [Fraction(g) for g in want]
+                elif p <= r - 5:
+                    value = _small_p_reference(p, q, r)
+                    assert small_p_value(p, q, r) == value
+                    assert toroidal_gap_small_p(p, q, r)["gap"] == str(abs(value - tor))
+
+
+def test_the_slope_set_order_check_is_exact():
+    # Strictly ascending by cross-multiplication, the meridian 1/0 last.
+    BoundarySlopeSet((Slope(1, 3), Slope(1, 2), Slope(1, 0)), Completeness.FULL_LIST)
+    for bad in [(Slope(1, 2), Slope(1, 3)), (Slope(1, 2), Slope(1, 2)),
+                (Slope(1, 0), Slope(5, 1)), (Slope(1, 0), Slope(1, 0))]:
+        with pytest.raises(ValueError):
+            BoundarySlopeSet(bad, Completeness.FULL_LIST)

@@ -12,10 +12,10 @@ from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, S
                                       TORUS_INFINITE, UNRESOLVED, Rule, SlopeStatus,
                                       classify_cyclic, classify_finite, emit_certificate,
                                       even_norm_floor, premise_value,
-                                      quotient_certified_infinite)
+                                      quotient_certified_infinite, rule_text)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import CoxeterSignature
-from pretzel_surgery.knots import canonicalize
+from pretzel_surgery.knots import FamilyTag, canonicalize, enumerate_canonical, family
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
 from pretzel_surgery.replay import replay_certificate, replay_rule
@@ -176,8 +176,8 @@ def test_finite_refuses_a_gap_below_eleven(monkeypatch, capsys):
     k = canonicalize(11, 13, -4)
     assert classify_finite(k).verdict == NONE
     classify_module._classify_finite.cache_clear()
-    monkeypatch.setattr(classify_module, "toroidal_gaps_large_p",
-                        lambda p, q, r: (Fraction(21, 2), Fraction(12)))
+    monkeypatch.setattr(classify_module, "toroidal_gap_pairs_large_p",
+                        lambda p, q, r: ((21, 2), (12, 1)))
     with pytest.raises(ArithmeticError, match="gap < 11"):
         classify_finite(k)
     with pytest.raises(ArithmeticError, match="gap < 11"):
@@ -293,6 +293,22 @@ def _cut_after(rule_id):
     return forge
 
 
+def _respell(rule_id, new_id):
+    # Rename a per-slope rule, with its conclusion and its slope's link to match.
+    def forge(cert):
+        i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
+        rule = cert.rules[i]
+        cert.rules[i] = rule._replace(
+            id=new_id, conclusion=rule_text(cert.question, new_id, rule.inputs)[2])
+        cert.slopes = [replace(s, rule_id=new_id) if s.rule_id == rule_id else s
+                       for s in cert.slopes]
+        return cert
+    return forge
+
+
+SLOPE_RESPELLINGS = {"leading_zero": "043", "arabic_indic_digits": "\u0664\u0663"}
+
+
 def _set(**fields):
     def forge(cert):
         for name, value in fields.items():
@@ -342,6 +358,10 @@ COPIED_RULES = [
     ("slope_outside_the_window_eliminated", classify_finite, (7, 9, -10),
      _add_elimination("exceptional_distance:1001",
                       {"slope": 1001, "toroidal": "32", "distance": 969})),
+    # The slope of a per-slope rule id spelled another way.
+    *((f"slope_spelled_with_{name}", classify_finite, (7, 9, -10),
+       _respell("exceptional_distance:43", f"exceptional_distance:{u}"))
+      for name, u in SLOPE_RESPELLINGS.items()),
     # Slopes within distance 9 of 2(p+q) that only the residual table settles.
     *((f"near_slope_relinked_to_distance_window_{q}", classify_finite, (5, q, -4),
        _relink("residual_case_table", "coxeter_distance_window")) for q in (5, 7, 9)),
@@ -366,6 +386,17 @@ def test_replay_rejects_a_rule_copied_from_another_knot(rule_id, classifier, sou
     assert recorded(target).inputs != rule.inputs
     assert replay_rule(canonicalize(*source), rule.id, rule.inputs)
     assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
+
+
+@pytest.mark.parametrize("u", SLOPE_RESPELLINGS.values(), ids=SLOPE_RESPELLINGS.keys())
+def test_a_respelled_slope_changes_the_bytes(u):
+    # Each spelling is its own certificate, so only the genuine one may replay.
+    assert int(u) == 43
+    cert = classify_finite(canonicalize(7, 9, -10))
+    genuine = emit_certificate(cert)
+    forged = _respell("exceptional_distance:43", f"exceptional_distance:{u}")(cert)
+    assert emit_certificate(forged) != genuine
+    assert not replay_certificate(forged)
 
 
 def test_replay_rejects_parameters_of_another_knot():
@@ -594,6 +625,58 @@ def test_cyclic_sweep_still_recomputes_nested_runs_and_norm_models(monkeypatch):
                and c.knot.indices[2] >= 9)
     assert pqr > 0 and norm > 0 and not report.violations
     assert calls == {"classify_finite": 2 * pqr, "cyclic_infeasibility_minus2_5_q": 2 * norm}
+
+
+_OPENING = ("lamination_form", "unclassified_indices", "torus_pretzel")
+
+
+def test_open_lets_family_knots_skip_the_opening_rules():
+    # _open returns at once on a (-2,p,q) or (p,q,-r) knot; every other knot
+    # gets the rule it gets by trying the three opening premises in order.
+    family_knots = 0
+    for k in enumerate_canonical(60):
+        if not k.is_knot:
+            continue
+        fam = family(k)
+        holds = [key for key in _OPENING if getattr(classify_module, key)(k, fam) is not None]
+        assert len(holds) <= 1
+        if fam.tag in (FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R):
+            family_knots += 1
+            assert holds == [], k
+        for question in (CYCLIC, FINITE_Q):
+            cert, rest = classify_module._open(k, question)
+            assert [r.id for r in cert.rules] == holds and (rest is None) == bool(holds), k
+    assert family_knots > 0
+
+
+# One knot of each branch of the finite (p,q,-r) pipeline, and the rule that
+# marks it: exceptional table, large p, small p, middle window, residual
+# table, the two per-slope rules and no non-integral slope.
+_BRANCHES = [((3, 5, -4), "exceptional_knot_table"), ((11, 13, -4), "toroidal_gap_large_p"),
+             ((3, 5, -8), "toroidal_gap_small_p"), ((9, 9, -6), "coxeter_distance_window"),
+             ((5, 7, -4), "residual_case_table"), ((7, 9, -10), "exceptional_distance:43"),
+             ((9, 9, -4), "coxeter_quotient_infinite:31"), ((3, 3, -8), "no_nonintegral_slopes")]
+
+
+def test_the_finite_pipeline_and_its_replay_build_no_fraction(monkeypatch):
+    # Boundary slopes, gaps and marks are int kernels; a Fraction on this
+    # path would bring the slow arithmetic back.
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for memo in (classify_module._classify_finite, classify_module._boundary,
+                 classify_module._computed):
+        memo.cache_clear()
+    for triple, rule_id in _BRANCHES:
+        cert = classify_finite(canonicalize(*triple))
+        assert rule_id in [r.id for r in cert.rules] and replay_certificate(cert)
+    assert built == []
+    assert Fraction(1, 2) and built == [(1, 2)]  # the count itself works
 
 
 def test_replay_unknown_rule_raises():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.presentations import (coxeter_quotient, filled_presentation,
@@ -134,3 +136,41 @@ def test_reduce_modulo_orders_cascades():
     word = Word([("g", 2), ("f", 3), ("g", 1), ("h", 7)])
     reduced = reduce_modulo_orders(word, {"f": 3, "g": 3, "h": 7})
     assert reduced.is_trivial
+
+
+def _reduce_reference(word, orders):
+    """The Word reduction the run stack replaced: reduce every exponent, let
+    Word merge the runs, and repeat until nothing changes."""
+    current = word
+    while True:
+        runs = []
+        for g, e in current.runs:
+            n = orders.get(g)
+            if n:
+                e %= n
+            if e:
+                runs.append((g, e))
+        reduced = Word(runs)
+        if reduced == current:
+            return reduced
+        current = reduced
+
+
+def test_longitude_check_matches_the_word_reduction():
+    for p in range(-31, 32, 2):
+        for q in range(-31, 32, 2):
+            for r in range(-40, 41, 2):
+                orders = {"f": abs(r) // 2, "g": abs(p), "h": abs(q)}
+                word = triangle_image_of_longitude(p, q, r)
+                want = _reduce_reference(word, orders)
+                assert reduce_modulo_orders(word, orders) == want, (p, q, r)
+                assert longitude_triviality_check(p, q, r) == want.is_trivial, (p, q, r)
+
+
+@given(st.lists(st.tuples(st.sampled_from("fghx"), st.integers(-12, 12)), max_size=12),
+       st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+def test_reduce_modulo_orders_matches_the_word_reduction(runs, f, g, h):
+    # x has no order: it only merges and cancels freely.
+    orders = {"f": f, "g": g, "h": h}
+    word = Word(runs)
+    assert reduce_modulo_orders(word, orders) == _reduce_reference(word, orders)

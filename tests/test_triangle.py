@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pretzel_surgery.triangle import (TriangleTriple, irreducible_char_count,
-                                      reducible_char_count, total_char_count)
+from pretzel_surgery.triangle import (irreducible_char_count, reducible_char_count,
+                                      total_char_count)
 
 
 @pytest.mark.parametrize("triple,want", [
@@ -34,7 +35,7 @@ def test_irreducible_counts():
 
 def test_triple_validation():
     with pytest.raises(ValueError):
-        TriangleTriple(1, 3, 3)
+        irreducible_char_count(1, 3, 3)
     with pytest.raises(ValueError):
         total_char_count(2, 3, 1)
 
@@ -55,3 +56,29 @@ def test_hyperbolic_triples_have_at_least_three_irreducible():
             for r in range(q, 51):
                 if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) < 1:
                     assert irreducible_char_count(p, q, r) >= 3, (p, q, r)
+
+
+def _counts_reference(p, q, r):
+    """(total, reducible), written out as the counts were."""
+    total = ((p - p // 2 - 1) * (q - q // 2 - 1) * (r - r // 2 - 1)
+             + (p // 2) * (q // 2) * (r // 2)
+             + gcd(p, q) // 2 + gcd(p, r) // 2 + gcd(q, r) // 2 + 1)
+    a, b = gcd(p, q, r), gcd(p * q, gcd(p * r, q * r))
+    return total, b // 2 + (2 if a % 2 == 0 else 1)
+
+
+def test_counts_match_the_reference_formulas():
+    for p in range(2, 41):
+        for q in range(2, 41):
+            for r in range(2, 41):
+                total, reducible = _counts_reference(p, q, r)
+                assert total_char_count(p, q, r) == total
+                assert reducible_char_count(p, q, r) == reducible
+                assert irreducible_char_count(p, q, r) == total - reducible
+
+
+@pytest.mark.parametrize("triple", [(1, 3, 3), (3, 1, 3), (3, 3, 1), (0, 5, 5), (2, 2, -4)])
+def test_every_count_rejects_an_order_below_two(triple):
+    for count in (total_char_count, reducible_char_count, irreducible_char_count):
+        with pytest.raises(ValueError, match="orders must be >= 2"):
+            count(*triple)
