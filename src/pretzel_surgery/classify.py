@@ -8,14 +8,12 @@ returns the inputs its rule records; :func:`conclude` turns a chain of rules
 into the slope marks, realized slopes and verdict it implies.  The pipelines
 here only apply rows and conclude once; :func:`replay_certificate` requires
 each premise to give exactly the recorded inputs on the certificate's knot,
-each rule's text to be what :func:`rule_text` derives from its row, and
-what ``conclude`` derives from the chain.  The premise values
-are those classify computed for the same knot (:func:`premise_value`): it
-keeps a copy of the inputs of each rule of (p, q, r) for the last knot, and
-never reads them.  Not kept: per-slope rules and ``strict_triangle``, cheaper
-than the copy; ``residual_case_table``, of a list argument;
-``cyclic_via_finite`` and ``not_cyclic_annotation``, whose nested runs the
-benchmark counts; nor the values of the finite run inside the first.
+each rule's text to be what :func:`rule_text` derives from its row, the rows
+a row ``requires`` to come before it, and the marks, realized slopes and
+verdict to be what ``conclude`` derives from the chain.  Replay evaluates
+every premise on the knot again and shares no mutable state with classify:
+the one-knot memos here (``_boundary``, ``_classify_finite``) and
+``knots.family`` each hold a pure function of the knot, never edited in place.
 
 Imported theorems (lamination reduction, distance bounds, published case
 analyses, SnapPea checks) enter only through the facts table.  Computed
@@ -30,7 +28,6 @@ separators=(",", ":"))`` on the certificate's dict form, with no dict built.
 from __future__ import annotations
 
 import json
-import marshal
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -313,15 +310,8 @@ def not_cyclic_annotation(p: int, q: int, r: int) -> dict | None:
     return {"p": p, "q": q} if cyclic == NONE else None
 
 
-_NESTED: list[PretzelKnot] = []  # knots whose finite pipeline runs inside cyclic_via_finite
-
-
 def cyclic_via_finite(p: int, q: int, r: int) -> dict | None:
-    _NESTED.append(k := PretzelKnot(-r, p, q))  # no replay reads that run's premise values
-    try:
-        finite = classify_finite(k).verdict
-    finally:
-        _NESTED.pop()
+    finite = classify_finite(PretzelKnot(-r, p, q)).verdict
     return {"finite_verdict": finite} if finite == NONE else None
 
 
@@ -362,9 +352,14 @@ class RuleRow(NamedTuple):
     premise: Callable[..., dict | None]
     conclusion: str  # formatted with u and the inputs for a per-slope rule "id:u"
     settles: str | None
+    requires: tuple[str, ...] = ()  # rows a certificate must record before this one
 
 
 _M2, _PQR = FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R
+# The norm rules of a (p,q,-r) knot, in the order classify applies them; the
+# finite window rules rest on all five.
+_NORM_RULES = ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
+               "half_integral_excluded", "odd_uniqueness")
 
 
 def _shared_rows(question: str, fillings: str, published, examples_source: str) -> dict:
@@ -413,10 +408,10 @@ RULES: dict[str, dict[str, RuleRow]] = {
         "no_nonintegral_slopes": RuleRow(
             _PQR, "montesinos_boundary_slopes", no_nonintegral_slopes, (
                 "there are no non-integral boundary slopes, so no odd integral slope sits "
-                "within distance one of one; no finite surgery"), NONE),
+                "within distance one of one; no finite surgery"), NONE, _NORM_RULES),
         "finite_window": RuleRow(_PQR, "montesinos_boundary_slopes", finite_window, (
             "a finite filling must be an odd integer within distance one of a non-integral "
-            "boundary slope"), WINDOW),
+            "boundary slope"), WINDOW, _NORM_RULES),
         "toroidal_gap_large_p": RuleRow(_PQR, "exceptional_distance", toroidal_gap_large_p, (
             "both steep slopes lie at gap >= 11 from the toroidal filling 2(p+q), so every "
             "windowed candidate violates the distance bound; no finite surgery"), CANDIDATES),
@@ -432,7 +427,7 @@ RULES: dict[str, dict[str, RuleRow]] = {
         "coxeter_distance_window": RuleRow(_PQR, "coxeter_finiteness", coxeter_distance_window, (
             "any finite filling s must keep the quotient (2,p,|s-2p|;r/2) finite, confining s to "
             "the listed window; slopes at distance > 9 from 2(p+q) are excluded by the "
-            "exceptional-distance bound"), FAR),
+            "exceptional-distance bound"), FAR, _NORM_RULES),
         "residual_case_table": RuleRow(_PQR, "residual_case_analysis", residual_case_table, (
             "inside the window 3 <= p <= 7, 4 <= r <= 10 the published direct analysis rules out "
             "all remaining candidates"), SURVIVORS),
@@ -477,21 +472,6 @@ _ESCAPED = _Escaped((text, _encode(text)) for text in (
     STATUS_UNRESOLVED, CYCLIC, FINITE_Q, *facts.SOURCES.values(),
     *(text for rows in RULES.values() for key, row in rows.items()
       for text in (key, row.source, row.conclusion))))
-
-# Never stored (see the module docstring): cheaper than a copy, or counted.
-_RECOMPUTED = {strict_triangle, cyclic_via_finite, not_cyclic_annotation}
-
-
-@lru_cache(maxsize=1)
-def _computed(p: int, q: int, r: int) -> dict:  # (premise, args) -> stored value
-    return {}
-
-
-def premise_value(premise: Callable[..., dict | None], args: tuple) -> dict | None:
-    """``premise(*args)``, args (p, q, r): the read-only copy classify stored, else computed."""
-    stored = _computed(*args)
-    return stored[premise, args] if (premise, args) in stored else premise(*args)
-
 
 def conclude(rules: list[Rule]) -> tuple[list[tuple[int, int, str, str | None]],
                                          tuple[int, ...], str]:
@@ -547,9 +527,6 @@ def _apply(cert: Certificate, key: str, *args) -> dict | None:
     row = RULES[cert.question][key]
     inputs = row.premise(*args)
     if inputs is not None:
-        if len(args) == 3 and row.premise not in _RECOMPUTED and not _NESTED:
-            # A deep copy in C of the tree of dicts, lists, str, int and bool.
-            _computed(*args)[row.premise, args] = marshal.loads(marshal.dumps(inputs))
         rule_id = f"{key}{args[-1]}" if key[-1] == ":" else key
         source, citation, conclusion = rule_text(cert.question, rule_id, inputs)
         cert.rules.append(Rule(rule_id, source, citation, inputs, conclusion))
@@ -611,8 +588,7 @@ def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
     if _apply(cert, "exceptional_knot_table", p, q, r) is not None:
         return
     # Outside the exceptional table the paper proves every premise here.
-    for key in ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
-                "half_integral_excluded", "odd_uniqueness"):
+    for key in _NORM_RULES:
         if _apply(cert, key, p, q, r) is None:
             raise ArithmeticError(f"the premise of {key} fails on {cert.knot}")
     cert.data["toroidal_slope"] = str(2 * (p + q))

@@ -89,11 +89,12 @@ def _cmd_sweep(args) -> int:
     if args.question == CYCLIC:
         report = sweep_cyclic(args.bound)
     else:
-        r_range = _parse_range(args.r_range)
-        if r_range[0] <= 0 <= r_range[1]:
-            raise UsageError("pretzel indices must be nonzero; the r range contains 0")
-        report = sweep_finite(_parse_range(args.p_range), _parse_range(args.q_range),
-                              r_range)
+        ranges = [_parse_range(text) for text in (args.p_range, args.q_range, args.r_range)]
+        # The (p,q,-r) family: odd p, q >= 3 and even r >= 4.
+        for name, (lo, _), least in zip("pqr", ranges, (3, 3, 4)):
+            if lo < least:
+                raise UsageError(f"{name} bounds must be >= {least}, got {lo}")
+        report = sweep_finite(*ranges)
     for cert in report.certificates:
         if args.json:
             print(emit_certificate(cert, "json"))

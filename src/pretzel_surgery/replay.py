@@ -1,24 +1,22 @@
 """Certificate replay: every rule's premise, on the certificate's own knot,
 must return exactly the inputs the rule recorded, its source, citation and
-conclusion must be those ``rule_text`` derives from its row, and the slope
-marks, realized slopes and verdict must be the ones ``conclude`` derives
-from the chain.
+conclusion must be those ``rule_text`` derives from its row, the rows it
+``requires`` must come before it, and the slope marks, realized slopes and
+verdict must be the ones ``conclude`` derives from the chain.
 
 Premises, families and what each rule settles all live in one table,
-:data:`classify.RULES`, so classify and replay share each threshold.  A
-premise's value is the one classify kept for the same knot, if any
-(:func:`classify.premise_value`): running a pure premise again adds no
-independence.  Two premises rest on a nested computation, run again:
+:data:`classify.RULES`, so classify and replay share each threshold.  Every
+premise is evaluated again on the knot.  Two rest on a nested computation:
 ``cyclic_via_finite`` reads the finite verdict from ``classify_finite``,
-which keeps the last knot's run; ``seminorm_infeasibility`` solves the norm
-LPs again (``cyclic_infeasibility_minus2_5_q``).  Both names are importable
-from here.
+which keeps the last knot's run (a pure function of the knot, never edited
+in place); ``seminorm_infeasibility`` solves the norm LPs again
+(``cyclic_infeasibility_minus2_5_q``).  Both names are importable from here.
 """
 
 from __future__ import annotations
 
 from .classify import (RULES, SURVIVORS, Certificate, classify_finite, conclude,  # noqa: F401
-                       premise_value, rule_text)
+                       rule_text)
 from .knots import KnotFamily, PretzelKnot, family
 from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 
@@ -39,7 +37,7 @@ def _holds(rows: dict, k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: di
     if row.settles is SURVIVORS:  # the premise is applied to the slopes it eliminates
         survivors = inputs.get("survivors")
         return isinstance(survivors, list) and row.premise(p, q, r, survivors) == inputs
-    return premise_value(row.premise, (p, q, r)) == inputs
+    return row.premise(p, q, r) == inputs
 
 
 def replay_rule(k: PretzelKnot, rule_id: str, inputs: dict) -> bool:
@@ -54,14 +52,18 @@ def replay_rule(k: PretzelKnot, rule_id: str, inputs: dict) -> bool:
 
 def replay_certificate(cert: Certificate) -> bool:
     """True when every rule's premise holds on the certificate's knot with
-    exactly the recorded inputs and its text is its row's, and the slopes,
-    realized slopes and verdict are the ones the chain implies."""
+    exactly the recorded inputs, its text is its row's and the rows it
+    requires come before it, and the slopes, realized slopes and verdict are
+    the ones the chain implies."""
     rows, k = RULES[cert.question], cert.knot
     fam = family(k)
-    for rule in cert.rules:
+    for i, rule in enumerate(cert.rules):
         if (not _holds(rows, k, fam, rule.id, rule.inputs)
                 or rule_text(cert.question, rule.id, rule.inputs)
                 != (rule.source, rule.citation, rule.conclusion)):
+            return False
+        row = rows.get(rule.id)  # a per-slope rule "id:u" requires nothing
+        if row and row.requires and not {r.id for r in cert.rules[:i]}.issuperset(row.requires):
             return False
     slopes = [(s.slope.a, s.slope.b, s.status, s.rule_id) for s in cert.slopes]
     return (slopes, cert.realized, cert.verdict) == conclude(cert.rules)

@@ -11,7 +11,6 @@ import pretzel_surgery.classify as classify_module
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
                                       TORUS_INFINITE, UNRESOLVED, Rule, SlopeStatus,
                                       classify_cyclic, classify_finite, emit_certificate,
-                                      even_norm_floor, premise_value,
                                       quotient_certified_infinite, rule_text)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import CoxeterSignature
@@ -480,10 +479,10 @@ def test_editing_a_finite_certificate_never_reaches_the_kept_run():
     assert replay_certificate(classify_cyclic(k))
 
 
-# -- the premise values classify stores for replay ---------------------------
+# -- replay right after classify and after another knot ----------------------
 
-# A knot outside every stream and forgery below: classifying it leaves no
-# stored premise value and no kept finite run of any other knot.
+# A knot outside every stream and forgery below: classifying it leaves the
+# one-knot memos (boundary slopes, finite run, family) on another knot.
 _ELSEWHERE = canonicalize(27, 29, -26)
 
 
@@ -562,32 +561,15 @@ def test_a_copied_rule_is_rejected_with_the_store_warm_and_cold(rule_id, classif
     assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
 
 
-def test_the_store_keeps_only_the_last_knot(monkeypatch):
-    a, b = canonicalize(7, 9, -10), canonicalize(9, 9, -4)
-    classify_finite(_ELSEWHERE)
-    recorded = _inputs(classify_finite(a), "even_norm_floor")
-    original, counted = classify_module.irreducible_char_count, []
-
-    def counting(p, q, m):
-        counted.append((p, q, m))
-        return original(p, q, m)
-
-    monkeypatch.setattr(classify_module, "irreducible_char_count", counting)
-    assert premise_value(even_norm_floor, (7, 9, 10)) == recorded
-    assert counted == []
-    classify_finite(b)
-    assert premise_value(even_norm_floor, (7, 9, 10)) == recorded
-    assert counted == [(9, 9, 2), (7, 9, 5)]
-
-
-def test_the_finite_run_inside_cyclic_via_finite_stores_nothing(monkeypatch):
-    # No replay reads the premise values of that nested run.
-    classify_finite(_ELSEWHERE)
-    classify_module._classify_finite.cache_clear()
-    classify_cyclic(canonicalize(7, 9, -10))
-    calls = _counting(monkeypatch, ("irreducible_char_count",))
-    premise_value(even_norm_floor, (7, 9, 10))
-    assert calls == {"irreducible_char_count": 1}
+def test_replay_evaluates_each_premise_on_the_knot(monkeypatch):
+    # Replay reads no value classify computed: a premise kernel that gives
+    # another count after classify makes the certificate fail replay.
+    cert = classify_finite(canonicalize(7, 9, -10))
+    assert replay_certificate(cert)
+    count = classify_module.irreducible_char_count
+    monkeypatch.setattr(classify_module, "irreducible_char_count",
+                        lambda p, q, m: count(p, q, m) + 1)
+    assert not replay_certificate(cert)
 
 
 def _counting(monkeypatch, names):
@@ -604,19 +586,9 @@ def _counting(monkeypatch, names):
     return calls
 
 
-def test_finite_sweep_computes_each_premise_once_per_knot(monkeypatch):
-    # Replay reads the values classify stored for the knot it just classified.
-    classify_module._classify_finite.cache_clear()
-    calls = _counting(monkeypatch, ("longitude_triviality_check", "irreducible_char_count"))
-    report = sweep_finite((3, 25), (3, 25), (4, 24))
-    knots = sum(1 for c in report.certificates
-                if any(r.id == "even_numerator_infinite" for r in c.rules))
-    assert knots > 0 and not report.violations
-    assert calls == {"longitude_triviality_check": knots, "irreducible_char_count": knots}
-
-
 def test_cyclic_sweep_still_recomputes_nested_runs_and_norm_models(monkeypatch):
-    # cyclic_via_finite and seminorm_infeasibility stay out of the store.
+    # Replay runs both nested computations again: the finite verdict comes
+    # from classify_finite's one-knot memo, the norm models are solved anew.
     classify_module._classify_finite.cache_clear()
     calls = _counting(monkeypatch, ("classify_finite", "cyclic_infeasibility_minus2_5_q"))
     report = sweep_cyclic(11)
@@ -669,8 +641,7 @@ def test_the_finite_pipeline_and_its_replay_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    for memo in (classify_module._classify_finite, classify_module._boundary,
-                 classify_module._computed):
+    for memo in (classify_module._classify_finite, classify_module._boundary):
         memo.cache_clear()
     for triple, rule_id in _BRANCHES:
         cert = classify_finite(canonicalize(*triple))

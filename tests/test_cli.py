@@ -59,6 +59,11 @@ def test_classify_usage_errors(capsys):
 
 def test_user_input_faults_are_usage_errors(capsys):
     for argv in (["sweep", "--question", "finite", "--r-range", "0:4"],
+                 ["sweep", "--question", "finite", "--p-range", "1:1", "--q-range", "3:3",
+                  "--r-range", "4:4"],
+                 ["sweep", "--question", "finite", "--r-range", "2:2"],
+                 ["sweep", "--question", "finite", "--p-range=-3:-3"],
+                 ["sweep", "--question", "finite", "--r-range=-4:-4"],
                  ["chars", "1", "3", "7"],
                  ["group", "present", "2", "3", "-4"],
                  ["group", "present", "3", "3", "-4", "--fill", "6", "--coxeter"],

@@ -2,9 +2,10 @@
 
 Each certificate of the three pinned streams (those of
 ``test_certificate_streams_pinned``) is mutated in its slope marks, its
-realized slopes and its verdict, and in the text of each rule.  A mutant
-that still emits the genuine bytes is not tampered; every other mutant must
-fail replay.
+realized slopes and its verdict, and in the text of each rule; a finite
+certificate also loses each of its norm rules in turn.  A mutant that still
+emits the genuine bytes is not tampered; every other mutant must fail
+replay.
 """
 
 from dataclasses import replace
@@ -89,4 +90,19 @@ def test_replay_rejects_every_edited_rule_text(stream):
                                                            *cert.rules[i + 1:]])):
                     forged.append(f"{cert.knot} {cert.question} {rule.id} {name}")
     assert tried > len(certs)
+    assert forged == []
+
+
+def test_replay_rejects_every_finite_certificate_missing_a_norm_rule():
+    # The window rules of a (p,q,-r) certificate rest on its five norm rules.
+    norm_rules = ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
+                  "half_integral_excluded", "odd_uniqueness")
+    forged, tried = [], 0
+    for cert in STREAMS["finite"]():
+        for i, rule in enumerate(cert.rules):
+            if rule.id in norm_rules:
+                tried += 1
+                if replay_certificate(replace(cert, rules=cert.rules[:i] + cert.rules[i + 1:])):
+                    forged.append(f"{cert.knot} {rule.id}")
+    assert tried == 5 * 855
     assert forged == []
