@@ -1,28 +1,23 @@
 """Rule-chained verdicts on cyclic and finite surgeries, with certificates.
 
-Each certificate records the applied rules in order; every rule carries a
-source descriptor, the inputs it was applied to, and a conclusion.  Each
-rule is one row of :data:`RULES`, per question: the knot family it applies
-to, its source, its premise, its conclusion and what it settles.  A premise
-returns the inputs its rule records; :func:`conclude` turns a chain of rules
-into the slope marks, realized slopes and verdict it implies.  The pipelines
-here only apply rows and conclude once; :func:`replay_certificate` requires
-each premise to give exactly the recorded inputs on the certificate's knot,
-each rule's text to be what :func:`rule_text` derives from its row, the rows
-a row ``requires`` to come before it, and the marks, realized slopes and
-verdict to be what ``conclude`` derives from the chain.  Replay evaluates
-every premise on the knot again and shares no mutable state with classify:
-the one-knot memos here (``_boundary``, ``_classify_finite``) and
-``knots.family`` each hold a pure function of the knot, never edited in place.
+A certificate records the applied rules in order, each as its id and the
+inputs its premise returned.  Each rule is one row of :data:`RULES`, per
+question: the knot family it applies to, its source, its premise, its
+conclusion, what it settles and the notes it adds.  The pipelines here only
+apply rows; :func:`conclude` gives the slope marks, realized slopes and
+verdict of the chain, and :func:`certificate_data` the ``data`` of the knot.
+Replay checks a certificate against the premises and these two functions.
+The one-knot memos here (``_boundary``, ``_classify_finite``) and
+``knots.family`` hold pure functions of the knot, so replay shares no mutable
+state with classify.  Imported theorems enter only through the facts table;
+computed steps are int kernels (slopes and gaps as reduced pairs, no
+``Fraction``).
 
-Imported theorems (lamination reduction, distance bounds, published case
-analyses, SnapPea checks) enter only through the facts table.  Computed
-steps are int kernels (slopes and gaps as reduced pairs, no ``Fraction``);
-the text of every row without a slope is built once, at import.
-
-:func:`emit_certificate` writes a JSON line field by field, with constant
-strings escaped once at import: the bytes of ``json.dumps(..., sort_keys=True,
-separators=(",", ":"))`` on the certificate's dict form, with no dict built.
+:func:`emit_certificate` reads each rule's text (:func:`rule_text`) and the
+notes from the table, and writes a JSON line field by field, with constant
+strings and the JSON of each row without a slope escaped once at import: the
+bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` on the
+certificate's dict form, with no dict built.
 """
 
 from __future__ import annotations
@@ -61,14 +56,10 @@ FINITE_Q = "finite"
 
 
 class Rule(NamedTuple):
-    """One applied rule.  A named tuple, not a frozen dataclass: sweeps build
-    one or more per knot, and a tuple is several times cheaper to construct."""
+    """One applied rule: its id and the inputs its premise returned (cheaper than a dataclass)."""
 
     id: str
-    source: str
-    citation: str
     inputs: dict
-    conclusion: str
 
 
 @dataclass(frozen=True)
@@ -86,8 +77,13 @@ class Certificate:
     realized: tuple[int, ...] = ()
     slopes: list[SlopeStatus] = field(default_factory=list)
     rules: list[Rule] = field(default_factory=list)
-    annotations: list[str] = field(default_factory=list)
     data: dict = field(default_factory=dict)
+
+    @property
+    def annotations(self) -> list[str]:
+        """The notes of the chain's rows, read from the rule table."""
+        noted = _NOTES.get(self.question)  # no notes: no list to build
+        return [n for r in self.rules if r.id in noted for n in noted[r.id]] if noted else []
 
 
 # One encoder for every certificate; a certificate is a tree, so no cycle check.
@@ -95,17 +91,16 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular
 
 
 def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -> str:
-    """Deterministic serialization; 'json' or 'text'."""
+    """Deterministic serialization, 'json' or 'text'; KeyError for a rule outside the table."""
     if fmt == "json":
-        e, k = _ESCAPED, cert.knot
-        rules = ",".join([f'{{"citation":{e[r.citation]},"conclusion":{e[r.conclusion]},'
-                          f'"id":{e[r.id]},"inputs":{_encode(r.inputs) if r.inputs else "{}"},'
-                          f'"source":{e[r.source]}}}' for r in cert.rules])
+        e, k, notes, q = _ESCAPED, cert.knot, cert.annotations, cert.question
+        rules = ",".join([f'{h}{_encode(r.inputs) if r.inputs else "{}"}{t}' for r in cert.rules
+                          for h, t in [_AROUND.get((q, r.id)) or _around(q, r.id, r.inputs)]])
         slopes = ",".join([f'{{"rule":{e[s.rule_id]},"slope":{_encode(str(s.slope))},'
                            f'"status":{e[s.status]}}}' for s in cert.slopes])
-        return (f'{{"annotations":{_encode(cert.annotations) if cert.annotations else "[]"},'
+        return (f'{{"annotations":{_encode(notes) if notes else "[]"},'
                 f'"data":{_encode(cert.data) if cert.data else "{}"},'
-                f'"pretzel":[{k.p},{k.q},{k.r}],"question":{e[cert.question]},'
+                f'"pretzel":[{k.p},{k.q},{k.r}],"question":{e[q]},'
                 f'"realized":{_encode(cert.realized) if cert.realized else "[]"},'
                 f'"rules":[{rules}],"slopes":[{slopes}],"verdict":{e[cert.verdict]}}}')
     if fmt != "text":
@@ -113,17 +108,31 @@ def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -
     lines = [f"knot {cert.knot}  question={cert.question}  verdict={cert.verdict}"]
     if cert.realized:
         lines.append("  realized: " + ", ".join(str(u) for u in cert.realized))
-    for s in cert.slopes:
-        rule = f"  [{s.rule_id}]" if s.rule_id else ""
-        lines.append(f"  slope {s.slope}: {s.status}{rule}")
-    for note in cert.annotations:
-        lines.append(f"  note: {note}")
+    lines += [f"  slope {s.slope}: {s.status}" + (f"  [{s.rule_id}]" if s.rule_id else "")
+              for s in cert.slopes]
+    lines += [f"  note: {note}" for note in cert.annotations]
     lines.append("  rules:")
     for i, r in enumerate(cert.rules, start=1):
-        lines.append(f"    {i}. {r.id}: {r.conclusion}")
+        _, citation, conclusion = rule_text(cert.question, r.id, r.inputs)
+        lines.append(f"    {i}. {r.id}: {conclusion}")
         if cite:
-            lines.append(f"       cite: {r.citation}")
+            lines.append(f"       cite: {citation}")
     return "\n".join(lines)
+
+
+def _around(question: str, rule_id: str, inputs: dict) -> tuple[str, str]:
+    (source, citation, conclusion), e = rule_text(question, rule_id, inputs), _ESCAPED
+    return (f'{{"citation":{e[citation]},"conclusion":{e[conclusion]},"id":{e[rule_id]},'
+            '"inputs":', f',"source":{e[source]}}}')
+
+
+def rule_text(question: str, rule_id: str, inputs: dict) -> tuple[str, str, str]:
+    """The source, citation and conclusion of a rule of the question, from its
+    row, with u and ``inputs`` in the conclusion of "id:u".  KeyError if no row has it."""
+    key, colon, u = rule_id.partition(":")
+    row = RULES[question][key + colon]
+    conclusion = row.conclusion.format(u=u, **inputs) if colon else row.conclusion
+    return row.source, facts.SOURCES.get(row.source, row.source), conclusion
 
 
 # -- premises ----------------------------------------------------------------
@@ -353,6 +362,7 @@ class RuleRow(NamedTuple):
     conclusion: str  # formatted with u and the inputs for a per-slope rule "id:u"
     settles: str | None
     requires: tuple[str, ...] = ()  # rows a certificate must record before this one
+    notes: tuple[str, ...] = ()  # the annotations of a certificate that records this row
 
 
 _M2, _PQR = FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R
@@ -388,7 +398,8 @@ RULES: dict[str, dict[str, RuleRow]] = {
                        "bleiler_hodgson"),
         "not_cyclic_annotation": RuleRow(_M2, "cyclic_surgery_theorem", not_cyclic_annotation, (
             "this knot admits no non-trivial cyclic surgery, so any finite filling here is not "
-            "cyclic"), None),
+            "cyclic"), None, notes=("any non-trivial finite filling is not cyclic",
+                                    "no finite filling is known; none is expected")),
         "exceptional_knot_table": RuleRow(_PQR, "residual_case_analysis", exceptional_knot_table, (
             "the strict triangle condition fails here; the published direct analysis finds no "
             "non-trivial finite surgeries"), NONE),
@@ -455,10 +466,7 @@ RULES: dict[str, dict[str, RuleRow]] = {
 }
 
 _SETTLES = {key: row.settles for rows in RULES.values() for key, row in rows.items()}
-# Per question, the source, citation and conclusion of each row without a slope.
-_TEXTS = {question: {key: (row.source, facts.SOURCES.get(row.source, row.source), row.conclusion)
-                     for key, row in rows.items() if key[-1] != ":"}
-          for question, rows in RULES.items()}
+_NOTES = {q: {k: row.notes for k, row in rows.items() if row.notes} for q, rows in RULES.items()}
 
 
 class _Escaped(dict):
@@ -470,8 +478,10 @@ class _Escaped(dict):
 _ESCAPED = _Escaped((text, _encode(text)) for text in (
     None, REALIZED, NONE, TORUS_INFINITE, UNRESOLVED, STATUS_REALIZED, STATUS_ELIMINATED,
     STATUS_UNRESOLVED, CYCLIC, FINITE_Q, *facts.SOURCES.values(),
-    *(text for rows in RULES.values() for key, row in rows.items()
-      for text in (key, row.source, row.conclusion))))
+    *(text for rows in RULES.values() for key, row in rows.items() for text in (key, row.source))))
+# (question, id) -> the JSON object of each row without a slope, before and after its inputs.
+_AROUND = {(question, key): _around(question, key, {}) for question, rows in RULES.items()
+           for key in rows if key[-1] != ":"}
 
 def conclude(rules: list[Rule]) -> tuple[list[tuple[int, int, str, str | None]],
                                          tuple[int, ...], str]:
@@ -524,25 +534,25 @@ def _apply(cert: Certificate, key: str, *args) -> dict | None:
     """Apply the row ``key`` of the certificate's question to ``args``: when
     its premise holds, record the rule and return the inputs it records.  A
     per-slope row "id:" is recorded as "id:u", u the last argument."""
-    row = RULES[cert.question][key]
-    inputs = row.premise(*args)
+    inputs = RULES[cert.question][key].premise(*args)
     if inputs is not None:
-        rule_id = f"{key}{args[-1]}" if key[-1] == ":" else key
-        source, citation, conclusion = rule_text(cert.question, rule_id, inputs)
-        cert.rules.append(Rule(rule_id, source, citation, inputs, conclusion))
+        cert.rules.append(Rule(f"{key}{args[-1]}" if key[-1] == ":" else key, inputs))
     return inputs
 
 
-def rule_text(question: str, rule_id: str, inputs: dict) -> tuple[str, str, str]:
-    """The source, citation and conclusion of the rule ``rule_id`` of the question;
-    a per-slope rule "id:u" formats its row's conclusion with u and ``inputs``."""
-    text = _TEXTS[question].get(rule_id)
-    if text is None:
-        key, colon, u = rule_id.partition(":")
-        row = RULES[question][key + colon]
-        text = (row.source, facts.SOURCES.get(row.source, row.source),
-                row.conclusion.format(u=u, **inputs))
-    return text
+def certificate_data(question: str, fam: KnotFamily) -> dict:
+    """The toroidal filling 2(p+q) and the non-integral boundary slopes that
+    the certificate of a knot of family ``fam`` lists: none off the question's
+    family or on the exceptional table, and no slopes on a (-2,3,q) knot."""
+    if fam.tag is not (_M2 if question == CYCLIC else _PQR):
+        return {}
+    (p, q), r = fam.odd_pair, -fam.even_value
+    if exceptional_knot_table(p, q, r):
+        return {}
+    data = {"toroidal_slope": str(2 * (p + q))}
+    if (p, r) != (3, 2):
+        data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
+    return data
 
 
 def _concluded(cert: Certificate) -> Certificate:
@@ -591,8 +601,6 @@ def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
     for key in _NORM_RULES:
         if _apply(cert, key, p, q, r) is None:
             raise ArithmeticError(f"the premise of {key} fails on {cert.knot}")
-    cert.data["toroidal_slope"] = str(2 * (p + q))
-    cert.data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
     if _apply(cert, "no_nonintegral_slopes", p, q, r) is not None:
         return
     window = _apply(cert, "finite_window", p, q, r)
@@ -616,13 +624,12 @@ def classify_finite(k: PretzelKnot) -> Certificate:
 
     The last knot's certificate is kept: a cyclic sweep needs a (p,q,-r)
     knot's finite verdict in classify and again in replay, back to back.
-    Each call returns a new certificate with its own lists and data dict, so
-    editing one never reaches the kept one; the rule inputs and the values
-    of ``data`` are shared, read-only records.
+    Each call returns a new certificate with its own lists and data dict;
+    the rule inputs and the values of ``data`` are shared, read-only records.
     """
     cert = _classify_finite(k)
     return Certificate(cert.knot, cert.question, cert.verdict, cert.realized,
-                       [*cert.slopes], [*cert.rules], [*cert.annotations], {**cert.data})
+                       [*cert.slopes], [*cert.rules], {**cert.data})
 
 
 @lru_cache(maxsize=1)
@@ -630,6 +637,7 @@ def _classify_finite(k: PretzelKnot) -> Certificate:
     cert, fam = _open(k, FINITE_Q)
     if fam is not None:
         (p, q), r = fam.odd_pair, -fam.even_value
+        cert.data = certificate_data(FINITE_Q, fam)
         if fam.tag is FamilyTag.PQ_MINUS_R:
             _finite_pq_minus_r(cert, p, q, r)
         elif p == 3:
@@ -637,18 +645,12 @@ def _classify_finite(k: PretzelKnot) -> Certificate:
         elif _apply(cert, "not_cyclic_annotation", p, q, r) is None:
             raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
                                   "not-cyclic annotation does not apply")
-        else:
-            cert.annotations += ["any non-trivial finite filling is not cyclic",
-                                 "no finite filling is known; none is expected"]
     return _concluded(cert)
 
 
 def _cyclic_minus2_pq(cert: Certificate, p: int, q: int, r: int) -> None:
-    cert.data["toroidal_slope"] = str(2 * (p + q))
     if p == 3:
-        _published_minus2_3(cert, p, q, r)
-        return
-    cert.data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
+        return _published_minus2_3(cert, p, q, r)
     if _apply(cert, "no_nonintegral_slopes", p, q, r) is not None:
         return
     window = _apply(cert, "nonintegral_proximity", p, q, r)
@@ -662,6 +664,7 @@ def classify_cyclic(k: PretzelKnot) -> Certificate:
     cert, fam = _open(k, CYCLIC)
     if fam is not None:
         (p, q), r = fam.odd_pair, -fam.even_value
+        cert.data = certificate_data(CYCLIC, fam)
         if fam.tag is FamilyTag.MINUS2_PQ:
             _cyclic_minus2_pq(cert, p, q, r)
         elif _apply(cert, "cyclic_via_finite", p, q, r) is None:

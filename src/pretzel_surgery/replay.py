@@ -1,12 +1,12 @@
 """Certificate replay: every rule's premise, on the certificate's own knot,
-must return exactly the inputs the rule recorded, its source, citation and
-conclusion must be those ``rule_text`` derives from its row, the rows it
-``requires`` must come before it, and the slope marks, realized slopes and
-verdict must be the ones ``conclude`` derives from the chain.
+must return exactly the inputs the rule recorded, the rows it ``requires``
+must come before it, the data must be ``certificate_data``'s for the knot,
+and the slope marks, realized slopes and verdict must be the ones
+``conclude`` derives from the chain.  A rule records only its id and inputs;
+the emitter reads its text and the notes from its row, so none is checked.
 
 Premises, families and what each rule settles all live in one table,
-:data:`classify.RULES`, so classify and replay share each threshold.  Every
-premise is evaluated again on the knot.  Two rest on a nested computation:
+:data:`classify.RULES`.  Two premises rest on a nested computation:
 ``cyclic_via_finite`` reads the finite verdict from ``classify_finite``,
 which keeps the last knot's run (a pure function of the knot, never edited
 in place); ``seminorm_infeasibility`` solves the norm LPs again
@@ -15,8 +15,8 @@ in place); ``seminorm_infeasibility`` solves the norm LPs again
 
 from __future__ import annotations
 
-from .classify import (RULES, SURVIVORS, Certificate, classify_finite, conclude,  # noqa: F401
-                       rule_text)
+from .classify import (RULES, SURVIVORS, Certificate, certificate_data,  # noqa: F401
+                       classify_finite, conclude)
 from .knots import KnotFamily, PretzelKnot, family
 from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 
@@ -46,24 +46,21 @@ def replay_rule(k: PretzelKnot, rule_id: str, inputs: dict) -> bool:
     base, colon, _ = rule_id.partition(":")
     if not any(base + colon in rows for rows in RULES.values()):
         raise KeyError(f"no rule {rule_id!r} in the table")
-    fam = family(k)
-    return any(_holds(rows, k, fam, rule_id, inputs) for rows in RULES.values())
+    return any(_holds(rows, k, family(k), rule_id, inputs) for rows in RULES.values())
 
 
 def replay_certificate(cert: Certificate) -> bool:
     """True when every rule's premise holds on the certificate's knot with
-    exactly the recorded inputs, its text is its row's and the rows it
-    requires come before it, and the slopes, realized slopes and verdict are
-    the ones the chain implies."""
-    rows, k = RULES[cert.question], cert.knot
-    fam = family(k)
+    exactly the recorded inputs and the rows it requires come before it, the
+    data is the knot's, and the slopes, realized slopes and verdict are the
+    ones the chain implies."""
+    rows, k, fam = RULES[cert.question], cert.knot, family(cert.knot)
     for i, rule in enumerate(cert.rules):
-        if (not _holds(rows, k, fam, rule.id, rule.inputs)
-                or rule_text(cert.question, rule.id, rule.inputs)
-                != (rule.source, rule.citation, rule.conclusion)):
+        if not _holds(rows, k, fam, rule.id, rule.inputs):
             return False
         row = rows.get(rule.id)  # a per-slope rule "id:u" requires nothing
         if row and row.requires and not {r.id for r in cert.rules[:i]}.issuperset(row.requires):
             return False
     slopes = [(s.slope.a, s.slope.b, s.status, s.rule_id) for s in cert.slopes]
-    return (slopes, cert.realized, cert.verdict) == conclude(cert.rules)
+    return (cert.data == certificate_data(cert.question, fam)
+            and (slopes, cert.realized, cert.verdict) == conclude(cert.rules))

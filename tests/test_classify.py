@@ -9,9 +9,9 @@ import pytest
 
 import pretzel_surgery.classify as classify_module
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
-                                      TORUS_INFINITE, UNRESOLVED, Rule, SlopeStatus,
+                                      TORUS_INFINITE, UNRESOLVED, Certificate, Rule, SlopeStatus,
                                       classify_cyclic, classify_finite, emit_certificate,
-                                      quotient_certified_infinite, rule_text)
+                                      quotient_certified_infinite)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.knots import FamilyTag, canonicalize, enumerate_canonical, family
@@ -238,7 +238,7 @@ def test_replay_accepts_genuine_and_rejects_tampered():
 
 def _add_rule(rule_id, inputs):
     def forge(cert):
-        cert.rules.append(Rule(rule_id, "forged", "", inputs, ""))
+        cert.rules.append(Rule(rule_id, inputs))
         return cert
     return forge
 
@@ -293,12 +293,11 @@ def _cut_after(rule_id):
 
 
 def _respell(rule_id, new_id):
-    # Rename a per-slope rule, with its conclusion and its slope's link to match.
+    # Rename a per-slope rule and its slope's link to match; the emitted
+    # conclusion follows the id.
     def forge(cert):
         i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
-        rule = cert.rules[i]
-        cert.rules[i] = rule._replace(
-            id=new_id, conclusion=rule_text(cert.question, new_id, rule.inputs)[2])
+        cert.rules[i] = cert.rules[i]._replace(id=new_id)
         cert.slopes = [replace(s, rule_id=new_id) if s.rule_id == rule_id else s
                        for s in cert.slopes]
         return cert
@@ -312,6 +311,13 @@ def _set(**fields):
     def forge(cert):
         for name, value in fields.items():
             setattr(cert, name, value)
+        return cert
+    return forge
+
+
+def _edit_data(**changes):
+    def forge(cert):
+        cert.data = {**cert.data, **changes}
         return cert
     return forge
 
@@ -361,6 +367,10 @@ COPIED_RULES = [
     *((f"slope_spelled_with_{name}", classify_finite, (7, 9, -10),
        _respell("exceptional_distance:43", f"exceptional_distance:{u}"))
       for name, u in SLOPE_RESPELLINGS.items()),
+    # The data of a certificate is the knot's.
+    ("toroidal_slope_forged", classify_finite, (7, 9, -10), _edit_data(toroidal_slope="999")),
+    ("nonintegral_slopes_junk", classify_finite, (7, 9, -10),
+     _edit_data(nonintegral_slopes={"boundary_slopes": ["junk"]})),
     # Slopes within distance 9 of 2(p+q) that only the residual table settles.
     *((f"near_slope_relinked_to_distance_window_{q}", classify_finite, (5, q, -4),
        _relink("residual_case_table", "coxeter_distance_window")) for q in (5, 7, 9)),
@@ -471,7 +481,6 @@ def test_editing_a_finite_certificate_never_reaches_the_kept_run():
     cert.verdict = UNRESOLVED
     cert.rules.pop()
     cert.slopes.append(cert.slopes[0])
-    cert.annotations.append("forged")
     cert.data["toroidal_slope"] = "0"
     hits = classify_module._classify_finite.cache_info().hits
     assert emit_certificate(classify_finite(k)) == original
@@ -677,6 +686,25 @@ def test_finite_sweep_beyond_default_ranges():
     assert not report.violations
     assert not report.realized
     assert not report.unresolved
+
+
+def test_a_rule_records_only_its_id_and_inputs():
+    # The text of a rule and the notes of a certificate are read from the
+    # rule table when it is emitted; neither is stored.
+    assert Rule._fields == ("id", "inputs")
+    assert isinstance(Certificate.annotations, property)
+    assert "annotations" not in Certificate.__dataclass_fields__
+    cert = classify_finite(canonicalize(-2, 7, 9))
+    assert cert.annotations == list(RULES[FINITE_Q]["not_cyclic_annotation"].notes)
+    assert classify_cyclic(canonicalize(-2, 7, 9)).annotations == []
+
+
+def test_certificate_text_pinned():
+    # The text form (with citations) of every certificate of the three
+    # streams of test_certificate_streams_pinned, in the same order.
+    text = [emit_certificate(classifier(k), "text", cite=True) for classifier, k in _stream_jobs()]
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == (
+        "6a22ca97e6b40d9c56344d95549a0c50ff033fdba749bd9ce9df6754b8033c97")
 
 
 def test_certificate_streams_pinned():

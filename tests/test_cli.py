@@ -82,14 +82,16 @@ def test_internal_value_error_is_an_internal_error(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "internal error: broken invariant\n")
 
 
-def test_sweep_under_python_O_matches_the_pinned_stream():
-    # -O strips assert statements; the sweep must give the same bytes without them.
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_sweep_under_python_O_matches_the_pinned_stream(seed):
+    # -O strips assert statements; the sweep must give the same bytes without
+    # them, under any string hash seed.
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pretzel_surgery.cli", "sweep", "--question", "cyclic",
-         "--bound", "11", "--json"],
-        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+         "--bound", "11", "--json"], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout.removesuffix("\n").encode()).hexdigest()
     # The sweep_cyclic(11) digest of test_classify.py::test_certificate_streams_pinned.

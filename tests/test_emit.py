@@ -1,20 +1,23 @@
 """The JSON line of a certificate, against the serializer it replaces.
 
 ``emit_certificate(cert, "json")`` writes the line field by field, with the
-constant strings escaped once at import.  The reference below is the dict
-form the certificate classes built before, encoded by ``json.dumps`` with
-sorted keys; the two must agree byte for byte on every certificate, hostile
-strings included.
+constant strings and the JSON of each rule row without a slope escaped once
+at import.  The reference below is the dict form the certificate classes
+built before, with each rule's text from ``rule_text``, encoded by
+``json.dumps`` with sorted keys; the two must agree byte for byte on every
+certificate, hostile strings included.
 """
 
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_replay_mutants import STREAMS
 
 import pretzel_surgery.classify as classify_module
-from pretzel_surgery.classify import Certificate, Rule, SlopeStatus, emit_certificate
+from pretzel_surgery.classify import (CYCLIC, FINITE_Q, RULES, Certificate, Rule, SlopeStatus,
+                                      emit_certificate, rule_text)
 from pretzel_surgery.knots import canonicalize
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
@@ -30,8 +33,9 @@ def reference_dict(cert):
         "realized": list(cert.realized),
         "slopes": [{"slope": str(s.slope), "status": s.status, "rule": s.rule_id}
                    for s in cert.slopes],
-        "rules": [{"id": r.id, "source": r.source, "citation": r.citation,
-                   "inputs": r.inputs, "conclusion": r.conclusion} for r in cert.rules],
+        "rules": [{"id": r.id, "inputs": r.inputs,
+                   **dict(zip(("source", "citation", "conclusion"),
+                              rule_text(cert.question, r.id, r.inputs)))} for r in cert.rules],
         "annotations": list(cert.annotations),
         "data": cert.data,
     }
@@ -59,19 +63,26 @@ _VALUE = st.recursive(st.none() | st.booleans() | st.integers() | _TEXT,
 _INPUTS = st.dictionaries(_TEXT, _VALUE, max_size=4)
 _NONZERO = st.integers(-99, 99).filter(bool)
 
-certificates = st.builds(
-    Certificate,
-    knot=st.builds(canonicalize, _NONZERO, _NONZERO, _NONZERO),
-    question=_TEXT,
-    verdict=_TEXT,
-    realized=st.lists(st.integers(), max_size=3).map(tuple),
-    slopes=st.lists(st.builds(SlopeStatus,
-                              st.builds(make_slope, st.integers(-60, 60), st.integers(1, 9)),
-                              _TEXT, st.none() | _TEXT), max_size=3),
-    rules=st.lists(st.builds(Rule, _TEXT, _TEXT, _TEXT, _INPUTS, _TEXT), max_size=3),
-    annotations=st.lists(_TEXT, max_size=3),
-    data=_INPUTS,
-)
+
+# A rule's text and the notes come from its row, so the question and the ids
+# of rows without a slope are drawn from the table.
+def _certificates(question):
+    ids = sorted(key for key in RULES[question] if key[-1] != ":")
+    return st.builds(
+        Certificate,
+        knot=st.builds(canonicalize, _NONZERO, _NONZERO, _NONZERO),
+        question=st.just(question),
+        verdict=_TEXT,
+        realized=st.lists(st.integers(), max_size=3).map(tuple),
+        slopes=st.lists(st.builds(SlopeStatus,
+                                  st.builds(make_slope, st.integers(-60, 60), st.integers(1, 9)),
+                                  _TEXT, st.none() | _TEXT), max_size=3),
+        rules=st.lists(st.builds(Rule, st.sampled_from(ids), _INPUTS), max_size=3),
+        data=_INPUTS,
+    )
+
+
+certificates = st.sampled_from(sorted(RULES)).flatmap(_certificates)
 
 
 @given(certificates)
@@ -79,6 +90,18 @@ def test_any_certificate_matches_the_reference(cert):
     size = len(classify_module._ESCAPED)
     assert emit_certificate(cert) == reference_json(cert)
     assert len(classify_module._ESCAPED) == size
+
+
+@pytest.mark.parametrize("question,rule_id", [
+    (FINITE_Q, "cyclic_via_finite"), (CYCLIC, "exceptional_knot_table"),
+    (CYCLIC, "exceptional_distance:43"), (FINITE_Q, "made_up_rule"), ("made_up", "torus_pretzel")])
+def test_a_rule_outside_its_question_table_is_not_emitted(question, rule_id):
+    # No row has the text such a rule would need, so emitting it raises.
+    cert = Certificate(canonicalize(7, 9, -10), question,
+                       rules=[Rule(rule_id, {"slope": 43, "distance": 11, "toroidal": "32"})])
+    for fmt in ("json", "text"):
+        with pytest.raises(KeyError):
+            emit_certificate(cert, fmt)
 
 
 def test_the_escape_table_never_grows():

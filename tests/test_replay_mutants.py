@@ -2,10 +2,10 @@
 
 Each certificate of the three pinned streams (those of
 ``test_certificate_streams_pinned``) is mutated in its slope marks, its
-realized slopes and its verdict, and in the text of each rule; a finite
-certificate also loses each of its norm rules in turn.  A mutant that still
-emits the genuine bytes is not tampered; every other mutant must fail
-replay.
+realized slopes and its verdict; a finite certificate also loses each of its
+norm rules in turn.  A mutant that still emits the genuine bytes is not
+tampered; every other mutant must fail replay.  A rule's text is not
+recorded, so it cannot be edited: the emitter reads it from the rule table.
 """
 
 from dataclasses import replace
@@ -73,22 +73,6 @@ def test_replay_rejects_every_mutant_of_the_pinned_certificates(stream):
                     tried += 1
                     if replay_certificate(mutant):
                         forged.append(f"{cert.knot} {cert.question} {operator}")
-    assert tried > len(certs)
-    assert forged == []
-
-
-@pytest.mark.parametrize("stream", STREAMS)
-def test_replay_rejects_every_edited_rule_text(stream):
-    # The source, citation and conclusion of a rule are those of its row.
-    certs, forged, tried = STREAMS[stream](), [], 0
-    for cert in certs:
-        for i, rule in enumerate(cert.rules):
-            for name in ("source", "citation", "conclusion"):
-                edited = rule._replace(**{name: getattr(rule, name) + "."})
-                tried += 1
-                if replay_certificate(replace(cert, rules=[*cert.rules[:i], edited,
-                                                           *cert.rules[i + 1:]])):
-                    forged.append(f"{cert.knot} {cert.question} {rule.id} {name}")
     assert tried > len(certs)
     assert forged == []
 
