@@ -161,7 +161,3 @@ def toroidal_gap_pairs_large_p(p: int, q: int, r: int) -> tuple[Pair, Pair]:
     tor = 2 * (p + q)
     # n/d reduced, so (tor*d - n)/d is too.
     return tuple([(tor * d - n, d) for n, d in (_steep(p, r), _steep(q, r))])
-
-
-def toroidal_gaps_large_p(p: int, q: int, r: int) -> tuple[Fraction, Fraction]:
-    return tuple([Fraction(n, d) for n, d in toroidal_gap_pairs_large_p(p, q, r)])

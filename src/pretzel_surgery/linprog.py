@@ -1,8 +1,10 @@
-"""Exact rational linear feasibility with replayable Farkas certificates.
+"""Exact linear feasibility over integer rows, with replayable Farkas certificates.
 
 A small phase-one simplex with Bland's pivoting rule decides systems
-``{A x (>=|=|<=) b, x >= 0}``.  Feasible systems come back with an exact
-sample point; infeasible ones with a dual witness ``y`` such that
+``{A x (>=|=|<=) b, x >= 0}`` whose coefficients and right-hand sides are
+ints (:func:`row` rejects anything else).  Feasible systems come back with
+an exact rational sample point; infeasible ones with a rational dual
+witness ``y`` such that
 
 * ``y_i >= 0`` on ``>=`` rows, ``y_i <= 0`` on ``<=`` rows, free on ``=``,
 * ``sum_i y_i A_i <= 0`` in every column, and
@@ -11,26 +13,19 @@ sample point; infeasible ones with a dual witness ``y`` such that
 The simplex pivots fraction-free over ``int`` (Bareiss; the integer
 pivoting of Avis's ``lrs``).  It keeps an integer tableau ``M`` and one
 running determinant ``d > 0``, and the true tableau is always ``T = M/d``.
-A pivot on ``p = M[r][s]`` keeps row ``r`` and replaces every other row,
-the phase-one objective row included, by
+It starts from the rows themselves, with unit slack and artificial
+columns and ``d = 1``.  A pivot on ``p = M[r][s]`` keeps row ``r`` and
+replaces every other row, the phase-one objective row included, by
 ``(M[i][j]*p - M[i][s]*M[r][j]) // d``; then ``d = p``.  Every entry of
 ``M`` is a minor of the starting matrix and ``d`` is the basis determinant,
-so the division is exact, which the kernel checks.
+so the division is exact, which the kernel checks.  The point and the
+duals become ``Fraction``s only at the end.
 
-To start from integers, each structural column and the rhs column are
-multiplied by the lcm of their denominators; slack and artificial columns
-stay unit columns.  Scaling column ``j`` by ``c_j > 0`` multiplies that
-column of every tableau, and its phase-one reduced cost, by ``c_j``, and
-divides each row by the scale of its basic column.  No sign changes, and
-all ratios of one ratio test change by the same factor, so Bland's rule
-takes the path of the unscaled rational tableau.  The duals are read off
-the unit columns, whose reduced costs are unscaled, so they come out
-unchanged.  The point and the duals become ``Fraction``s only at the end.
-
-Both certificates re-verify by exact integer evaluation after clearing
-denominators (:func:`satisfies`, :func:`verify_witness`), reading only the
-rows and the returned vector, never ``M``, ``d`` or the basis, before the
-solver returns; callers repeat the check when replaying certificates.
+Both certificates re-verify by exact integer evaluation after clearing the
+denominators of the point or witness (:func:`satisfies`,
+:func:`verify_witness`), reading only the rows and the returned vector,
+never ``M``, ``d`` or the basis, before the solver returns; callers repeat
+the check when replaying certificates.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 EQ = "EQ"
 GE = "GE"
@@ -49,16 +44,16 @@ _FLIP = {GE: LE, LE: GE, EQ: EQ}
 
 @dataclass(frozen=True)
 class LinearRow:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     rel: str
-    rhs: Fraction
+    rhs: int
     label: str = ""
 
 
 def row(coeffs, rel: str, rhs, label: str = "") -> LinearRow:
     if rel not in (EQ, GE, LE):
         raise ValueError(f"unknown relation {rel!r}")
-    return LinearRow(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs), label)
+    return LinearRow(tuple(map(index, coeffs)), rel, index(rhs), label)
 
 
 @dataclass(frozen=True)
@@ -76,11 +71,10 @@ def _cleared(values) -> list[int]:
 
 
 def satisfies(rows: list[LinearRow], x: tuple[Fraction, ...]) -> bool:
-    """Every row a.x ~ b holds: with X = D*x and L*a, L*b the cleared row, (L*a).X ~ L*b*D."""
+    """Every row a.x ~ b holds: with X = D*x cleared, a.X ~ b*D."""
     *X, D = _cleared((*x, 1))  # the appended 1 comes back as D
     for r in rows:
-        *A, b = _cleared((*r.coeffs, r.rhs))
-        lhs, rhs = sum(map(mul, A, X)), b * D
+        lhs, rhs = sum(map(mul, r.coeffs, X)), r.rhs * D
         if not (lhs == rhs if r.rel == EQ else lhs >= rhs if r.rel == GE else lhs <= rhs):
             return False
     return True
@@ -95,12 +89,12 @@ def verify_witness(rows: list[LinearRow], y: tuple[Fraction, ...]) -> bool:
             return False
         if r.rel == LE and yi > 0:
             return False
-    Y = _cleared(y)  # y and each column below times a positive lcm: the same signs
+    Y = _cleared(y)  # y times a positive lcm: the same signs
     nvars = len(rows[0].coeffs) if rows else 0
     for j in range(nvars):
-        if sum(map(mul, Y, _cleared([r.coeffs[j] for r in rows]))) > 0:
+        if sum(Yi * r.coeffs[j] for Yi, r in zip(Y, rows)) > 0:
             return False
-    return sum(map(mul, Y, _cleared([r.rhs for r in rows]))) > 0
+    return sum(Yi * r.rhs for Yi, r in zip(Y, rows)) > 0
 
 
 def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
@@ -112,7 +106,7 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
 
     # Normalize to nonnegative right-hand sides, remembering the sign flips.
     flip = [1] * m
-    norm: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
+    norm: list[tuple[tuple[int, ...], str, int]] = []
     for i, r in enumerate(rows):
         if r.rhs < 0:
             flip[i] = -1
@@ -133,15 +127,11 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
             art_col[i] = ncols
             ncols += 1
 
-    # Integer tableau M = d * T, d = 1: each structural column and the rhs
-    # column are scaled by the lcm of their denominators.
-    scale = [lcm(*(coeffs[j].denominator for coeffs, _, _ in norm)) for j in range(nvars)]
-    rscale = lcm(*(rhs.denominator for _, _, rhs in norm))
+    # Integer tableau M = d * T, d = 1.
     M: list[list[int]] = []
     basis = [-1] * m
     for i, (coeffs, rel, rhs) in enumerate(norm):
-        Mi = [c.numerator * (k // c.denominator) for c, k in zip(coeffs, scale)]
-        Mi += [0] * (ncols - nvars) + [rhs.numerator * (rscale // rhs.denominator)]
+        Mi = [*coeffs, *[0] * (ncols - nvars), rhs]
         if rel == LE:
             Mi[slack_col[i]] = 1
             basis[i] = slack_col[i]
@@ -198,7 +188,7 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
         x = [Fraction(0)] * nvars
         for i in range(m):
             if basis[i] < nvars:
-                x[basis[i]] = Fraction(M[i][ncols] * scale[basis[i]], d * rscale)
+                x[basis[i]] = Fraction(M[i][ncols], d)
         point = tuple(x)
         if not satisfies(rows, point):
             raise ArithmeticError("feasible sample failed exact recheck")

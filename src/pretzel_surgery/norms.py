@@ -7,7 +7,11 @@ The total norm of a primitive class g is modeled as the linear form
 in unknown nonnegative coefficients a_1..a_n, together with the minimal
 positive norm S.  Every rule in this module manipulates such forms exactly;
 feasibility questions go through :mod:`pretzel_surgery.linprog` and return
-either exact sample points or Farkas witnesses.
+either exact rational sample points or Farkas witnesses.  Every row is
+integral, as :func:`linprog.row` requires: the coefficients are
+``2 * distance``, the offsets 0, and the positivity rows unit rows.
+:func:`_pair_systems` builds the pairwise ``(-2,5,q)`` systems once, for
+both the solve and the re-verification of its witnesses.
 
 Infeasibility over nonnegative rationals implies infeasibility over the
 nonnegative integers the geometric model calls for, which is the only
@@ -86,21 +90,6 @@ class NormSystem:
         }
 
 
-def _positivity_rows(n: int) -> list[LinearRow]:
-    unit = [0] * (n + 1)
-    unit[n] = 1
-    return [linprog.row(tuple(unit), GE, 1, "S >= 1")]
-
-
-def _pair_rows(n: int, i: int, j: int) -> list[LinearRow]:
-    rows = []
-    for k in (i, j):
-        unit = [0] * (n + 1)
-        unit[k] = 1
-        rows.append(linprog.row(tuple(unit), GE, 1, f"a{k + 1} >= 1"))
-    return rows
-
-
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     """Outcome of one pairwise feasibility test of a homogeneous norm system."""
@@ -155,28 +144,38 @@ def minus2_5q_norm_system(q: int) -> NormSystem:
     return system
 
 
+def _pair_systems(q: int) -> tuple[NormSystem, dict[tuple[int, int], list[LinearRow]]]:
+    """The (-2,5,q) norm system and, for every pair i < j of boundary slopes,
+    its rows with S >= 1, a_i >= 1 and a_j >= 1 appended (by scale invariance
+    this captures every norm with at least two nonzero coefficients)."""
+    system = minus2_5q_norm_system(q)
+    n = len(system.boundary)
+
+    def unit(k: int, label: str) -> LinearRow:
+        return linprog.row([int(i == k) for i in range(n + 1)], GE, 1, label)
+
+    base = system.lp_rows() + [unit(n, "S >= 1")]
+    a = [unit(k, f"a{k + 1} >= 1") for k in range(n)]
+    return system, {(i, j): base + [a[i], a[j]] for i, j in combinations(range(n), 2)}
+
+
 def cyclic_infeasibility_minus2_5_q(q: int) -> PairwiseInfeasibilityReport:
     """Pairwise feasibility of the (-2,5,q) cyclic-surgery norm model, q >= 9 odd.
 
-    For every pair i < j the homogeneous system is augmented with
-    a_i >= 1 and a_j >= 1 (by scale invariance this captures every norm with
-    at least two nonzero coefficients).  All pairs infeasible refutes the
-    assumption that 2q+5 is a cyclic filling.
+    All pairs of :func:`_pair_systems` infeasible refutes the assumption that
+    2q+5 is a cyclic filling.
     """
     if q % 2 == 0 or q < 9:
         raise ValueError(
             f"pairwise norm contradiction needs odd q >= 9 (q={q}); "
             "smaller q are settled by explicit slope lists or external facts")
-    system = minus2_5q_norm_system(q)
-    n = len(system.boundary)
-    base_rows = system.lp_rows() + _positivity_rows(n)
+    system, pairs = _pair_systems(q)
     verdicts = []
-    for i, j in combinations(range(n), 2):
-        rows = base_rows + _pair_rows(n, i, j)
+    for pair, rows in pairs.items():
         result = linprog.solve_feasibility(rows, system.nvars)
         verdicts.append(FeasibilityVerdict(
             feasible=result.feasible,
-            pair_tested=(i, j),
+            pair_tested=pair,
             sample=result.point,
             witness=result.witness,
             row_labels=tuple(r.label for r in rows),
@@ -186,17 +185,8 @@ def cyclic_infeasibility_minus2_5_q(q: int) -> PairwiseInfeasibilityReport:
 
 def verify_infeasibility_report(report: PairwiseInfeasibilityReport) -> bool:
     """Re-verify every Farkas witness of a report from scratch."""
-    system = minus2_5q_norm_system(report.q)
-    n = len(system.boundary)
-    base_rows = system.lp_rows() + _positivity_rows(n)
-    expected_pairs = list(combinations(range(n), 2))
-    if [v.pair_tested for v in report.verdicts] != expected_pairs:
-        return False
-    for v in report.verdicts:
-        if v.feasible or v.witness is None:
-            return False
-        rows = base_rows + _pair_rows(n, *v.pair_tested)
-        if not linprog.verify_witness(rows, v.witness):
-            return False
-    return True
-
+    _, pairs = _pair_systems(report.q)
+    return ([v.pair_tested for v in report.verdicts] == list(pairs)
+            and all(not v.feasible and v.witness is not None
+                    and linprog.verify_witness(pairs[v.pair_tested], v.witness)
+                    for v in report.verdicts))

@@ -7,7 +7,7 @@ import json
 import time
 from fractions import Fraction
 
-from pretzel_surgery.boundary import toroidal_gaps_large_p
+from pretzel_surgery.boundary import toroidal_gap_pairs_large_p
 from pretzel_surgery.classify import (NONE, REALIZED, UNRESOLVED, classify_finite,
                                       emit_certificate)
 from pretzel_surgery.coxeter import (CoxeterSignature, coxeter_presentation,
@@ -141,8 +141,8 @@ def test_criterion_8_large_p_gap():
         for p in range(2 * r + 3, 16, 2):
             for q in range(p, 16, 2):
                 checked += 1
-                gaps = toroidal_gaps_large_p(p, q, r)
-                if not all(g >= 11 for g in gaps):
+                gaps = toroidal_gap_pairs_large_p(p, q, r)
+                if not all(Fraction(*g) >= 11 for g in gaps):
                     ok = False
     ok = ok and checked > 0
     _verdict(8, "toroidal gap >= 11 whenever p > 2r+1", ok,

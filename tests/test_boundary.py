@@ -6,7 +6,7 @@ import pytest
 from pretzel_surgery.boundary import (BoundarySlopeSet, Completeness,
                                       nonintegral_slopes_minus2_pq,
                                       nonintegral_slopes_pq_minus_r, slope_list_minus2_5_q,
-                                      small_p_value, toroidal_gaps_large_p, toroidal_slope)
+                                      small_p_value, toroidal_gap_pairs_large_p, toroidal_slope)
 from pretzel_surgery.classify import toroidal_gap_large_p, toroidal_gap_small_p
 from pretzel_surgery.knots import FamilyError, canonicalize
 from pretzel_surgery.slopes import Slope, make_slope
@@ -105,16 +105,17 @@ def test_gap_identity():
     for r in range(4, 18, 2):
         for p in range(2 * r + 1, 2 * r + 20, 2):
             for q in range(p, p + 20, 2):
-                gap_p, gap_q = toroidal_gaps_large_p(p, q, r)
                 half = Fraction(p - 1 - r, 2)
-                assert gap_p == 2 * q - 2 * r - Fraction((r - 1) ** 2) / half
+                gap_p = 2 * q - 2 * r - Fraction((r - 1) ** 2) / half
                 half_q = Fraction(q - 1 - r, 2)
-                assert gap_q == 2 * p - 2 * r - Fraction((r - 1) ** 2) / half_q
+                gap_q = 2 * p - 2 * r - Fraction((r - 1) ** 2) / half_q
+                assert toroidal_gap_pairs_large_p(p, q, r) == (gap_p.as_integer_ratio(),
+                                                               gap_q.as_integer_ratio())
 
 
 def test_gap_formula_needs_large_p():
     with pytest.raises(FamilyError):
-        toroidal_gaps_large_p(7, 9, 4)
+        toroidal_gap_pairs_large_p(7, 9, 4)
 
 
 # -- the int kernels against the Fraction forms they replaced -----------------
@@ -179,7 +180,8 @@ def test_gap_texts_match_the_fraction_form():
                 if p > 2 * r + 1:
                     want = [str(tor - _steep_reference(v, r)) for v in (p, q)]
                     assert toroidal_gap_large_p(p, q, r)["gaps"] == want
-                    assert list(toroidal_gaps_large_p(p, q, r)) == [Fraction(g) for g in want]
+                    assert toroidal_gap_pairs_large_p(p, q, r) == tuple(
+                        Fraction(g).as_integer_ratio() for g in want)
                 elif p <= r - 5:
                     value = _small_p_reference(p, q, r)
                     assert small_p_value(p, q, r) == value

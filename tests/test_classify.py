@@ -17,7 +17,7 @@ from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.knots import FamilyTag, canonicalize, enumerate_canonical, family
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
-from pretzel_surgery.replay import replay_certificate, replay_rule
+from pretzel_surgery.replay import replay_certificate
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
 from schema import validate_certificate_json
@@ -232,8 +232,7 @@ def test_replay_accepts_genuine_and_rejects_tampered():
     cert = classify_finite(canonicalize(9, 9, -4))
     assert replay_certificate(cert)
     bad = next(r for r in cert.rules if r.id.startswith("coxeter_quotient_infinite"))
-    assert not replay_rule(cert.knot, bad.id, {**bad.inputs,
-                                               "signature": [2, 3, 7, 6]})
+    assert not replay_certificate(_edit_rule(bad.id, signature=[2, 3, 7, 6])(cert))
 
 
 def _add_rule(rule_id, inputs):
@@ -248,6 +247,21 @@ def _edit_rule(rule_id, **changes):
         i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
         cert.rules[i] = cert.rules[i]._replace(inputs={**cert.rules[i].inputs, **changes})
         return cert
+    return forge
+
+
+def _recorded(cert, rule_id):
+    return next(r for r in cert.rules if r.id.split(":")[0] == rule_id)
+
+
+def _copy_rule(rule_id, inputs):
+    # A rule of another knot: the certificate's rule of that id takes its
+    # inputs (the same rule records the same keys on every knot), and a rule
+    # the certificate lacks is appended.
+    def forge(cert):
+        if any(r.id == rule_id for r in cert.rules):
+            return _edit_rule(rule_id, **inputs)(cert)
+        return _add_rule(rule_id, inputs)(cert)
     return forge
 
 
@@ -382,19 +396,16 @@ COPIED_RULES = [
 def test_replay_rejects_a_rule_copied_from_another_knot(rule_id, classifier, source,
                                                         target):
     if callable(target):
-        cert = classifier(canonicalize(*source))
-        assert replay_certificate(cert)
-        assert not replay_certificate(target(cert))
-        return
-
-    def recorded(triple):
-        cert = classifier(canonicalize(*triple))
-        return next(r for r in cert.rules if r.id.split(":")[0] == rule_id)
-
-    rule = recorded(source)
-    assert recorded(target).inputs != rule.inputs
-    assert replay_rule(canonicalize(*source), rule.id, rule.inputs)
-    assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
+        cert, forge = classifier(canonicalize(*source)), target
+    else:
+        genuine = classifier(canonicalize(*source))
+        assert replay_certificate(genuine)
+        rule = _recorded(genuine, rule_id)
+        cert = classifier(canonicalize(*target))
+        assert _recorded(cert, rule_id).inputs != rule.inputs
+        forge = _copy_rule(rule.id, rule.inputs)
+    assert replay_certificate(cert)
+    assert not replay_certificate(forge(cert))
 
 
 @pytest.mark.parametrize("u", SLOPE_RESPELLINGS.values(), ids=SLOPE_RESPELLINGS.keys())
@@ -409,25 +420,31 @@ def test_a_respelled_slope_changes_the_bytes(u):
 
 
 def test_replay_rejects_parameters_of_another_knot():
-    gaps = next(r for r in classify_finite(canonicalize(11, 13, -4)).rules
-                if r.id == "toroidal_gap_large_p")
-    assert not replay_rule(canonicalize(3, 5, -4), gaps.id, gaps.inputs)
-    assert not replay_rule(canonicalize(9, 9, -4), "residual_case_table",
-                           {"p": 5, "r": 4, "survivors": [999]})
+    gaps = _recorded(classify_finite(canonicalize(11, 13, -4)), "toroidal_gap_large_p")
+    for triple, rule_id, inputs in [((3, 5, -4), gaps.id, gaps.inputs),
+                                    ((9, 9, -4), "residual_case_table",
+                                     {"p": 5, "r": 4, "survivors": [999]})]:
+        cert = classify_finite(canonicalize(*triple))
+        assert replay_certificate(cert)
+        assert not replay_certificate(_copy_rule(rule_id, inputs)(cert))
 
 
 def test_replay_rejects_inputs_that_were_never_recorded():
     k = canonicalize(9, 9, -4)
     for rule_id in ("denominator_bound", "half_integral_excluded", "odd_uniqueness"):
-        assert replay_rule(k, rule_id, {})
-        assert not replay_rule(k, rule_id, {"b": 99})
-        assert not replay_rule(canonicalize(-2, 5, 9), rule_id, {})
+        cert = classify_finite(k)
+        assert replay_certificate(cert) and _recorded(cert, rule_id).inputs == {}
+        assert not replay_certificate(_edit_rule(rule_id, b=99)(cert))
+        assert not replay_certificate(_add_rule(rule_id, {})(classify_finite(
+            canonicalize(-2, 5, 9))))
     minus2_3_7 = canonicalize(-2, 3, 7)
-    for cert in (classify_cyclic(minus2_3_7), classify_finite(minus2_3_7)):
-        examples = next(r for r in cert.rules if r.id == "known_examples")
-        assert replay_rule(minus2_3_7, examples.id, examples.inputs)
-        assert not replay_rule(canonicalize(-2, 5, 7), examples.id, examples.inputs)
-    assert not replay_rule(minus2_3_7, "known_examples", {"slopes": [1]})
+    for classifier in (classify_cyclic, classify_finite):
+        examples = _recorded(classifier(minus2_3_7), "known_examples")
+        assert replay_certificate(classifier(minus2_3_7))
+        forged = _copy_rule(examples.id, examples.inputs)(classifier(canonicalize(-2, 5, 7)))
+        assert not replay_certificate(forged)
+        forged = _edit_rule("known_examples", slopes=[1])(classifier(minus2_3_7))
+        assert not replay_certificate(forged)
 
 
 def test_replay_table_covers_exactly_the_emitted_rules():
@@ -561,13 +578,12 @@ def test_a_copied_rule_is_rejected_with_the_store_warm_and_cold(rule_id, classif
         classify_finite(_ELSEWHERE)
         assert not replay_certificate(forged)
         return
-    rule = next(r for r in classifier(canonicalize(*source)).rules
-                if r.id.split(":")[0] == rule_id)
+    rule = _recorded(classifier(canonicalize(*source)), rule_id)
     classify_finite(_ELSEWHERE)
-    classifier(canonicalize(*target))
-    assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
+    forged = _copy_rule(rule.id, rule.inputs)(classifier(canonicalize(*target)))
+    assert not replay_certificate(forged)
     classify_finite(_ELSEWHERE)
-    assert not replay_rule(canonicalize(*target), rule.id, rule.inputs)
+    assert not replay_certificate(forged)
 
 
 def test_replay_evaluates_each_premise_on_the_knot(monkeypatch):
@@ -659,10 +675,10 @@ def test_the_finite_pipeline_and_its_replay_build_no_fraction(monkeypatch):
     assert Fraction(1, 2) and built == [(1, 2)]  # the count itself works
 
 
-def test_replay_unknown_rule_raises():
+def test_replay_rejects_an_unknown_rule_or_question():
     cert = classify_cyclic(canonicalize(-2, 3, 7))
-    with pytest.raises(KeyError):
-        replay_rule(cert.knot, "made_up_rule", {})
+    assert not replay_certificate(_add_rule("made_up_rule", {})(cert))
+    assert not replay_certificate(Certificate(canonicalize(-3, 3, 5), "bogus"))
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -131,6 +131,21 @@ def test_norm_command(capsys):
     assert payload["constraints"][0]["rhs"] == "S"
 
 
+def test_norm_output_pinned(capsys):
+    # The solver's witnesses, the row labels and both renderings, for the
+    # smallest q and for q = 99.
+    outs = []
+    for q in ("9", "99"):
+        for argv in (("norm", "--q", q, "--json"), ("norm", "--q", q)):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+    stdout = "".join(outs).encode()
+    assert len(stdout) == 9722
+    digest = "d86c03597300ab594ea0cda4b2a2fd7a25b6d173a5d3c264230c35745ae44512"
+    assert hashlib.sha256(stdout).hexdigest() == digest
+
+
 def test_norm_rejects_small_q(capsys):
     assert run(capsys, "norm", "--q", "7")[0] == 2
 

@@ -45,15 +45,15 @@ def test_infeasible_equalities():
     assert verify_witness(rows, result.witness)
 
 
-def test_fractional_data():
-    rows = [
-        row([Fraction(1, 3), Fraction(1, 7)], GE, Fraction(5, 21)),
-        row([1, -1], EQ, 0),
-        row([1, 0], LE, Fraction(1, 2)),
-    ]
-    result = solve_feasibility(rows, 2)
-    assert result.feasible
-    assert satisfies(rows, result.point)
+def test_rows_take_only_integers():
+    # Every row the norm model builds is integral; rational data is refused,
+    # not scaled.  Points and witnesses stay rational.
+    r = row([1, -2], GE, 3)
+    assert (r.coeffs, r.rhs) == ((1, -2), 3) and {type(v) for v in (*r.coeffs, r.rhs)} == {int}
+    for coeffs, rhs in [([Fraction(1, 3), 1], 1), ([1, 1], Fraction(1, 2)),
+                        ([Fraction(2), 1], 1), ([1.0, 1], 1), ([1, 1], "1")]:
+        with pytest.raises(TypeError):
+            row(coeffs, GE, rhs)
 
 
 def test_witness_rejects_wrong_sign():
@@ -71,16 +71,20 @@ def test_row_width_mismatch():
         solve_feasibility([row([1, 2], GE, 0)], 3)
 
 
-small_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+small_int = st.integers(-6, 6)
+small_fraction = st.builds(Fraction, small_int, st.integers(1, 7))
+
+
+def integer_rows(nvars, max_size):
+    return st.lists(
+        st.tuples(st.lists(small_int, min_size=nvars, max_size=nvars),
+                  st.sampled_from([EQ, GE, LE]), small_int),
+        min_size=1, max_size=max_size)
 
 
 @given(st.integers(1, 4), st.data())
 def test_random_systems_decided_with_checkable_evidence(nvars, data):
-    # Denominators up to 7 make the solver scale columns to integers.
-    raw = data.draw(st.lists(
-        st.tuples(st.lists(small_fraction, min_size=nvars, max_size=nvars),
-                  st.sampled_from([EQ, GE, LE]), small_fraction),
-        min_size=1, max_size=5), label="rows")
+    raw = data.draw(integer_rows(nvars, 5), label="rows")
     rows = [row(coeffs, rel, rhs) for coeffs, rel, rhs in raw]
     result = solve_feasibility(rows, nvars)
     if result.feasible:
@@ -135,16 +139,13 @@ def _mutations(v):
             yield v[:i] + (new,) + v[i + 1:]
 
 
-small_rational = st.one_of(st.integers(-6, 6), small_fraction)
+small_rational = st.one_of(small_int, small_fraction)
 positive_fraction = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
 
 
 @given(st.integers(1, 4), st.data())
 def test_integer_checks_agree_with_the_fraction_definitions(nvars, data):
-    raw = data.draw(st.lists(
-        st.tuples(st.lists(small_fraction, min_size=nvars, max_size=nvars),
-                  st.sampled_from([EQ, GE, LE]), small_fraction),
-        min_size=1, max_size=6), label="rows")
+    raw = data.draw(integer_rows(nvars, 6), label="rows")
     rows = [row(coeffs, rel, rhs) for coeffs, rel, rhs in raw]
     m = len(rows)
     ys = [tuple(data.draw(st.lists(small_rational, min_size=m, max_size=m), label="y")),
