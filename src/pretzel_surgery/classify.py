@@ -22,9 +22,9 @@ certificate's dict form, with no dict built.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import facts
@@ -34,7 +34,6 @@ from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from .knots import (FamilyTag, KnotFamily, PretzelKnot, TorusStatus, family, torus_status,
                     triangle_slack)
 from .norms import cyclic_infeasibility_minus2_5_q
-from .presentations import longitude_triviality_check
 from .slopes import Slope, ratio_text
 from .triangle import irreducible_char_count
 
@@ -86,8 +85,17 @@ class Certificate:
         return [n for r in self.rules if r.id in noted for n in noted[r.id]] if noted else []
 
 
-# One encoder for every certificate; a certificate is a tree, so no cycle check.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+# One encoder for every certificate, built at import (JSONEncoder.encode builds
+# a new C encoder per call); a certificate is a tree, so no cycle check.
+# Without the _json accelerator JSONEncoder is the fallback, with the same bytes.
+if c_make_encoder is None:
+    _encode = JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+else:
+    _c_encoder = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                                ":", ",", True, False, True)
+
+    def _encode(o) -> str:
+        return "".join(_c_encoder(o, 0))
 
 
 def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -> str:
@@ -187,9 +195,19 @@ def strict_triangle(p: int, q: int, r: int) -> dict | None:
 
 
 def even_numerator_infinite(p: int, q: int, r: int) -> dict | None:
+    """The (p, q, m) triangle group, m = r/2, is infinite (1/p + 1/q + 1/m <= 1)
+    and the longitude's image there collapses, so fillings 2a/b factor through it.
+
+    The collapse is an identity on the whole family, proven in Tier-1
+    (``tests/test_presentations.py``) rather than computed per knot: the image
+    g^k f^m g^(k+1) h^l f^m h^(l+1), k = (p-1)/2 and l = (q-1)/2, is 1 once
+    f^m = 1 joins the g runs into g^p and the h runs into h^q.
+    ``presentations.longitude_triviality_check`` stays as the reference that
+    test compares this premise against.
+    """
     m = r // 2
-    collapses = triangle_slack(p, q, m) >= 0 and longitude_triviality_check(p, q, r)
-    return {"p": p, "q": q, "m": m, "longitude_collapses": True} if collapses else None
+    infinite = triangle_slack(p, q, m) >= 0
+    return {"p": p, "q": q, "m": m, "longitude_collapses": True} if infinite else None
 
 
 def even_norm_floor(p: int, q: int, r: int) -> dict | None:
@@ -244,13 +262,14 @@ def toroidal_gap_small_p(p: int, q: int, r: int) -> dict | None:
 def coxeter_quotient_infinite(p: int, q: int, r: int, u: int) -> dict | None:
     d = abs(u - 2 * p)
     sig = CoxeterSignature.of(p, d, r // 2) if d >= 2 else None
-    if sig is None or not quotient_certified_infinite(sig):
+    if sig is None or not quotient_certified_infinite(sig, edjvet_verdict(sig).status):
         return None
     return {"slope": u, "signature": [2, sig.a, sig.b, sig.c]}
 
 
-def quotient_certified_infinite(sig: CoxeterSignature) -> bool:
-    """Infiniteness of (2,a,b;c) as the classifier is allowed to use it.
+def quotient_certified_infinite(sig: CoxeterSignature, status: str) -> bool:
+    """Infiniteness of (2,a,b;c), whose ``edjvet_verdict`` status is
+    ``status``, as the classifier is allowed to use it.
 
     The quoted classification is trusted except on the corner a = 3 with
     c <= 3, where the group provably collapses: the index-two subgroup
@@ -259,9 +278,7 @@ def quotient_certified_infinite(sig: CoxeterSignature) -> bool:
     collapse for c = 3; coset enumeration confirms tiny finite orders
     across that corner.  There the oracle abstains, which is always sound.
     """
-    if sig.a == 3 and sig.c <= 3:
-        return False
-    return edjvet_verdict(sig).status == INFINITE
+    return status == INFINITE and not (sig.a == 3 and sig.c <= 3)
 
 
 def coxeter_distance_window(p: int, q: int, r: int) -> dict | None:
@@ -281,10 +298,10 @@ def coxeter_distance_window(p: int, q: int, r: int) -> dict | None:
             reason = "degenerate quotient"
         else:
             sig = CoxeterSignature.of(p, d, r // 2)
-            if quotient_certified_infinite(sig):
+            status = edjvet_verdict(sig).status
+            if quotient_certified_infinite(sig, status):
                 continue
-            verdict = edjvet_verdict(sig)
-            reason = f"{sig} {verdict.status}"
+            reason = f"{sig} {status}"
         for s in (2 * p - d, 2 * p + d):
             out.setdefault(s, reason)
     window = [[s, out[s]] for s in sorted(out)]

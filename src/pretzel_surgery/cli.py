@@ -87,6 +87,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.question == CYCLIC:
+        if args.bound < 1:  # no nonzero index fits: the sweep would be empty
+            raise UsageError(f"--bound must be >= 1, got {args.bound}")
         report = sweep_cyclic(args.bound)
     else:
         ranges = [_parse_range(text) for text in (args.p_range, args.q_range, args.r_range)]

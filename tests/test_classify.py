@@ -3,23 +3,28 @@ import importlib
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from types import ModuleType
 
 import pytest
 
 import pretzel_surgery.classify as classify_module
+from pretzel_surgery import facts
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
                                       TORUS_INFINITE, UNRESOLVED, Certificate, Rule, SlopeStatus,
                                       classify_cyclic, classify_finite, emit_certificate,
-                                      quotient_certified_infinite)
+                                      even_norm_floor, quotient_certified_infinite,
+                                      strict_triangle)
 from pretzel_surgery.cli import main
-from pretzel_surgery.coxeter import CoxeterSignature
-from pretzel_surgery.knots import FamilyTag, canonicalize, enumerate_canonical, family
+from pretzel_surgery.coxeter import INFINITE, CoxeterSignature, edjvet_verdict
+from pretzel_surgery.knots import (FamilyTag, canonicalize, enumerate_canonical, family,
+                                   triangle_slack)
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
 from pretzel_surgery.replay import replay_certificate
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
+from pretzel_surgery.triangle import irreducible_char_count
 from schema import validate_certificate_json
 
 
@@ -186,10 +191,14 @@ def test_finite_refuses_a_gap_below_eleven(monkeypatch, capsys):
 
 
 def test_quotient_oracle_abstains_on_collapse_corner():
-    assert not quotient_certified_infinite(CoxeterSignature(3, 21, 2))
-    assert not quotient_certified_infinite(CoxeterSignature(3, 17, 3))
-    assert quotient_certified_infinite(CoxeterSignature(9, 13, 2))
-    assert not quotient_certified_infinite(CoxeterSignature(3, 7, 6))
+    # (2,3,21;2) and (2,3,17;3) are INFINITE in the quoted table, yet sit in
+    # the corner a = 3, c <= 3 where the oracle abstains.
+    for abc, certified in [((3, 21, 2), False), ((3, 17, 3), False), ((9, 13, 2), True),
+                           ((3, 7, 6), False)]:
+        sig = CoxeterSignature(*abc)
+        assert quotient_certified_infinite(sig, edjvet_verdict(sig).status) == certified, abc
+    assert edjvet_verdict(CoxeterSignature(3, 21, 2)).status == INFINITE
+    assert edjvet_verdict(CoxeterSignature(3, 17, 3)).status == INFINITE
 
 
 def test_parity_split_is_exclusive():
@@ -200,6 +209,79 @@ def test_parity_split_is_exclusive():
         for status in cert.slopes:
             if status.status == "ELIMINATED":
                 assert status.slope.a % 2 == 1
+
+
+def _family_off_the_table(p_max, q_max, r_max):
+    """The (p,q,-r) family triples (p, q, r) up to the bounds, off facts.EXCEPTIONAL_PQR."""
+    return [(p, q, r) for p in range(3, p_max + 1, 2) for q in range(p, q_max + 1, 2)
+            for r in range(4, r_max + 1, 2) if (p, q, r) not in facts.EXCEPTIONAL_PQR]
+
+
+def test_strict_triangle_holds_on_the_whole_family():
+    """triangle_slack(p, q, m) = pqm - qm - pm - pq, m = r/2, grows in each
+    argument on p, q >= 3, m >= 2: a unit step in p adds (q-1)(m-1) - 1 >= 1,
+    in q adds (p-1)(m-1) - 1 >= 1 and in m adds (p-1)(q-1) - 1 >= 3.  Every
+    family triple off the exceptional table is at least one of the corners
+    (3,7,4), (5,5,4), (3,5,6), (3,3,8) in each coordinate (r >= 8; r = 6 and
+    q >= 5; r = 4 and p >= 5; r = 4, p = 3 and q >= 7), and the slack there is
+    1, 5, 6 and 3.  So the slack is positive on the whole family: the three
+    norm rules that record nothing apply, and even_numerator_infinite's
+    ``>= 0`` and ``> 0`` agree on every knot it is applied to.
+    """
+    corners = [(3, 7, 4), (5, 5, 4), (3, 5, 6), (3, 3, 8)]
+    assert [triangle_slack(p, q, r // 2) for p, q, r in corners] == [1, 5, 6, 3]
+    for p in range(3, 42):
+        for q in range(3, 42):
+            for m in range(2, 42):
+                slack = triangle_slack(p, q, m)
+                assert triangle_slack(p + 1, q, m) - slack == (q - 1) * (m - 1) - 1 >= 1
+                assert triangle_slack(p, q + 1, m) - slack == (p - 1) * (m - 1) - 1 >= 1
+                assert triangle_slack(p, q, m + 1) - slack == (p - 1) * (q - 1) - 1 >= 3
+    for p, q, r in _family_off_the_table(41, 41, 42):
+        assert any(p >= a and q >= b and r >= c for a, b, c in corners), (p, q, r)
+    for p, q, r in _family_off_the_table(99, 99, 100):
+        assert strict_triangle(p, q, r) == {}, (p, q, r)
+
+
+def test_even_norm_floor_holds_on_the_whole_family():
+    """irreducible_char_count(p, q, m) >= 3 for odd 3 <= p <= q and m = r/2 >= 2
+    off the exceptional table.
+
+    For odd p and q, ``triangle._counts`` is exact in closed form.  Its two
+    products share (p-1)/2 * (q-1)/2, and their m factors, m - m//2 - 1 and
+    m//2, add up to m - 1 for either parity of m.  The gcds g, h, k of (p,q),
+    (p,m), (q,m) and b = gcd(pq, pm, qm) are odd, as is gcd(p,q,m), so
+    4 * irreducible = (p-1)(q-1)(m-1) + 2(g + h + k - b - 2).  Since b divides
+    pq and pm, b <= p * min(q,m), and g + h + k >= 3, so
+    4 * irreducible - 12 >= F = (p-1)(q-1)(m-1) - 2p * min(q,m) - 10.
+
+    F does not fall along a step inside the family, save m = 2 -> 3 at
+    p = q = 3: p -> p+2 (q >= p+2) adds 2((q-1)(m-1) - 2 min(q,m)); q -> q+2
+    adds 2(p-1)(m-1) - 2p(min(q+2,m) - min(q,m)); m -> m+1 adds
+    (p-1)(q-1) - 2p when m < q, else (p-1)(q-1).  A triple outside the head
+    p <= 7, q <= 11, m <= 7 (r <= 14) is reached from (9,9,2), (3,13,2) or
+    (3,3,8), where F is 18, 2 and 0, by raising q, then p, then m.  The head
+    is checked directly.
+    """
+    def f(p, q, m):
+        return (p - 1) * (q - 1) * (m - 1) - 2 * p * min(q, m) - 10
+
+    assert [f(9, 9, 2), f(3, 13, 2), f(3, 3, 8)] == [18, 2, 0]
+    for p in range(3, 42, 2):
+        for q in range(p, 42, 2):
+            for m in range(2, 42):
+                g, h, k = gcd(p, q), gcd(p, m), gcd(q, m)
+                b = gcd(p * q, p * m, q * m)
+                assert 4 * irreducible_char_count(p, q, m) == \
+                    (p - 1) * (q - 1) * (m - 1) + 2 * (g + h + k - b - 2), (p, q, m)
+                assert (p * q) % b == (p * m) % b == 0 and b <= p * min(q, m)
+                assert f(p, q + 2, m) >= f(p, q, m)
+                assert q < p + 2 or f(p + 2, q, m) >= f(p, q, m)
+                assert (p, q, m) == (3, 3, 2) or f(p, q, m + 1) >= f(p, q, m)
+    head = _family_off_the_table(7, 11, 14)
+    assert min(irreducible_char_count(p, q, r // 2) for p, q, r in head) == 3
+    for p, q, r in _family_off_the_table(99, 99, 100):
+        assert even_norm_floor(p, q, r) is not None, (p, q, r)
 
 
 # -- certificates ------------------------------------------------------------

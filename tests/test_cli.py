@@ -64,6 +64,8 @@ def test_user_input_faults_are_usage_errors(capsys):
                  ["sweep", "--question", "finite", "--r-range", "2:2"],
                  ["sweep", "--question", "finite", "--p-range=-3:-3"],
                  ["sweep", "--question", "finite", "--r-range=-4:-4"],
+                 ["sweep", "--question", "cyclic", "--bound", "0"],
+                 ["sweep", "--question", "cyclic", "--bound=-3"],
                  ["chars", "1", "3", "7"],
                  ["group", "present", "2", "3", "-4"],
                  ["group", "present", "3", "3", "-4", "--fill", "6", "--coxeter"],
@@ -82,20 +84,41 @@ def test_internal_value_error_is_an_internal_error(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "internal error: broken invariant\n")
 
 
+# The sweep_cyclic(11) digest of test_classify.py::test_certificate_streams_pinned.
+CYCLIC_11_SHA256 = "d4fc10eb7acaa78049c3031ee677c4541f98ae9e6236ca2318965d5110c56f5e"
+
+
+def _stdout_digest(python_args, seed="0"):
+    """sha256 of the standard output (less its last newline) of a new
+    ``python *python_args`` process that imports the package from src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *python_args], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path,
+                                            "PYTHONHASHSEED": seed})
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(proc.stdout.removesuffix("\n").encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", ["0", "4242"])
 def test_sweep_under_python_O_matches_the_pinned_stream(seed):
     # -O strips assert statements; the sweep must give the same bytes without
     # them, under any string hash seed.
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pretzel_surgery.cli", "sweep", "--question", "cyclic",
-         "--bound", "11", "--json"], capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
-    assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256(proc.stdout.removesuffix("\n").encode()).hexdigest()
-    # The sweep_cyclic(11) digest of test_classify.py::test_certificate_streams_pinned.
-    assert digest == "d4fc10eb7acaa78049c3031ee677c4541f98ae9e6236ca2318965d5110c56f5e"
+    assert _stdout_digest(["-O", "-m", "pretzel_surgery.cli", "sweep", "--question", "cyclic",
+                           "--bound", "11", "--json"], seed) == CYCLIC_11_SHA256
+
+
+def test_sweep_without_the_json_accelerator_matches_the_pinned_stream():
+    # With _json blocked, json.encoder has no C encoder and the emitter falls
+    # back to the pure-Python one, which must write the same bytes.
+    script = ("import sys\n"
+              "sys.modules['_json'] = None\n"
+              "import json.encoder\n"
+              "if json.encoder.c_make_encoder is not None:\n"
+              "    sys.exit('the _json accelerator is still loaded')\n"
+              "from pretzel_surgery import cli\n"
+              "sys.exit(cli.main(['sweep', '--question', 'cyclic', '--bound', '11', '--json']))\n")
+    assert _stdout_digest(["-c", script]) == CYCLIC_11_SHA256
 
 
 def test_sweep_finite_json_stream(capsys):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pretzel_surgery.classify import even_numerator_infinite
 from pretzel_surgery.coxeter import CoxeterSignature
+from pretzel_surgery.knots import triangle_slack
 from pretzel_surgery.presentations import (coxeter_quotient, filled_presentation,
                                            longitude_triviality_check, longitude_word,
                                            reduce_modulo_orders,
@@ -174,3 +176,39 @@ def test_reduce_modulo_orders_matches_the_word_reduction(runs, f, g, h):
     orders = {"f": f, "g": g, "h": h}
     word = Word(runs)
     assert reduce_modulo_orders(word, orders) == _reduce_reference(word, orders)
+
+
+def test_longitude_collapse_is_an_identity_on_the_family():
+    """The collapse that ``classify.even_numerator_infinite`` takes as proven.
+
+    For odd p, q >= 3 and even r >= 4, with k = (p-1)/2, l = (q-1)/2 and
+    m = r/2, the image of the longitude is the six runs
+    g^k f^m g^(k+1) h^l f^m h^(l+1), no run empty and no two neighbours on one
+    generator.  One pass of ``reduce_modulo_orders`` modulo f^m, g^p, h^q
+    keeps g^k (0 < k < p), drops f^m (m = 0 mod m), merges g^(k+1) into g^k
+    and cancels it (k + (k+1) = p), keeps h^l (0 < l < q), drops the second
+    f^m and cancels h^(l+1) against h^l (l + (l+1) = q).  Each step rests only
+    on these identities, so the word is trivial on the whole family.  The
+    prefixes are reduced on a head of the family to show the steps; on the
+    grid odd 3 <= p <= q <= 99, even 4 <= r <= 100 the premise is compared
+    with the reference check it replaced.
+    """
+    for p in range(3, 100, 2):
+        for q in range(p, 100, 2):
+            k, l = (p - 1) // 2, (q - 1) // 2
+            assert (0 < k < p, k + (k + 1), 0 < l < q, l + (l + 1)) == (True, p, True, q)
+            for r in range(4, 101, 2):
+                m = r // 2
+                word = triangle_image_of_longitude(p, q, r)
+                assert word.runs == (("g", k), ("f", m), ("g", k + 1), ("h", l), ("f", m),
+                                     ("h", l + 1)), (p, q, r)
+                orders = {"f": m, "g": p, "h": q}
+                if q <= 31 and r <= 40:
+                    prefixes = [reduce_modulo_orders(Word(word.runs[:i]), orders).runs
+                                for i in range(1, 7)]
+                    assert prefixes == [(("g", k),), (("g", k),), (), (("h", l),),
+                                        (("h", l),), ()], (p, q, r)
+                collapses = longitude_triviality_check(p, q, r)
+                reference = triangle_slack(p, q, m) >= 0 and collapses
+                assert collapses, (p, q, r)
+                assert (even_numerator_infinite(p, q, r) is not None) == reference, (p, q, r)
