@@ -86,17 +86,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.question == CYCLIC:
-        if args.bound < 1:  # no nonzero index fits: the sweep would be empty
-            raise UsageError(f"--bound must be >= 1, got {args.bound}")
-        report = sweep_cyclic(args.bound)
-    else:
-        ranges = [_parse_range(text) for text in (args.p_range, args.q_range, args.r_range)]
-        # The (p,q,-r) family: odd p, q >= 3 and even r >= 4.
-        for name, (lo, _), least in zip("pqr", ranges, (3, 3, 4)):
-            if lo < least:
-                raise UsageError(f"{name} bounds must be >= {least}, got {lo}")
-        report = sweep_finite(*ranges)
+    # Every option is checked, whichever question is asked.
+    if args.bound < 1:  # no nonzero index fits: the cyclic sweep would be empty
+        raise UsageError(f"--bound must be >= 1, got {args.bound}")
+    ranges = [_parse_range(text) for text in (args.p_range, args.q_range, args.r_range)]
+    # The (p,q,-r) family: odd p, q >= 3 and even r >= 4.
+    for name, (lo, _), least in zip("pqr", ranges, (3, 3, 4)):
+        if lo < least:
+            raise UsageError(f"{name} bounds must be >= {least}, got {lo}")
+    report = sweep_cyclic(args.bound) if args.question == CYCLIC else sweep_finite(*ranges)
     for cert in report.certificates:
         if args.json:
             print(emit_certificate(cert, "json"))

@@ -16,16 +16,17 @@ running determinant ``d > 0``, and the true tableau is always ``T = M/d``.
 It starts from the rows themselves, with unit slack and artificial
 columns and ``d = 1``.  A pivot on ``p = M[r][s]`` keeps row ``r`` and
 replaces every other row, the phase-one objective row included, by
-``(M[i][j]*p - M[i][s]*M[r][j]) // d``; then ``d = p``.  Every entry of
-``M`` is a minor of the starting matrix and ``d`` is the basis determinant,
-so the division is exact, which the kernel checks.  The point and the
-duals become ``Fraction``s only at the end.
+``(M[i][j]*p - M[i][s]*M[r][j]) // d``; then ``d = p``.  By Sylvester's
+identity every entry of ``M`` is a minor of the starting matrix, objective
+row included, and ``d`` is the basis determinant, so the division is exact;
+it is not checked per pivot.  The point and the duals become ``Fraction``s
+only at the end.
 
-Both certificates re-verify by exact integer evaluation after clearing the
-denominators of the point or witness (:func:`satisfies`,
-:func:`verify_witness`), reading only the rows and the returned vector,
-never ``M``, ``d`` or the basis, before the solver returns; callers repeat
-the check when replaying certificates.
+Soundness rests on the re-checks: before the solver returns, the point or
+witness is verified in exact integer arithmetic after clearing its
+denominators (:func:`satisfies`, :func:`verify_witness`), reading only the
+rows and the vector, never ``M``, ``d`` or the basis; a vector that fails
+raises ``ArithmeticError``.  Callers repeat the check on replay.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ def _cleared(values) -> list[int]:
 
 
 def satisfies(rows: list[LinearRow], x: tuple[Fraction, ...]) -> bool:
-    """Every row a.x ~ b holds: with X = D*x cleared, a.X ~ b*D."""
+    """x >= 0 has the rows' width and meets every row: with X = D*x cleared, a.X ~ b*D."""
     *X, D = _cleared((*x, 1))  # the appended 1 comes back as D
+    if any(len(r.coeffs) != len(X) for r in rows) or any(v < 0 for v in X):
+        return False
     for r in rows:
         lhs, rhs = sum(map(mul, r.coeffs, X)), r.rhs * D
         if not (lhs == rhs if r.rel == EQ else lhs >= rhs if r.rel == GE else lhs <= rhs):
@@ -82,18 +85,14 @@ def satisfies(rows: list[LinearRow], x: tuple[Fraction, ...]) -> bool:
 
 def verify_witness(rows: list[LinearRow], y: tuple[Fraction, ...]) -> bool:
     """Re-check a Farkas witness from scratch; True means the system is empty."""
-    if len(y) != len(rows):
+    if len(y) != len(rows) or len({len(r.coeffs) for r in rows}) > 1:
         return False
-    for r, yi in zip(rows, y):
-        if r.rel == GE and yi < 0:
-            return False
-        if r.rel == LE and yi > 0:
-            return False
     Y = _cleared(y)  # y times a positive lcm: the same signs
-    nvars = len(rows[0].coeffs) if rows else 0
-    for j in range(nvars):
-        if sum(Yi * r.coeffs[j] for Yi, r in zip(Y, rows)) > 0:
+    for r, Yi in zip(rows, Y):
+        if (r.rel == GE and Yi < 0) or (r.rel == LE and Yi > 0):
             return False
+    if any(sum(map(mul, Y, col)) > 0 for col in zip(*[r.coeffs for r in rows])):
+        return False
     return sum(Yi * r.rhs for Yi, r in zip(Y, rows)) > 0
 
 
@@ -176,10 +175,11 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
             f = Mi[enter]
             if i == leave or (not f and p == d):
                 continue
-            num = [v * p - f * w for v, w in zip(Mi, prow)] if f else [v * p for v in Mi]
-            if d != 1 and any(v % d for v in num):
-                raise ArithmeticError("inexact integer pivot")
-            M[i] = [v // d for v in num]
+            if d == 1:
+                M[i] = [v * p - f * w for v, w in zip(Mi, prow)] if f else [v * p for v in Mi]
+            else:
+                M[i] = ([(v * p - f * w) // d for v, w in zip(Mi, prow)] if f
+                        else [v * p // d for v in Mi])
         obj = M[m]
         d = p
         basis[leave] = enter

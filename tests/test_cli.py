@@ -66,6 +66,11 @@ def test_user_input_faults_are_usage_errors(capsys):
                  ["sweep", "--question", "finite", "--r-range=-4:-4"],
                  ["sweep", "--question", "cyclic", "--bound", "0"],
                  ["sweep", "--question", "cyclic", "--bound=-3"],
+                 # Each question checks the other question's options too.
+                 ["sweep", "--question", "finite", "--bound", "-5", "--p-range", "3:3",
+                  "--q-range", "3:3", "--r-range", "4:4"],
+                 ["sweep", "--question", "cyclic", "--bound", "1", "--p-range", "1:0"],
+                 ["sweep", "--question", "cyclic", "--p-range", "x"],
                  ["chars", "1", "3", "7"],
                  ["group", "present", "2", "3", "-4"],
                  ["group", "present", "3", "3", "-4", "--fill", "6", "--coxeter"],

@@ -107,6 +107,9 @@ def test_scaling_preserves_homogeneous_feasibility(na, nb):
 # The Fraction definitions the integer checks replace, kept as references.
 
 def reference_satisfies(rows, x):
+    if any(len(r.coeffs) != len(x) for r in rows) or any(v < 0 for v in x):
+        return False
+
     def holds(r):
         lhs = sum((c * v for c, v in zip(r.coeffs, x)), Fraction(0))
         if r.rel == EQ:
@@ -118,7 +121,7 @@ def reference_satisfies(rows, x):
 
 
 def reference_verify_witness(rows, y):
-    if len(y) != len(rows):
+    if len(y) != len(rows) or len({len(r.coeffs) for r in rows}) > 1:
         return False
     for r, yi in zip(rows, y):
         if r.rel == GE and yi < 0:
@@ -130,6 +133,24 @@ def reference_verify_witness(rows, y):
         if sum((yi * r.coeffs[j] for r, yi in zip(rows, y)), Fraction(0)) > 0:
             return False
     return sum((yi * r.rhs for r, yi in zip(rows, y)), Fraction(0)) > 0
+
+
+def test_rechecks_test_the_whole_system():
+    F = Fraction
+    probes = [
+        (satisfies, reference_satisfies, [row([1, 1], GE, 2)], (F(2),)),  # too short
+        # too long, with a negative entry although x >= 0 is part of the system
+        (satisfies, reference_satisfies, [row([1], GE, 2)], (F(2), F(-7))),
+        (satisfies, reference_satisfies, [row([-1], LE, 5)], (F(-3),)),
+        # the second column, hidden by the first row's width
+        (verify_witness, reference_verify_witness,
+         [row([-1], GE, 1), row([0, 5], LE, 0)], (F(1), F(0))),
+        # a later row narrower than the first
+        (verify_witness, reference_verify_witness,
+         [row([0, 5], LE, 0), row([-1], GE, 1)], (F(0), F(1))),
+    ]
+    for check, reference, rows, v in probes:
+        assert (check(rows, v), reference(rows, v)) == (False, False), (rows, v)
 
 
 def _mutations(v):
@@ -150,8 +171,8 @@ def test_integer_checks_agree_with_the_fraction_definitions(nvars, data):
     m = len(rows)
     ys = [tuple(data.draw(st.lists(small_rational, min_size=m, max_size=m), label="y")),
           (Fraction(0),) * m]
-    xs = [tuple(data.draw(st.lists(small_rational, min_size=nvars, max_size=nvars), label="x")),
-          (Fraction(0),) * nvars]
+    x = tuple(data.draw(st.lists(small_rational, min_size=nvars, max_size=nvars), label="x"))
+    xs = [x, x[:-1], (*x, Fraction(0)), (Fraction(0),) * nvars]
     result = solve_feasibility(rows, nvars)
     if result.feasible:
         xs += [result.point, *_mutations(result.point)]
@@ -187,3 +208,64 @@ def test_integer_check_agrees_on_every_norm_family_witness(monkeypatch):
             assert verdict == reference_verify_witness(rows, y), y
             accepted += verdict
     assert accepted > 690
+
+
+def reference_phase_one(rows, nvars):
+    """Phase one on a Fraction tableau with ordinary division: the same start
+    (unit slack columns, then unit artificial columns, in row order), Bland's
+    entering rule and the same ratio-test tie-break as solve_feasibility.
+    Returns (feasible, point or witness)."""
+    m = len(rows)
+    flip = [-1 if r.rhs < 0 else 1 for r in rows]
+    norm = [(tuple(s * c for c in r.coeffs), {GE: LE, LE: GE, EQ: EQ}[r.rel] if s < 0 else r.rel,
+             s * r.rhs) for r, s in zip(rows, flip)]
+    slack_rows = [i for i, (_, rel, _) in enumerate(norm) if rel != EQ]
+    art_rows = [i for i, (_, rel, _) in enumerate(norm) if rel != LE]
+    slack = {i: nvars + k for k, i in enumerate(slack_rows)}
+    first_art = nvars + len(slack_rows)
+    art = {i: first_art + k for k, i in enumerate(art_rows)}
+    ncols = first_art + len(art_rows)
+    T, basis = [], []
+    for i, (coeffs, rel, rhs) in enumerate(norm):
+        t = [Fraction(c) for c in coeffs] + [Fraction(0)] * (ncols - nvars) + [Fraction(rhs)]
+        if i in slack:
+            t[slack[i]] = Fraction(1 if rel == LE else -1)
+        if i in art:
+            t[art[i]] = Fraction(1)
+        basis.append(art.get(i, slack.get(i)))
+        T.append(t)
+    # Reduced costs of min(sum of artificials), with -w in the last column.
+    obj = [-sum((T[i][j] for i in art_rows), Fraction(0)) for j in range(ncols + 1)]
+    for j in art.values():
+        obj[j] += 1
+    T.append(obj)
+    while True:
+        enter = next((j for j in range(first_art) if T[m][j] < 0), None)
+        if enter is None:
+            break
+        leave = min((i for i in range(m) if T[i][enter] > 0),
+                    key=lambda i: (T[i][ncols] / T[i][enter], basis[i]))
+        prow = [v / T[leave][enter] for v in T[leave]]
+        T = [prow if i == leave else [v - t[enter] * w for v, w in zip(t, prow)]
+             for i, t in enumerate(T)]
+        basis[leave] = enter
+    if T[m][ncols] == 0:
+        x = [Fraction(0)] * nvars
+        for i, b in enumerate(basis):
+            if b < nvars:
+                x[b] = T[i][ncols]
+        return True, tuple(x)
+    return False, tuple(flip[i] * (1 - T[m][art[i]] if i in art else -T[m][slack[i]])
+                        for i in range(m))
+
+
+@given(st.integers(1, 4), st.data())
+def test_integer_pivots_follow_the_fraction_simplex(nvars, data):
+    # The integer tableau is the Fraction tableau times d at every step, so
+    # both take the same pivots and return the same vector.  This stands in
+    # for a per-pivot check that each division by d is exact.
+    raw = data.draw(integer_rows(nvars, 6), label="rows")
+    rows = [row(coeffs, rel, rhs) for coeffs, rel, rhs in raw]
+    result = solve_feasibility(rows, nvars)
+    vector = result.point if result.feasible else result.witness
+    assert (result.feasible, vector) == reference_phase_one(rows, nvars)
