@@ -17,13 +17,14 @@ that the formula degenerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
 from .knots import FamilyError, FamilyTag, PretzelKnot, family
+from .records import Record
 from .slopes import Slope
 
 Pair = tuple[int, int]  # n/d in lowest terms, d > 0
@@ -35,16 +36,18 @@ class Completeness(Enum):
     CANDIDATE_ONLY = "CANDIDATE_ONLY"
 
 
-@dataclass(frozen=True)
-class BoundarySlopeSet:
-    slopes: tuple[Slope, ...]
-    completeness: Completeness
-    dropped_integral: tuple[Slope, ...] = field(default=())
+class BoundarySlopeSet(Record, namedtuple("BoundarySlopeSet",
+                                          "slopes completeness dropped_integral")):
+    """Ascending slopes, their completeness tag and the dropped integral values (a record)."""
 
-    def __post_init__(self) -> None:
-        s = self.slopes  # strictly ascending; with b >= 0 the meridian 1/0 sorts last
+    __slots__ = ()
+
+    def __new__(cls, slopes: tuple[Slope, ...], completeness: Completeness,
+                dropped_integral: tuple[Slope, ...] = ()) -> BoundarySlopeSet:
+        s = slopes  # strictly ascending; with b >= 0 the meridian 1/0 sorts last
         if not all(x.a * y.b < y.a * x.b for x, y in zip(s, s[1:])):
             raise ValueError("boundary slopes must be deduplicated and sorted")
+        return tuple.__new__(cls, (slopes, completeness, dropped_integral))
 
     @property
     def is_empty(self) -> bool:

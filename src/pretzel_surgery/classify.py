@@ -55,21 +55,22 @@ FINITE_Q = "finite"
 
 
 class Rule(NamedTuple):
-    """One applied rule: its id and the inputs its premise returned (cheaper than a dataclass)."""
+    """One applied rule: its id and the inputs its premise returned."""
 
     id: str
     inputs: dict
 
 
-@dataclass(frozen=True)
-class SlopeStatus:
+class SlopeStatus(NamedTuple):
     slope: Slope
     status: str
     rule_id: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Certificate:
+    """One knot's verdict on one question and its rule chain; slotted, as a sweep keeps many."""
+
     knot: PretzelKnot
     question: str
     verdict: str = UNRESOLVED

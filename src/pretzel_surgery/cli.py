@@ -94,6 +94,9 @@ def _cmd_sweep(args) -> int:
     for name, (lo, _), least in zip("pqr", ranges, (3, 3, 4)):
         if lo < least:
             raise UsageError(f"{name} bounds must be >= {least}, got {lo}")
+    (p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi) = ranges  # try the least odd p, q >= p, even r
+    if (p := p_lo | 1) > p_hi or max(p, q_lo) | 1 > q_hi or r_lo + r_lo % 2 > r_hi:
+        raise UsageError("the ranges hold no (p,q,-r) knot with odd p <= q and even r")
     report = sweep_cyclic(args.bound) if args.question == CYCLIC else sweep_finite(*ranges)
     for cert in report.certificates:
         if args.json:

@@ -12,24 +12,24 @@ definition order, hence every result's cosets_defined, is pinned by the tests.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
+from .records import Record
 from .words import GroupPresentation, gen
 
 DEFAULT_MAX_COSETS = 1_000_000
 
 
-@dataclass(frozen=True)
-class CoxeterSignature:
-    """Normalized signature (2, a, b; c) with 2 <= a <= b and c >= 2."""
+class CoxeterSignature(Record, namedtuple("CoxeterSignature", "a b c")):
+    """Normalized signature (2, a, b; c) with 2 <= a <= b and c >= 2, a validated tuple record."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (2 <= self.a <= self.b) or self.c < 2:
-            raise ValueError(f"unnormalized signature (2,{self.a},{self.b};{self.c})")
+    def __new__(cls, a: int, b: int, c: int) -> CoxeterSignature:
+        if not (2 <= a <= b) or c < 2:
+            raise ValueError(f"unnormalized signature (2,{a},{b};{c})")
+        return tuple.__new__(cls, (a, b, c))
 
     @staticmethod
     def of(x: int, y: int, c: int) -> "CoxeterSignature":
@@ -51,37 +51,42 @@ class FinitenessVerdict:
     clause: str | None = None
 
 
+# One verdict per outcome, built once and shared (a verdict is immutable).
+_EXCEPTION, _INFINITE = FinitenessVerdict(EXCEPTION), FinitenessVerdict(INFINITE)
+_FINITE = {c: FinitenessVerdict(FINITE, c) for c in "i ii iii iv v vi vii viii ix x xi".split()}
+
+
 def edjvet_verdict(sig: CoxeterSignature) -> FinitenessVerdict:
     """Edjvet's classification of finite (2,a,b;c), with the lone open
     signature (2,3,13;4) reported as EXCEPTION rather than guessed."""
-    a, b, c = sig.a, sig.b, sig.c
+    a, b, c = sig
     if (a, b, c) == (3, 13, 4):
-        return FinitenessVerdict(EXCEPTION)
+        return _EXCEPTION
     if a == 2:
-        return FinitenessVerdict(FINITE, "i")
+        return _FINITE["i"]
     if a == 3:
         if 3 <= b <= 6 and c >= 4:
-            return FinitenessVerdict(FINITE, "ii")
+            return _FINITE["ii"]
         if b == 7 and 4 <= c <= 8:
-            return FinitenessVerdict(FINITE, "iii")
+            return _FINITE["iii"]
         if 8 <= b <= 9 and 4 <= c <= 5:
-            return FinitenessVerdict(FINITE, "iv")
+            return _FINITE["iv"]
         if 10 <= b <= 11 and c == 4:
-            return FinitenessVerdict(FINITE, "v")
+            return _FINITE["v"]
     if a == 4:
         if b >= 4 and c == 2:
-            return FinitenessVerdict(FINITE, "vi")
+            return _FINITE["vi"]
         if b == 4 and c >= 3:
-            return FinitenessVerdict(FINITE, "vii")
+            return _FINITE["vii"]
         if b == 5 and 3 <= c <= 4:
-            return FinitenessVerdict(FINITE, "viii")
+            return _FINITE["viii"]
         if (b, c) == (7, 3):
-            return FinitenessVerdict(FINITE, "ix")
+            return _FINITE["ix"]
     if a == 5 and 5 <= b <= 9 and c == 2:
-        return FinitenessVerdict(FINITE, "x")
+        return _FINITE["x"]
     if (a, b, c) == (6, 7, 2):
-        return FinitenessVerdict(FINITE, "xi")
-    return FinitenessVerdict(INFINITE)
+        return _FINITE["xi"]
+    return _INFINITE
 
 
 def coxeter_presentation(sig: CoxeterSignature) -> GroupPresentation:

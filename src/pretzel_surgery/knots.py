@@ -11,12 +11,13 @@ index, so the classified families read off directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .facts import TORUS_TRIPLES
+from .records import Record
 
 
 class FamilyError(ValueError):
@@ -36,26 +37,23 @@ class FamilyTag(Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class PretzelKnot:
-    """A pretzel knot stored in canonical form (see module docstring)."""
+class PretzelKnot(Record, namedtuple("PretzelKnot", "p q r")):
+    """A pretzel knot in canonical form (see module docstring), a validated tuple record."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p, q, r = self.p, self.q, self.r
+    def __new__(cls, p: int, q: int, r: int) -> PretzelKnot:
         if not (p and q and r):
             raise ValueError("pretzel indices must be nonzero")
         # Exactly the fixed points of _canonical_triple: ascending, at most
         # one negative entry (a triple with no zero is never its own mirror).
         if not (p <= q <= r and q > 0):
-            raise ValueError(f"{self.indices} is not in canonical form; use canonicalize()")
+            raise ValueError(f"{(p, q, r)} is not in canonical form; use canonicalize()")
+        return tuple.__new__(cls, (p, q, r))
 
     @property
     def indices(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
+        return tuple(self)
 
     @property
     def even_indices(self) -> tuple[int, ...]:
@@ -103,7 +101,7 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
     with a +-1 index are only classified when they match the degenerate
     (-2,1,n) pattern, and are UNCLASSIFIED otherwise.
     """
-    t = (k.p, k.q, k.r)
+    t = k.indices
     if 1 not in t and -1 not in t:
         return TorusStatus.TORUS if t in TORUS_TRIPLES else TorusStatus.NOT_TORUS
     if t[0] == -2 and t[1] == 1 and t[2] % 2 == 1:
@@ -115,7 +113,7 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
 def family(k: PretzelKnot) -> KnotFamily:
     if torus_status(k) is TorusStatus.TORUS:
         return KnotFamily(FamilyTag.TORUS)
-    a, b, c = k.p, k.q, k.r
+    a, b, c = k
     if a == -2 and b % 2 == c % 2 == 1 and 3 <= b <= c:
         return KnotFamily(FamilyTag.MINUS2_PQ, odd_pair=(b, c), even_value=-2)
     if a <= -4 and a % 2 == 0 and b % 2 == c % 2 == 1 and 3 <= b <= c:

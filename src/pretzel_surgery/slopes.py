@@ -7,34 +7,35 @@ arbitrary-precision integer arithmetic; floats never appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
+
+from .records import Record
 
 
 class SlopeError(ValueError):
     """A pair of integers that does not describe a normalized slope."""
 
 
-@dataclass(frozen=True)
-class Slope:
-    """A slope a/b in lowest terms, with b >= 0 and b = 0 only for 1/0.
+class Slope(Record, namedtuple("Slope", "a b")):
+    """A slope a/b in lowest terms, with b >= 0 and b = 0 only for 1/0 (a validated tuple record).
 
     Construct through :func:`make_slope`, which reduces and fixes signs;
     the raw constructor insists on normal form.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.a, self.b) == (0, 0):
+    def __new__(cls, a: int, b: int) -> Slope:
+        if (a, b) == (0, 0):
             raise SlopeError("0/0 is not a slope")
-        if self.b < 0:
-            raise SlopeError(f"denominator must be nonnegative: {self.a}/{self.b}")
-        if gcd(abs(self.a), self.b) != 1:
-            raise SlopeError(f"slope {self.a}/{self.b} is not reduced")
-        if self.b == 0 and self.a != 1:
-            raise SlopeError(f"meridian must be written 1/0, not {self.a}/0")
+        if b < 0:
+            raise SlopeError(f"denominator must be nonnegative: {a}/{b}")
+        if gcd(abs(a), b) != 1:
+            raise SlopeError(f"slope {a}/{b} is not reduced")
+        if b == 0 and a != 1:
+            raise SlopeError(f"meridian must be written 1/0, not {a}/0")
+        return tuple.__new__(cls, (a, b))
 
     # -- predicates ---------------------------------------------------
 

@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import json
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from types import ModuleType
@@ -373,7 +372,7 @@ def _relink(rule_id, new_id):
     # Drop a rule and link the slopes it eliminated to another rule instead.
     def forge(cert):
         cert.rules = [r for r in cert.rules if r.id != rule_id]
-        cert.slopes = [replace(s, rule_id=new_id) if s.rule_id == rule_id else s
+        cert.slopes = [s._replace(rule_id=new_id) if s.rule_id == rule_id else s
                        for s in cert.slopes]
         return cert
     return forge
@@ -394,7 +393,7 @@ def _respell(rule_id, new_id):
     def forge(cert):
         i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
         cert.rules[i] = cert.rules[i]._replace(id=new_id)
-        cert.slopes = [replace(s, rule_id=new_id) if s.rule_id == rule_id else s
+        cert.slopes = [s._replace(rule_id=new_id) if s.rule_id == rule_id else s
                        for s in cert.slopes]
         return cert
     return forge

@@ -71,6 +71,11 @@ def test_user_input_faults_are_usage_errors(capsys):
                   "--q-range", "3:3", "--r-range", "4:4"],
                  ["sweep", "--question", "cyclic", "--bound", "1", "--p-range", "1:0"],
                  ["sweep", "--question", "cyclic", "--p-range", "x"],
+                 # Ranges that hold no (p,q,-r) knot, whichever question is asked.
+                 ["sweep", "--question", "finite", "--p-range", "4:4"],
+                 ["sweep", "--question", "finite", "--r-range", "5:5"],
+                 ["sweep", "--question", "finite", "--p-range", "15:15", "--q-range", "3:13"],
+                 ["sweep", "--question", "cyclic", "--bound", "1", "--p-range", "4:4"],
                  ["chars", "1", "3", "7"],
                  ["group", "present", "2", "3", "-4"],
                  ["group", "present", "3", "3", "-4", "--fill", "6", "--coxeter"],

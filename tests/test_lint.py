@@ -1,5 +1,7 @@
 import ast
+import importlib
 import re
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,27 @@ def test_the_one_entry_memos_are_the_known_three():
     memos = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py")
                    for name, _ in _caches(path.read_text()))
     assert memos == ["classify._boundary", "classify._classify_finite", "knots.family"]
+
+
+@pytest.mark.parametrize("name", ["knots", "slopes", "coxeter", "boundary", "classify"])
+def test_no_frozen_dataclass_validates_in_post_init(name):
+    # The per-knot records of these modules are validated tuples
+    # (records.Record): a frozen dataclass hashes and compares in Python and
+    # keeps a dict per instance, and every sweep holds one record per knot.
+    module = importlib.import_module(f"pretzel_surgery.{name}")
+    found = [cls.__name__ for cls in vars(module).values() if isinstance(cls, type)
+             and cls.__module__ == module.__name__ and is_dataclass(cls)
+             and cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)]
+    assert found == []
+
+
+def test_certificate_keeps_its_slots():
+    # A sweep keeps one certificate per knot; a dict per certificate costs
+    # cyclic_sweep about 2 MB of peak memory.
+    from pretzel_surgery.classify import CYCLIC, Certificate
+    from pretzel_surgery.knots import canonicalize
+    assert "__slots__" in vars(Certificate)
+    assert not hasattr(Certificate(canonicalize(-2, 3, 7), CYCLIC), "__dict__")
 
 
 def test_readme_lists_every_module():

@@ -33,7 +33,7 @@ def _mutants(cert) -> dict[str, list]:
     links = [None, *dict.fromkeys(rule.id for rule in cert.rules)]
 
     def with_mark(i, **change):
-        return replace(cert, slopes=[*s[:i], replace(s[i], **change), *s[i + 1:]])
+        return replace(cert, slopes=[*s[:i], s[i]._replace(**change), *s[i + 1:]])
     return {
         "drop_mark": [replace(cert, slopes=s[:i] + s[i + 1:]) for i in range(n)],
         "duplicate_mark": [replace(cert, slopes=s[:i + 1] + s[i:]) for i in range(n)],
