@@ -7,11 +7,12 @@ conclusion, what it settles and the notes it adds.  The pipelines here only
 apply rows; :func:`conclude` gives the slope marks, realized slopes and
 verdict of the chain, and :func:`certificate_data` the ``data`` of the knot.
 Replay checks a certificate against the premises and these two functions.
-The one-knot memos here (``_boundary``, ``_classify_finite``) and
-``knots.family`` hold pure functions of the knot, so replay shares no mutable
-state with classify.  Imported theorems enter only through the facts table;
-computed steps are int kernels (slopes and gaps as reduced pairs, no
-``Fraction``).
+Each pipeline builds its certificate once, as an immutable record of the
+chain and what :func:`conclude` derives from it.  The one-knot memos here
+(``_boundary``, ``classify_finite``) and ``knots.family`` hold pure functions
+of the knot, so replay shares no mutable state with classify.  Imported
+theorems enter only through the facts table; computed steps are int kernels
+(slopes and gaps as reduced pairs, no ``Fraction``).
 
 :func:`emit_certificate` reads each rule's text (:func:`rule_text`) and the
 notes from the table, and writes a JSON line field by field, with constant
@@ -22,7 +23,6 @@ certificate's dict form, with no dict built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Callable, NamedTuple
@@ -67,17 +67,17 @@ class SlopeStatus(NamedTuple):
     rule_id: str | None = None
 
 
-@dataclass(slots=True)
-class Certificate:
-    """One knot's verdict on one question and its rule chain; slotted, as a sweep keeps many."""
+class Certificate(NamedTuple):
+    """One knot's verdict on one question and its rule chain, built once; the
+    rule ``inputs`` and ``data`` are read-only by convention (the kept finite run shares them)."""
 
     knot: PretzelKnot
     question: str
+    data: dict
     verdict: str = UNRESOLVED
     realized: tuple[int, ...] = ()
-    slopes: list[SlopeStatus] = field(default_factory=list)
-    rules: list[Rule] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    slopes: tuple[SlopeStatus, ...] = ()
+    rules: tuple[Rule, ...] = ()
 
     @property
     def annotations(self) -> list[str]:
@@ -548,13 +548,13 @@ def conclude(rules: list[Rule]) -> tuple[list[tuple[int, int, str, str | None]],
     return marks, realized, verdict
 
 
-def _apply(cert: Certificate, key: str, *args) -> dict | None:
-    """Apply the row ``key`` of the certificate's question to ``args``: when
-    its premise holds, record the rule and return the inputs it records.  A
+def _apply(rules: list[Rule], question: str, key: str, *args) -> dict | None:
+    """Apply the row ``key`` of the question to ``args``: when its premise
+    holds, append the rule to ``rules`` and return the inputs it records.  A
     per-slope row "id:" is recorded as "id:u", u the last argument."""
-    inputs = RULES[cert.question][key].premise(*args)
+    inputs = RULES[question][key].premise(*args)
     if inputs is not None:
-        cert.rules.append(Rule(f"{key}{args[-1]}" if key[-1] == ":" else key, inputs))
+        rules.append(Rule(f"{key}{args[-1]}" if key[-1] == ":" else key, inputs))
     return inputs
 
 
@@ -573,122 +573,116 @@ def certificate_data(question: str, fam: KnotFamily) -> dict:
     return data
 
 
-def _concluded(cert: Certificate) -> Certificate:
-    """Write what the chain implies: the one place a pipeline sets the
-    slopes, the realized slopes and the verdict."""
-    marks, cert.realized, cert.verdict = conclude(cert.rules)
-    if marks:
-        cert.slopes = [SlopeStatus(Slope(a, b), status, rule) for a, b, status, rule in marks]
-    return cert
-
-
-def _eliminated(cert: Certificate, keys: tuple[str, ...], p: int, q: int, r: int,
-                u: int) -> bool:
+def _eliminated(rules: list[Rule], question: str, keys: tuple[str, ...], p: int, q: int,
+                r: int, u: int) -> bool:
     """Apply the first per-slope row of ``keys`` that holds at u."""
-    return any(_apply(cert, key, p, q, r, u) is not None for key in keys)
+    return any(_apply(rules, question, key, p, q, r, u) is not None for key in keys)
+
+
+def _certificate(k: PretzelKnot, question: str, fam: KnotFamily | None,
+                 rules: list[Rule]) -> Certificate:
+    """The one record of k's chain: the data of its family, None after an
+    opening rule, and the slope marks, realized slopes and verdict the chain implies."""
+    data = {} if fam is None else certificate_data(question, fam)
+    marks, realized, verdict = conclude(rules)
+    slopes = tuple([SlopeStatus(Slope(a, b), status, rule)
+                    for a, b, status, rule in marks]) if marks else ()
+    return Certificate(k, question, data, verdict, realized, slopes, tuple(rules))
 
 
 # -- the pipelines ------------------------------------------------------------
 
 
-def _open(k: PretzelKnot, question: str) -> tuple[Certificate, KnotFamily | None]:
-    """A new certificate after the opening rules; the family is None when one
-    of them applies."""
+def _open(k: PretzelKnot, question: str) -> tuple[list[Rule], KnotFamily | None]:
+    """A new chain after the opening rules; the family is None when one of
+    them applies."""
     if not k.is_knot:
         raise ValueError(f"{k} is a link, not a knot")
-    cert, fam = Certificate(k, question), family(k)
+    rules, fam = [], family(k)
     if fam.tag is _M2 or fam.tag is _PQR:  # the three premises need another tag
-        return cert, fam
+        return rules, fam
     # At most one of these premises holds; the commonest is tried first.
     for key in ("lamination_form", "unclassified_indices", "torus_pretzel"):
-        if _apply(cert, key, k, fam) is not None:
-            return cert, None
-    return cert, fam
+        if _apply(rules, question, key, k, fam) is not None:
+            return rules, None
+    return rules, fam
 
 
-def _published_minus2_3(cert: Certificate, p: int, q: int, r: int) -> None:
-    if _apply(cert, f"published_minus2_3_{cert.question}", p, q, r) is None:
-        raise ArithmeticError(f"no published {cert.question} surgery list covers {cert.knot}")
-    _apply(cert, "known_examples", p, q, r)
+def _published_minus2_3(rules: list[Rule], question: str, p: int, q: int, r: int) -> None:
+    if _apply(rules, question, f"published_minus2_3_{question}", p, q, r) is None:
+        raise ArithmeticError(f"no published {question} surgery list covers ({-r},{p},{q})")
+    _apply(rules, question, "known_examples", p, q, r)
 
 
-def _finite_pq_minus_r(cert: Certificate, p: int, q: int, r: int) -> None:
-    if _apply(cert, "exceptional_knot_table", p, q, r) is not None:
+def _finite_pq_minus_r(rules: list[Rule], p: int, q: int, r: int) -> None:
+    if _apply(rules, FINITE_Q, "exceptional_knot_table", p, q, r) is not None:
         return
     # Outside the exceptional table the paper proves every premise here.
     for key in _NORM_RULES:
-        if _apply(cert, key, p, q, r) is None:
-            raise ArithmeticError(f"the premise of {key} fails on {cert.knot}")
-    if _apply(cert, "no_nonintegral_slopes", p, q, r) is not None:
+        if _apply(rules, FINITE_Q, key, p, q, r) is None:
+            raise ArithmeticError(f"the premise of {key} fails on ({-r},{p},{q})")
+    if _apply(rules, FINITE_Q, "no_nonintegral_slopes", p, q, r) is not None:
         return
-    window = _apply(cert, "finite_window", p, q, r)
+    window = _apply(rules, FINITE_Q, "finite_window", p, q, r)
     if window is None:
         # Middle window r <= p <= 2r: no slope formula, so bound the
         # candidate set through the quotient groups instead.
-        window = _apply(cert, "coxeter_distance_window", p, q, r)
+        window = _apply(rules, FINITE_Q, "coxeter_distance_window", p, q, r)
         survivors = [s for s, _ in window["window"] if exceptional_distance(p, q, r, s) is None]
-    elif (_apply(cert, "toroidal_gap_large_p", p, q, r) is not None
-          or _apply(cert, "toroidal_gap_small_p", p, q, r) is not None):
+    elif (_apply(rules, FINITE_Q, "toroidal_gap_large_p", p, q, r) is not None
+          or _apply(rules, FINITE_Q, "toroidal_gap_small_p", p, q, r) is not None):
         return
     else:
         survivors = [u for u in window["candidates"] if not _eliminated(
-            cert, ("exceptional_distance:", "coxeter_quotient_infinite:"), p, q, r, u)]
+            rules, FINITE_Q, ("exceptional_distance:", "coxeter_quotient_infinite:"), p, q, r, u)]
     if survivors:
-        _apply(cert, "residual_case_table", p, q, r, survivors)
+        _apply(rules, FINITE_Q, "residual_case_table", p, q, r, survivors)
 
 
+@lru_cache(maxsize=1)
 def classify_finite(k: PretzelKnot) -> Certificate:
     """Verdict and certificate for non-trivial finite surgeries on k.
 
     The last knot's certificate is kept: a cyclic sweep needs a (p,q,-r)
     knot's finite verdict in classify and again in replay, back to back.
-    Each call returns a new certificate with its own lists and data dict;
-    the rule inputs and the values of ``data`` are shared, read-only records.
+    A second call on that knot returns the kept record itself, which no
+    caller can edit but through its rule inputs and ``data``.
     """
-    cert = _classify_finite(k)
-    return Certificate(cert.knot, cert.question, cert.verdict, cert.realized,
-                       [*cert.slopes], [*cert.rules], {**cert.data})
-
-
-@lru_cache(maxsize=1)
-def _classify_finite(k: PretzelKnot) -> Certificate:
-    cert, fam = _open(k, FINITE_Q)
+    rules, fam = _open(k, FINITE_Q)
     if fam is not None:
         (p, q), r = fam.odd_pair, -fam.even_value
-        cert.data = certificate_data(FINITE_Q, fam)
         if fam.tag is FamilyTag.PQ_MINUS_R:
-            _finite_pq_minus_r(cert, p, q, r)
+            _finite_pq_minus_r(rules, p, q, r)
         elif p == 3:
-            _published_minus2_3(cert, p, q, r)
-        elif _apply(cert, "not_cyclic_annotation", p, q, r) is None:
+            _published_minus2_3(rules, FINITE_Q, p, q, r)
+        elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:
             raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
                                   "not-cyclic annotation does not apply")
-    return _concluded(cert)
+    return _certificate(k, FINITE_Q, fam, rules)
 
 
-def _cyclic_minus2_pq(cert: Certificate, p: int, q: int, r: int) -> None:
+def _cyclic_minus2_pq(rules: list[Rule], p: int, q: int, r: int) -> None:
     if p == 3:
-        return _published_minus2_3(cert, p, q, r)
-    if _apply(cert, "no_nonintegral_slopes", p, q, r) is not None:
+        return _published_minus2_3(rules, CYCLIC, p, q, r)
+    if _apply(rules, CYCLIC, "no_nonintegral_slopes", p, q, r) is not None:
         return
-    window = _apply(cert, "nonintegral_proximity", p, q, r)
+    window = _apply(rules, CYCLIC, "nonintegral_proximity", p, q, r)
     for u in window["candidates"]:
-        _eliminated(cert, ("lens_toroidal_distance:", "snappea_hyperbolic:",
-                           "seminorm_infeasibility:"), p, q, r, u)
+        _eliminated(rules, CYCLIC, ("lens_toroidal_distance:", "snappea_hyperbolic:",
+                                    "seminorm_infeasibility:"), p, q, r, u)
 
 
 def classify_cyclic(k: PretzelKnot) -> Certificate:
     """Verdict and certificate for non-trivial cyclic surgeries on k."""
-    cert, fam = _open(k, CYCLIC)
+    rules, fam = _open(k, CYCLIC)
     if fam is not None:
         (p, q), r = fam.odd_pair, -fam.even_value
-        cert.data = certificate_data(CYCLIC, fam)
         if fam.tag is FamilyTag.MINUS2_PQ:
-            _cyclic_minus2_pq(cert, p, q, r)
-        elif _apply(cert, "cyclic_via_finite", p, q, r) is None:
+            _cyclic_minus2_pq(rules, p, q, r)
+        elif _apply(rules, CYCLIC, "cyclic_via_finite", p, q, r) is None:
             raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
                                   "cyclic_via_finite does not apply")
-    return _concluded(cert)
+    return _certificate(k, CYCLIC, fam, rules)
 
 
 def classify(k: PretzelKnot, question: str) -> Certificate:

@@ -7,9 +7,9 @@ the emitter reads its text and the notes from its row, so none is checked.
 
 Premises, families and what each rule settles all live in one table,
 :data:`classify.RULES`.  Two premises rest on a nested computation:
-``cyclic_via_finite`` reads the finite verdict from ``classify_finite``,
-which keeps the last knot's run (a pure function of the knot, never edited
-in place); ``seminorm_infeasibility`` solves the norm LPs again
+``cyclic_via_finite`` reads the finite verdict of ``classify_finite``, whose
+one-entry memo keeps the last knot's immutable certificate (a pure function
+of the knot); ``seminorm_infeasibility`` solves the norm LPs again
 (``cyclic_infeasibility_minus2_5_q``).  Both names are importable from here.
 """
 
@@ -41,12 +41,12 @@ def _holds(rows: dict, k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: di
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """True when the question has a table, every rule's premise holds on the
-    certificate's knot with exactly the recorded inputs and the rows it
+    """True when the question has a table, the knot is not a link, every rule's
+    premise holds on it with exactly the recorded inputs and the rows it
     requires come before it, the data is the knot's, and the slopes, realized
     slopes and verdict are the ones the chain implies."""
     rows, k, fam = RULES.get(cert.question), cert.knot, family(cert.knot)
-    if rows is None:
+    if rows is None or not k.is_knot:
         return False
     for i, rule in enumerate(cert.rules):
         if not _holds(rows, k, fam, rule.id, rule.inputs):

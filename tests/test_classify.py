@@ -16,8 +16,8 @@ from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, S
                                       strict_triangle)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import INFINITE, CoxeterSignature, edjvet_verdict
-from pretzel_surgery.knots import (FamilyTag, canonicalize, enumerate_canonical, family,
-                                   triangle_slack)
+from pretzel_surgery.knots import (FamilyTag, PretzelKnot, canonicalize, enumerate_canonical,
+                                   family, triangle_slack)
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
 from pretzel_surgery.replay import replay_certificate
@@ -178,7 +178,7 @@ def test_finite_refuses_a_gap_below_eleven(monkeypatch, capsys):
     # because the kept last-knot run is cleared.
     k = canonicalize(11, 13, -4)
     assert classify_finite(k).verdict == NONE
-    classify_module._classify_finite.cache_clear()
+    classify_finite.cache_clear()
     monkeypatch.setattr(classify_module, "toroidal_gap_pairs_large_p",
                         lambda p, q, r: ((21, 2), (12, 1)))
     with pytest.raises(ArithmeticError, match="gap < 11"):
@@ -316,18 +316,20 @@ def test_replay_accepts_genuine_and_rejects_tampered():
     assert not replay_certificate(_edit_rule(bad.id, signature=[2, 3, 7, 6])(cert))
 
 
+# Each forgery builds a new certificate with _replace: a certificate is an
+# immutable record.
+
 def _add_rule(rule_id, inputs):
     def forge(cert):
-        cert.rules.append(Rule(rule_id, inputs))
-        return cert
+        return cert._replace(rules=(*cert.rules, Rule(rule_id, inputs)))
     return forge
 
 
 def _edit_rule(rule_id, **changes):
     def forge(cert):
         i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
-        cert.rules[i] = cert.rules[i]._replace(inputs={**cert.rules[i].inputs, **changes})
-        return cert
+        rule = cert.rules[i]._replace(inputs={**cert.rules[i].inputs, **changes})
+        return cert._replace(rules=(*cert.rules[:i], rule, *cert.rules[i + 1:]))
     return forge
 
 
@@ -348,8 +350,8 @@ def _copy_rule(rule_id, inputs):
 
 def _add_mark(u, rule_id):
     def forge(cert):
-        cert.slopes.append(SlopeStatus(make_slope(u, 1), STATUS_ELIMINATED, rule_id))
-        return cert
+        return cert._replace(
+            slopes=(*cert.slopes, SlopeStatus(make_slope(u, 1), STATUS_ELIMINATED, rule_id)))
     return forge
 
 
@@ -362,28 +364,25 @@ def _add_elimination(rule_id, inputs):
 
 def _drop_rule(rule_id):
     def forge(cert):
-        cert.rules = [r for r in cert.rules if r.id != rule_id]
-        cert.slopes = [s for s in cert.slopes if s.rule_id != rule_id]
-        return cert
+        return cert._replace(rules=tuple(r for r in cert.rules if r.id != rule_id),
+                             slopes=tuple(s for s in cert.slopes if s.rule_id != rule_id))
     return forge
 
 
 def _relink(rule_id, new_id):
     # Drop a rule and link the slopes it eliminated to another rule instead.
     def forge(cert):
-        cert.rules = [r for r in cert.rules if r.id != rule_id]
-        cert.slopes = [s._replace(rule_id=new_id) if s.rule_id == rule_id else s
-                       for s in cert.slopes]
-        return cert
+        return cert._replace(rules=tuple(r for r in cert.rules if r.id != rule_id),
+                             slopes=tuple(s._replace(rule_id=new_id) if s.rule_id == rule_id
+                                          else s for s in cert.slopes))
     return forge
 
 
 def _cut_after(rule_id):
     # Keep the chain up to rule_id and none of its marks.
     def forge(cert):
-        cert.rules = cert.rules[:next(i for i, r in enumerate(cert.rules) if r.id == rule_id) + 1]
-        cert.slopes = []
-        return cert
+        i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
+        return cert._replace(rules=cert.rules[:i + 1], slopes=())
     return forge
 
 
@@ -392,10 +391,10 @@ def _respell(rule_id, new_id):
     # conclusion follows the id.
     def forge(cert):
         i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
-        cert.rules[i] = cert.rules[i]._replace(id=new_id)
-        cert.slopes = [s._replace(rule_id=new_id) if s.rule_id == rule_id else s
-                       for s in cert.slopes]
-        return cert
+        return cert._replace(rules=(*cert.rules[:i], cert.rules[i]._replace(id=new_id),
+                                    *cert.rules[i + 1:]),
+                             slopes=tuple(s._replace(rule_id=new_id) if s.rule_id == rule_id
+                                          else s for s in cert.slopes))
     return forge
 
 
@@ -404,16 +403,13 @@ SLOPE_RESPELLINGS = {"leading_zero": "043", "arabic_indic_digits": "\u0664\u0663
 
 def _set(**fields):
     def forge(cert):
-        for name, value in fields.items():
-            setattr(cert, name, value)
-        return cert
+        return cert._replace(**fields)
     return forge
 
 
 def _edit_data(**changes):
     def forge(cert):
-        cert.data = {**cert.data, **changes}
-        return cert
+        return cert._replace(data={**cert.data, **changes})
     return forge
 
 
@@ -469,6 +465,11 @@ COPIED_RULES = [
     # Slopes within distance 9 of 2(p+q) that only the residual table settles.
     *((f"near_slope_relinked_to_distance_window_{q}", classify_finite, (5, q, -4),
        _relink("residual_case_table", "coxeter_distance_window")) for q in (5, 7, 9)),
+    # A certificate of a knot moved onto a link, which classify refuses.
+    *((f"{classifier.__name__}_moved_onto_the_link_{'_'.join(map(str, link))}", classifier,
+       (-3, 3, 5), _set(knot=PretzelKnot(*link)))
+      for link in ((2, 4, 5), (-4, 2, 6), (2, 2, 2)) for classifier in (classify_cyclic,
+                                                                           classify_finite)),
 ]
 
 
@@ -562,27 +563,28 @@ def test_cyclic_sweep_runs_each_finite_pipeline_once(monkeypatch):
             return fn(*args)
         return counted
 
+    classify_finite.cache_clear()
     for name in calls:
         monkeypatch.setattr(classify_module, name, counting(name))
-    classify_module._classify_finite.cache_clear()
     report = sweep_cyclic(11)
     knots = sum(1 for c in report.certificates if c.rules[0].id == "cyclic_via_finite")
     assert knots > 0 and not report.violations
     assert calls == {"classify_finite": 2 * knots, "_finite_pq_minus_r": knots}
 
 
-def test_editing_a_finite_certificate_never_reaches_the_kept_run():
+def test_a_certificate_cannot_be_edited():
+    # The kept finite run is handed out as it is, so no field of it may be
+    # set and its rules, slopes and realized slopes are tuples.
     k = canonicalize(7, 9, -10)
-    original = emit_certificate(classify_finite(k))
     cert = classify_finite(k)
     assert cert.rules and cert.slopes and cert.data
-    cert.verdict = UNRESOLVED
-    cert.rules.pop()
-    cert.slopes.append(cert.slopes[0])
-    cert.data["toroidal_slope"] = "0"
-    hits = classify_module._classify_finite.cache_info().hits
-    assert emit_certificate(classify_finite(k)) == original
-    assert classify_module._classify_finite.cache_info().hits == hits + 1
+    for name in (*Certificate._fields, "annotations", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, UNRESOLVED)
+    assert [type(field) for field in (cert.rules, cert.slopes, cert.realized)] == [tuple] * 3
+    hits = classify_finite.cache_info().hits
+    assert classify_finite(k) is cert
+    assert classify_finite.cache_info().hits == hits + 1
     assert replay_certificate(classify_cyclic(k))
 
 
@@ -599,9 +601,10 @@ def _inputs(cert, rule_id):
 
 @pytest.fixture
 def kept_run_cleared():
-    # An in-place edit of a rule's inputs also reaches the kept finite run.
+    # An in-place edit of a rule's inputs or of the data also reaches the
+    # kept finite run.
     yield
-    classify_module._classify_finite.cache_clear()
+    classify_finite.cache_clear()
 
 
 @pytest.mark.parametrize("classifier,triple,rule_id,edit", [
@@ -614,12 +617,15 @@ def kept_run_cleared():
      lambda inputs: inputs["candidates"].append(1001)),
     (classify_cyclic, (-2, 5, 23), "nonintegral_proximity",
      lambda inputs: inputs["slopes"].append("1/3")),
-], ids=["window_entry", "irreducible_characters", "window_candidate", "proximity_slopes"])
+    (classify_finite, (7, 9, -10), None,  # no rule: the edit is of the data
+     lambda data: data.__setitem__("toroidal_slope", "0")),
+], ids=["window_entry", "irreducible_characters", "window_candidate", "proximity_slopes",
+        "data"])
 def test_replay_rejects_inputs_edited_in_place_right_after_classify(
         kept_run_cleared, classifier, triple, rule_id, edit):
     classify_finite(_ELSEWHERE)
     cert = classifier(canonicalize(*triple))
-    edit(_inputs(cert, rule_id))
+    edit(cert.data if rule_id is None else _inputs(cert, rule_id))
     assert not replay_certificate(cert)
 
 
@@ -695,7 +701,7 @@ def _counting(monkeypatch, names):
 def test_cyclic_sweep_still_recomputes_nested_runs_and_norm_models(monkeypatch):
     # Replay runs both nested computations again: the finite verdict comes
     # from classify_finite's one-knot memo, the norm models are solved anew.
-    classify_module._classify_finite.cache_clear()
+    classify_finite.cache_clear()
     calls = _counting(monkeypatch, ("classify_finite", "cyclic_infeasibility_minus2_5_q"))
     report = sweep_cyclic(11)
     pqr = sum(1 for c in report.certificates if c.rules[0].id == "cyclic_via_finite")
@@ -722,8 +728,8 @@ def test_open_lets_family_knots_skip_the_opening_rules():
             family_knots += 1
             assert holds == [], k
         for question in (CYCLIC, FINITE_Q):
-            cert, rest = classify_module._open(k, question)
-            assert [r.id for r in cert.rules] == holds and (rest is None) == bool(holds), k
+            rules, rest = classify_module._open(k, question)
+            assert [r.id for r in rules] == holds and (rest is None) == bool(holds), k
     assert family_knots > 0
 
 
@@ -747,7 +753,7 @@ def test_the_finite_pipeline_and_its_replay_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    for memo in (classify_module._classify_finite, classify_module._boundary):
+    for memo in (classify_finite, classify_module._boundary):
         memo.cache_clear()
     for triple, rule_id in _BRANCHES:
         cert = classify_finite(canonicalize(*triple))
@@ -759,7 +765,7 @@ def test_the_finite_pipeline_and_its_replay_build_no_fraction(monkeypatch):
 def test_replay_rejects_an_unknown_rule_or_question():
     cert = classify_cyclic(canonicalize(-2, 3, 7))
     assert not replay_certificate(_add_rule("made_up_rule", {})(cert))
-    assert not replay_certificate(Certificate(canonicalize(-3, 3, 5), "bogus"))
+    assert not replay_certificate(Certificate(canonicalize(-3, 3, 5), "bogus", {}))
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -790,7 +796,7 @@ def test_a_rule_records_only_its_id_and_inputs():
     # rule table when it is emitted; neither is stored.
     assert Rule._fields == ("id", "inputs")
     assert isinstance(Certificate.annotations, property)
-    assert "annotations" not in Certificate.__dataclass_fields__
+    assert "annotations" not in Certificate._fields
     cert = classify_finite(canonicalize(-2, 7, 9))
     assert cert.annotations == list(RULES[FINITE_Q]["not_cyclic_annotation"].notes)
     assert classify_cyclic(canonicalize(-2, 7, 9)).annotations == []

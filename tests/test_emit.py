@@ -97,8 +97,8 @@ def test_any_certificate_matches_the_reference(cert):
     (CYCLIC, "exceptional_distance:43"), (FINITE_Q, "made_up_rule"), ("made_up", "torus_pretzel")])
 def test_a_rule_outside_its_question_table_is_not_emitted(question, rule_id):
     # No row has the text such a rule would need, so emitting it raises.
-    cert = Certificate(canonicalize(7, 9, -10), question,
-                       rules=[Rule(rule_id, {"slope": 43, "distance": 11, "toroidal": "32"})])
+    cert = Certificate(canonicalize(7, 9, -10), question, {},
+                       rules=(Rule(rule_id, {"slope": 43, "distance": 11, "toroidal": "32"}),))
     for fmt in ("json", "text"):
         with pytest.raises(KeyError):
             emit_certificate(cert, fmt)

@@ -70,7 +70,7 @@ def test_the_one_entry_memos_are_the_known_three():
     # must be added to this list on purpose.
     memos = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py")
                    for name, _ in _caches(path.read_text()))
-    assert memos == ["classify._boundary", "classify._classify_finite", "knots.family"]
+    assert memos == ["classify._boundary", "classify.classify_finite", "knots.family"]
 
 
 @pytest.mark.parametrize("name", ["knots", "slopes", "coxeter", "boundary", "classify"])
@@ -85,13 +85,18 @@ def test_no_frozen_dataclass_validates_in_post_init(name):
     assert found == []
 
 
-def test_certificate_keeps_its_slots():
-    # A sweep keeps one certificate per knot; a dict per certificate costs
-    # cyclic_sweep about 2 MB of peak memory.
+def test_certificates_are_tuples_that_share_their_empty_slopes():
+    # A sweep keeps one certificate per knot: a dict per certificate, or a
+    # list per empty slope field, costs cyclic_sweep megabytes of peak memory.
     from pretzel_surgery.classify import CYCLIC, Certificate
     from pretzel_surgery.knots import canonicalize
-    assert "__slots__" in vars(Certificate)
-    assert not hasattr(Certificate(canonicalize(-2, 3, 7), CYCLIC), "__dict__")
+    from pretzel_surgery.sweeps import sweep_cyclic
+    assert issubclass(Certificate, tuple) and "__slots__" in vars(Certificate)
+    assert not hasattr(Certificate(canonicalize(-2, 3, 7), CYCLIC, {}), "__dict__")
+    certs = sweep_cyclic(11).certificates
+    assert all(type(c.rules) is tuple and type(c.slopes) is tuple for c in certs)
+    empty = [c.slopes for c in certs if not c.slopes]
+    assert len(empty) > 1 and len({id(slopes) for slopes in empty}) == 1
 
 
 def test_readme_lists_every_module():

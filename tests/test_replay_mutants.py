@@ -8,8 +8,6 @@ tampered; every other mutant must fail replay.  A rule's text is not
 recorded, so it cannot be edited: the emitter reads it from the rule table.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from pretzel_surgery.classify import (NONE, REALIZED, STATUS_ELIMINATED, STATUS_REALIZED,
@@ -33,11 +31,11 @@ def _mutants(cert) -> dict[str, list]:
     links = [None, *dict.fromkeys(rule.id for rule in cert.rules)]
 
     def with_mark(i, **change):
-        return replace(cert, slopes=[*s[:i], s[i]._replace(**change), *s[i + 1:]])
+        return cert._replace(slopes=(*s[:i], s[i]._replace(**change), *s[i + 1:]))
     return {
-        "drop_mark": [replace(cert, slopes=s[:i] + s[i + 1:]) for i in range(n)],
-        "duplicate_mark": [replace(cert, slopes=s[:i + 1] + s[i:]) for i in range(n)],
-        "swap_adjacent_marks": [replace(cert, slopes=[*s[:i], s[i + 1], s[i], *s[i + 2:]])
+        "drop_mark": [cert._replace(slopes=s[:i] + s[i + 1:]) for i in range(n)],
+        "duplicate_mark": [cert._replace(slopes=s[:i + 1] + s[i:]) for i in range(n)],
+        "swap_adjacent_marks": [cert._replace(slopes=(*s[:i], s[i + 1], s[i], *s[i + 2:]))
                                 for i in range(n - 1) if s[i] != s[i + 1]],
         "restatus_mark": [with_mark(i, status=status) for i in range(n) for status in
                           (STATUS_REALIZED, STATUS_ELIMINATED, STATUS_UNRESOLVED)
@@ -45,10 +43,10 @@ def _mutants(cert) -> dict[str, list]:
         "relink_eliminated_mark": [with_mark(i, rule_id=link) for i in range(n)
                                    if s[i].status == STATUS_ELIMINATED
                                    for link in links if link != s[i].rule_id],
-        "drop_realized": [replace(cert, realized=realized[:i] + realized[i + 1:])
+        "drop_realized": [cert._replace(realized=realized[:i] + realized[i + 1:])
                           for i in range(len(realized))],
-        "add_realized": [replace(cert, realized=(*realized, max(realized, default=0) + 1))],
-        "set_verdict": [replace(cert, verdict=verdict)
+        "add_realized": [cert._replace(realized=(*realized, max(realized, default=0) + 1))],
+        "set_verdict": [cert._replace(verdict=verdict)
                         for verdict in (REALIZED, NONE, TORUS_INFINITE, UNRESOLVED)
                         if verdict != cert.verdict],
     }
@@ -86,7 +84,7 @@ def test_replay_rejects_every_finite_certificate_missing_a_norm_rule():
         for i, rule in enumerate(cert.rules):
             if rule.id in norm_rules:
                 tried += 1
-                if replay_certificate(replace(cert, rules=cert.rules[:i] + cert.rules[i + 1:])):
+                if replay_certificate(cert._replace(rules=cert.rules[:i] + cert.rules[i + 1:])):
                     forged.append(f"{cert.knot} {rule.id}")
     assert tried == 5 * 855
     assert forged == []
