@@ -6,13 +6,12 @@ question: the knot family it applies to, its source, its premise, its
 conclusion, what it settles and the notes it adds.  The pipelines here only
 apply rows; :func:`conclude` gives the slope marks, realized slopes and
 verdict of the chain, and :func:`certificate_data` the ``data`` of the knot.
-Replay checks a certificate against the premises and these two functions.
-Each pipeline builds its certificate once, as an immutable record of the
-chain and what :func:`conclude` derives from it.  The one-knot memos here
-(``_boundary``, ``classify_finite``) and ``knots.family`` hold pure functions
-of the knot, so replay shares no mutable state with classify.  Imported
-theorems enter only through the facts table; computed steps are int kernels
-(slopes and gaps as reduced pairs, no ``Fraction``).
+A certificate is an immutable record of the chain, its verdict and realized
+slopes; its data and slope marks are derived when read.  The one-knot memos
+here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
+functions of the knot, so replay shares no mutable state with classify.
+Imported theorems enter only through the facts table; computed steps are int
+kernels (slopes and gaps as reduced pairs, no ``Fraction``).
 
 :func:`emit_certificate` reads each rule's text (:func:`rule_text`) and the
 notes from the table, and writes a JSON line field by field, with constant
@@ -34,7 +33,7 @@ from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from .knots import (FamilyTag, KnotFamily, PretzelKnot, TorusStatus, family, torus_status,
                     triangle_slack)
 from .norms import cyclic_infeasibility_minus2_5_q
-from .slopes import Slope, ratio_text
+from .slopes import ratio_text
 from .triangle import irreducible_char_count
 
 # Verdicts ---------------------------------------------------------------
@@ -61,23 +60,23 @@ class Rule(NamedTuple):
     inputs: dict
 
 
-class SlopeStatus(NamedTuple):
-    slope: Slope
-    status: str
-    rule_id: str | None = None
-
-
 class Certificate(NamedTuple):
-    """One knot's verdict on one question and its rule chain, built once; the
-    rule ``inputs`` and ``data`` are read-only by convention (the kept finite run shares them)."""
+    """One knot's rule chain, verdict and realized slopes on one question, built once;
+    its data, slope marks and notes are derived when read, and rule inputs are read-only."""
 
     knot: PretzelKnot
     question: str
-    data: dict
     verdict: str = UNRESOLVED
     realized: tuple[int, ...] = ()
-    slopes: tuple[SlopeStatus, ...] = ()
     rules: tuple[Rule, ...] = ()
+
+    @property
+    def data(self) -> dict:
+        return certificate_data(self.question, family(self.knot))
+
+    @property
+    def slopes(self) -> list[tuple[int, int, str, str | None]]:  # (a, b, status, rule id)
+        return conclude(self.rules)[0]
 
     @property
     def annotations(self) -> list[str]:
@@ -101,14 +100,16 @@ else:
 
 def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -> str:
     """Deterministic serialization, 'json' or 'text'; KeyError for a rule outside the table."""
+    marks = conclude(cert.rules)[0]
     if fmt == "json":
         e, k, notes, q = _ESCAPED, cert.knot, cert.annotations, cert.question
         rules = ",".join([f'{h}{_encode(r.inputs) if r.inputs else "{}"}{t}' for r in cert.rules
                           for h, t in [_AROUND.get((q, r.id)) or _around(q, r.id, r.inputs)]])
-        slopes = ",".join([f'{{"rule":{e[s.rule_id]},"slope":{_encode(str(s.slope))},'
-                           f'"status":{e[s.status]}}}' for s in cert.slopes])
+        slopes = ",".join([f'{{"rule":{e[rule]},"slope":{_encode(ratio_text(a, b))},'
+                           f'"status":{e[status]}}}' for a, b, status, rule in marks])
+        data = certificate_data(q, family(k))
         return (f'{{"annotations":{_encode(notes) if notes else "[]"},'
-                f'"data":{_encode(cert.data) if cert.data else "{}"},'
+                f'"data":{_encode(data) if data else "{}"},'
                 f'"pretzel":[{k.p},{k.q},{k.r}],"question":{e[q]},'
                 f'"realized":{_encode(cert.realized) if cert.realized else "[]"},'
                 f'"rules":[{rules}],"slopes":[{slopes}],"verdict":{e[cert.verdict]}}}')
@@ -117,8 +118,8 @@ def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -
     lines = [f"knot {cert.knot}  question={cert.question}  verdict={cert.verdict}"]
     if cert.realized:
         lines.append("  realized: " + ", ".join(str(u) for u in cert.realized))
-    lines += [f"  slope {s.slope}: {s.status}" + (f"  [{s.rule_id}]" if s.rule_id else "")
-              for s in cert.slopes]
+    lines += [f"  slope {ratio_text(a, b)}: {status}" + (f"  [{rule}]" if rule else "")
+              for a, b, status, rule in marks]
     lines += [f"  note: {note}" for note in cert.annotations]
     lines.append("  rules:")
     for i, r in enumerate(cert.rules, start=1):
@@ -579,15 +580,10 @@ def _eliminated(rules: list[Rule], question: str, keys: tuple[str, ...], p: int,
     return any(_apply(rules, question, key, p, q, r, u) is not None for key in keys)
 
 
-def _certificate(k: PretzelKnot, question: str, fam: KnotFamily | None,
-                 rules: list[Rule]) -> Certificate:
-    """The one record of k's chain: the data of its family, None after an
-    opening rule, and the slope marks, realized slopes and verdict the chain implies."""
-    data = {} if fam is None else certificate_data(question, fam)
-    marks, realized, verdict = conclude(rules)
-    slopes = tuple([SlopeStatus(Slope(a, b), status, rule)
-                    for a, b, status, rule in marks]) if marks else ()
-    return Certificate(k, question, data, verdict, realized, slopes, tuple(rules))
+def _certificate(k: PretzelKnot, question: str, rules: list[Rule]) -> Certificate:
+    """The one record of k's chain, with the realized slopes and verdict it implies."""
+    _, realized, verdict = conclude(rules)
+    return Certificate(k, question, verdict, realized, tuple(rules))
 
 
 # -- the pipelines ------------------------------------------------------------
@@ -646,7 +642,7 @@ def classify_finite(k: PretzelKnot) -> Certificate:
     The last knot's certificate is kept: a cyclic sweep needs a (p,q,-r)
     knot's finite verdict in classify and again in replay, back to back.
     A second call on that knot returns the kept record itself, which no
-    caller can edit but through its rule inputs and ``data``.
+    caller can edit but through its rule inputs.
     """
     rules, fam = _open(k, FINITE_Q)
     if fam is not None:
@@ -658,7 +654,7 @@ def classify_finite(k: PretzelKnot) -> Certificate:
         elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:
             raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
                                   "not-cyclic annotation does not apply")
-    return _certificate(k, FINITE_Q, fam, rules)
+    return _certificate(k, FINITE_Q, rules)
 
 
 def _cyclic_minus2_pq(rules: list[Rule], p: int, q: int, r: int) -> None:
@@ -682,7 +678,7 @@ def classify_cyclic(k: PretzelKnot) -> Certificate:
         elif _apply(rules, CYCLIC, "cyclic_via_finite", p, q, r) is None:
             raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
                                   "cyclic_via_finite does not apply")
-    return _certificate(k, CYCLIC, fam, rules)
+    return _certificate(k, CYCLIC, rules)
 
 
 def classify(k: PretzelKnot, question: str) -> Certificate:

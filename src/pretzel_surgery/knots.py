@@ -109,16 +109,19 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
     return TorusStatus.UNCLASSIFIED
 
 
+_TORUS, _OTHER = KnotFamily(FamilyTag.TORUS), KnotFamily(FamilyTag.OTHER)  # built once, shared
+
+
 @lru_cache(maxsize=1)  # classify and replay ask for one knot's family in turn
 def family(k: PretzelKnot) -> KnotFamily:
     if torus_status(k) is TorusStatus.TORUS:
-        return KnotFamily(FamilyTag.TORUS)
+        return _TORUS
     a, b, c = k
     if a == -2 and b % 2 == c % 2 == 1 and 3 <= b <= c:
         return KnotFamily(FamilyTag.MINUS2_PQ, odd_pair=(b, c), even_value=-2)
     if a <= -4 and a % 2 == 0 and b % 2 == c % 2 == 1 and 3 <= b <= c:
         return KnotFamily(FamilyTag.PQ_MINUS_R, odd_pair=(b, c), even_value=a)
-    return KnotFamily(FamilyTag.OTHER)
+    return _OTHER
 
 
 def triangle_slack(p: int, q: int, m: int) -> int:

@@ -1,9 +1,9 @@
 """Certificate replay: every rule's premise, on the certificate's own knot,
-must return exactly the inputs the rule recorded, the rows it ``requires``
-must come before it, the data must be ``certificate_data``'s for the knot,
-and the slope marks, realized slopes and verdict must be the ones
-``conclude`` derives from the chain.  A rule records only its id and inputs;
-the emitter reads its text and the notes from its row, so none is checked.
+must return exactly the inputs (a dict) the rule recorded, the rows it
+``requires`` must come before it, each per-slope rule must mark its slope,
+and the realized slopes and verdict must be the ones ``conclude`` derives
+from the chain.  A certificate stores nothing else: its data, slope marks,
+rule text and notes are derived when read, so there is no copy to check.
 
 Premises, families and what each rule settles all live in one table,
 :data:`classify.RULES`.  Two premises rest on a nested computation:
@@ -15,8 +15,7 @@ of the knot); ``seminorm_infeasibility`` solves the norm LPs again
 
 from __future__ import annotations
 
-from .classify import (RULES, SURVIVORS, Certificate, certificate_data,  # noqa: F401
-                       classify_finite, conclude)
+from .classify import RULES, SURVIVORS, Certificate, classify_finite, conclude  # noqa: F401
 from .knots import KnotFamily, PretzelKnot, family
 from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 
@@ -24,7 +23,7 @@ from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 def _holds(rows: dict, k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: dict) -> bool:
     base, colon, u = rule_id.partition(":")
     row = rows.get(base + colon)
-    if row is None:
+    if row is None or not isinstance(inputs, dict):
         return False
     if row.family is None:
         return row.premise(k, fam) == inputs
@@ -43,8 +42,8 @@ def _holds(rows: dict, k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: di
 def replay_certificate(cert: Certificate) -> bool:
     """True when the question has a table, the knot is not a link, every rule's
     premise holds on it with exactly the recorded inputs and the rows it
-    requires come before it, the data is the knot's, and the slopes, realized
-    slopes and verdict are the ones the chain implies."""
+    requires come before it, every per-slope rule marks its slope, and the
+    realized slopes and verdict are the ones the chain implies."""
     rows, k, fam = RULES.get(cert.question), cert.knot, family(cert.knot)
     if rows is None or not k.is_knot:
         return False
@@ -54,6 +53,7 @@ def replay_certificate(cert: Certificate) -> bool:
         row = rows.get(rule.id)  # a per-slope rule "id:u" requires nothing
         if row and row.requires and not {r.id for r in cert.rules[:i]}.issuperset(row.requires):
             return False
-    slopes = [(s.slope.a, s.slope.b, s.status, s.rule_id) for s in cert.slopes]
-    return (cert.data == certificate_data(cert.question, fam)
-            and (slopes, cert.realized, cert.verdict) == conclude(cert.rules))
+    marks, realized, verdict = conclude(cert.rules)
+    linked = [rule for *_, rule in marks if rule and ":" in rule]  # one mark per "id:u" rule
+    return (realized, verdict) == (cert.realized, cert.verdict) and linked == [
+        r.id for r in cert.rules if ":" in r.id]

@@ -10,10 +10,10 @@ import pytest
 import pretzel_surgery.classify as classify_module
 from pretzel_surgery import facts
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
-                                      TORUS_INFINITE, UNRESOLVED, Certificate, Rule, SlopeStatus,
-                                      classify_cyclic, classify_finite, emit_certificate,
-                                      even_norm_floor, quotient_certified_infinite,
-                                      strict_triangle)
+                                      TORUS_INFINITE, UNRESOLVED, Certificate, Rule,
+                                      classify_cyclic, classify_finite, conclude,
+                                      emit_certificate, even_norm_floor,
+                                      quotient_certified_infinite, strict_triangle)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from pretzel_surgery.knots import (FamilyTag, PretzelKnot, canonicalize, enumerate_canonical,
@@ -21,14 +21,14 @@ from pretzel_surgery.knots import (FamilyTag, PretzelKnot, canonicalize, enumera
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
 from pretzel_surgery.replay import replay_certificate
-from pretzel_surgery.slopes import make_slope
+from pretzel_surgery.slopes import ratio_text
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
 from pretzel_surgery.triangle import irreducible_char_count
 from schema import validate_certificate_json
 
 
 def _slope_map(cert):
-    return {str(s.slope): (s.status, s.rule_id) for s in cert.slopes}
+    return {ratio_text(a, b): (status, rule) for a, b, status, rule in cert.slopes}
 
 
 # -- cyclic ------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_finite_residual_window_table():
 
 def test_finite_candidate_slopes():
     cert = classify_finite(canonicalize(9, 9, -4))
-    assert [(s.slope.a, s.status) for s in cert.slopes] == [(31, "ELIMINATED")]
+    assert [(a, status) for a, _, status, _ in cert.slopes] == [(31, "ELIMINATED")]
 
 
 def test_finite_refuses_a_gap_below_eleven(monkeypatch, capsys):
@@ -205,9 +205,9 @@ def test_parity_split_is_exclusive():
     # rule; the pipelines only ever list odd candidates individually.
     for triple in [(9, 9, -4), (5, 7, -4), (3, 9, -6), (13, 15, -8)]:
         cert = classify_finite(canonicalize(*triple))
-        for status in cert.slopes:
-            if status.status == "ELIMINATED":
-                assert status.slope.a % 2 == 1
+        for a, _, status, _ in cert.slopes:
+            if status == "ELIMINATED":
+                assert a % 2 == 1
 
 
 def _family_off_the_table(p_max, q_max, r_max):
@@ -348,53 +348,37 @@ def _copy_rule(rule_id, inputs):
     return forge
 
 
-def _add_mark(u, rule_id):
-    def forge(cert):
-        return cert._replace(
-            slopes=(*cert.slopes, SlopeStatus(make_slope(u, 1), STATUS_ELIMINATED, rule_id)))
-    return forge
-
-
-def _add_elimination(rule_id, inputs):
-    # A per-slope rule and the mark of its slope.
-    def forge(cert):
-        return _add_mark(inputs["slope"], rule_id)(_add_rule(rule_id, inputs)(cert))
-    return forge
-
-
 def _drop_rule(rule_id):
     def forge(cert):
-        return cert._replace(rules=tuple(r for r in cert.rules if r.id != rule_id),
-                             slopes=tuple(s for s in cert.slopes if s.rule_id != rule_id))
-    return forge
-
-
-def _relink(rule_id, new_id):
-    # Drop a rule and link the slopes it eliminated to another rule instead.
-    def forge(cert):
-        return cert._replace(rules=tuple(r for r in cert.rules if r.id != rule_id),
-                             slopes=tuple(s._replace(rule_id=new_id) if s.rule_id == rule_id
-                                          else s for s in cert.slopes))
+        return cert._replace(rules=tuple(r for r in cert.rules if r.id != rule_id))
     return forge
 
 
 def _cut_after(rule_id):
-    # Keep the chain up to rule_id and none of its marks.
+    # Keep the chain up to rule_id.
     def forge(cert):
         i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
-        return cert._replace(rules=cert.rules[:i + 1], slopes=())
+        return cert._replace(rules=cert.rules[:i + 1])
     return forge
 
 
 def _respell(rule_id, new_id):
-    # Rename a per-slope rule and its slope's link to match; the emitted
-    # conclusion follows the id.
+    # Rename a per-slope rule; the emitted conclusion and slope mark follow the id.
     def forge(cert):
         i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
         return cert._replace(rules=(*cert.rules[:i], cert.rules[i]._replace(id=new_id),
-                                    *cert.rules[i + 1:]),
-                             slopes=tuple(s._replace(rule_id=new_id) if s.rule_id == rule_id
-                                          else s for s in cert.slopes))
+                                    *cert.rules[i + 1:]))
+    return forge
+
+
+def _reconcluded(*forges):
+    # Apply the forges in turn, then store the realized slopes and verdict the
+    # forged chain implies, so that only its premises can reject it.
+    def forge(cert):
+        for edit in forges:
+            cert = edit(cert)
+        _, realized, verdict = conclude(cert.rules)
+        return cert._replace(verdict=verdict, realized=realized)
     return forge
 
 
@@ -404,12 +388,6 @@ SLOPE_RESPELLINGS = {"leading_zero": "043", "arabic_indic_digits": "\u0664\u0663
 def _set(**fields):
     def forge(cert):
         return cert._replace(**fields)
-    return forge
-
-
-def _edit_data(**changes):
-    def forge(cert):
-        return cert._replace(data={**cert.data, **changes})
     return forge
 
 
@@ -438,9 +416,6 @@ COPIED_RULES = [
      _edit_rule("residual_case_table", survivors=[999])),
     ("residual_survivors_not_a_list", classify_finite, (3, 5, -6),
      _edit_rule("residual_case_table", survivors=5)),
-    ("residual_slope_added", classify_finite, (3, 5, -6), _add_mark(1, "residual_case_table")),
-    ("slope_linked_to_another_slope", classify_finite, (7, 9, -10),
-     _add_mark(1001, "exceptional_distance:43")),
     ("rule_of_another_family", classify_cyclic, (-2, 3, 11),
      _add_rule("cyclic_via_finite", {"finite_verdict": NONE})),
     ("proximity_candidate_dropped", classify_cyclic, (-2, 5, 9),
@@ -450,21 +425,28 @@ COPIED_RULES = [
     # A chain that settles no slope leaves the question open.
     ("chain_cut_after_the_norm_rules", classify_finite, (7, 9, -10),
      _cut_after("odd_uniqueness")),
-    # A true elimination of a slope outside the window marks nothing.
+    # A per-slope rule must eliminate an open slope: a true elimination of a
+    # slope outside the window marks nothing.
     ("slope_outside_the_window_eliminated", classify_finite, (7, 9, -10),
-     _add_elimination("exceptional_distance:1001",
-                      {"slope": 1001, "toroidal": "32", "distance": 969})),
+     _add_rule("exceptional_distance:1001", {"slope": 1001, "toroidal": "32", "distance": 969})),
     # The slope of a per-slope rule id spelled another way.
     *((f"slope_spelled_with_{name}", classify_finite, (7, 9, -10),
        _respell("exceptional_distance:43", f"exceptional_distance:{u}"))
       for name, u in SLOPE_RESPELLINGS.items()),
-    # The data of a certificate is the knot's.
-    ("toroidal_slope_forged", classify_finite, (7, 9, -10), _edit_data(toroidal_slope="999")),
-    ("nonintegral_slopes_junk", classify_finite, (7, 9, -10),
-     _edit_data(nonintegral_slopes={"boundary_slopes": ["junk"]})),
-    # Slopes within distance 9 of 2(p+q) that only the residual table settles.
-    *((f"near_slope_relinked_to_distance_window_{q}", classify_finite, (5, q, -4),
-       _relink("residual_case_table", "coxeter_distance_window")) for q in (5, 7, 9)),
+    # Slopes within distance 9 of 2(p+q) that only the residual table settles:
+    # without it they stay open.
+    *((f"near_slope_left_open_without_the_residual_table_{q}", classify_finite, (5, q, -4),
+       _drop_rule("residual_case_table")) for q in (5, 7, 9)),
+    # A premise that fails returns None, so a rule recorded with None as its
+    # inputs must not pass for one whose premise holds.
+    ("lamination_form_with_no_inputs", classify_cyclic, (-1, 3, 5),
+     _reconcluded(_add_rule("lamination_form", None))),
+    ("torus_pretzel_with_no_inputs", classify_cyclic, (-1, 3, 5),
+     _reconcluded(_add_rule("torus_pretzel", None))),
+    ("lamination_form_with_no_inputs_after_the_published_list", classify_cyclic, (-2, 3, 7),
+     _reconcluded(_add_rule("lamination_form", None))),
+    ("toroidal_gap_small_p_with_no_inputs_for_an_elimination", classify_finite, (7, 9, -10),
+     _reconcluded(_drop_rule("exceptional_distance:43"), _add_rule("toroidal_gap_small_p", None))),
     # A certificate of a knot moved onto a link, which classify refuses.
     *((f"{classifier.__name__}_moved_onto_the_link_{'_'.join(map(str, link))}", classifier,
        (-3, 3, 5), _set(knot=PretzelKnot(*link)))
@@ -488,6 +470,36 @@ def test_replay_rejects_a_rule_copied_from_another_knot(rule_id, classifier, sou
         forge = _copy_rule(rule.id, rule.inputs)
     assert replay_certificate(cert)
     assert not replay_certificate(forge(cert))
+
+
+# A certificate stores neither its data nor its slope marks: both are derived
+# from the knot and the chain when read, so no forgery can set them, and an
+# in-place edit changes a copy.
+DERIVED_FIELDS = [
+    ("toroidal_slope_forged", (7, 9, -10), "data", {"toroidal_slope": "999"}),
+    ("nonintegral_slopes_junk", (7, 9, -10), "data",
+     {"nonintegral_slopes": {"boundary_slopes": ["junk"]}}),
+    ("residual_slope_added", (3, 5, -6), "slopes",
+     [(23, 1, STATUS_ELIMINATED, "residual_case_table"),
+      (1, 1, STATUS_ELIMINATED, "residual_case_table")]),
+    ("slope_linked_to_another_slope", (7, 9, -10), "slopes",
+     [(43, 1, STATUS_ELIMINATED, "exceptional_distance:43"),
+      (1001, 1, STATUS_ELIMINATED, "exceptional_distance:43")]),
+]
+
+
+@pytest.mark.parametrize("triple,field,forged", [case[1:] for case in DERIVED_FIELDS],
+                         ids=[case[0] for case in DERIVED_FIELDS])
+def test_a_derived_field_cannot_be_set(triple, field, forged):
+    cert = classify_finite(canonicalize(*triple))
+    genuine = emit_certificate(cert)
+    with pytest.raises(ValueError, match="unexpected field"):
+        cert._replace(**{field: forged})
+    with pytest.raises(AttributeError):
+        setattr(cert, field, forged)
+    getattr(cert, field).clear()
+    assert getattr(cert, field) and getattr(cert, field) != forged
+    assert emit_certificate(cert) == genuine and replay_certificate(cert)
 
 
 @pytest.mark.parametrize("u", SLOPE_RESPELLINGS.values(), ids=SLOPE_RESPELLINGS.keys())
@@ -574,14 +586,14 @@ def test_cyclic_sweep_runs_each_finite_pipeline_once(monkeypatch):
 
 def test_a_certificate_cannot_be_edited():
     # The kept finite run is handed out as it is, so no field of it may be
-    # set and its rules, slopes and realized slopes are tuples.
+    # set and its rules and realized slopes are tuples.
     k = canonicalize(7, 9, -10)
     cert = classify_finite(k)
     assert cert.rules and cert.slopes and cert.data
-    for name in (*Certificate._fields, "annotations", "extra"):
+    for name in (*Certificate._fields, "data", "slopes", "annotations", "extra"):
         with pytest.raises(AttributeError):
             setattr(cert, name, UNRESOLVED)
-    assert [type(field) for field in (cert.rules, cert.slopes, cert.realized)] == [tuple] * 3
+    assert [type(field) for field in (cert.rules, cert.realized)] == [tuple] * 2
     hits = classify_finite.cache_info().hits
     assert classify_finite(k) is cert
     assert classify_finite.cache_info().hits == hits + 1
@@ -601,8 +613,7 @@ def _inputs(cert, rule_id):
 
 @pytest.fixture
 def kept_run_cleared():
-    # An in-place edit of a rule's inputs or of the data also reaches the
-    # kept finite run.
+    # An in-place edit of a rule's inputs also reaches the kept finite run.
     yield
     classify_finite.cache_clear()
 
@@ -617,15 +628,12 @@ def kept_run_cleared():
      lambda inputs: inputs["candidates"].append(1001)),
     (classify_cyclic, (-2, 5, 23), "nonintegral_proximity",
      lambda inputs: inputs["slopes"].append("1/3")),
-    (classify_finite, (7, 9, -10), None,  # no rule: the edit is of the data
-     lambda data: data.__setitem__("toroidal_slope", "0")),
-], ids=["window_entry", "irreducible_characters", "window_candidate", "proximity_slopes",
-        "data"])
+], ids=["window_entry", "irreducible_characters", "window_candidate", "proximity_slopes"])
 def test_replay_rejects_inputs_edited_in_place_right_after_classify(
         kept_run_cleared, classifier, triple, rule_id, edit):
     classify_finite(_ELSEWHERE)
     cert = classifier(canonicalize(*triple))
-    edit(cert.data if rule_id is None else _inputs(cert, rule_id))
+    edit(_inputs(cert, rule_id))
     assert not replay_certificate(cert)
 
 
@@ -765,7 +773,7 @@ def test_the_finite_pipeline_and_its_replay_build_no_fraction(monkeypatch):
 def test_replay_rejects_an_unknown_rule_or_question():
     cert = classify_cyclic(canonicalize(-2, 3, 7))
     assert not replay_certificate(_add_rule("made_up_rule", {})(cert))
-    assert not replay_certificate(Certificate(canonicalize(-3, 3, 5), "bogus", {}))
+    assert not replay_certificate(Certificate(canonicalize(-3, 3, 5), "bogus"))
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -3,9 +3,10 @@
 ``emit_certificate(cert, "json")`` writes the line field by field, with the
 constant strings and the JSON of each rule row without a slope escaped once
 at import.  The reference below is the dict form the certificate classes
-built before, with each rule's text from ``rule_text``, encoded by
-``json.dumps`` with sorted keys; the two must agree byte for byte on every
-certificate, hostile strings included.
+built before, with each rule's text from ``rule_text`` and the data and
+slope marks the certificate derives, encoded by ``json.dumps`` with sorted
+keys; the two must agree byte for byte on every certificate, hostile strings
+included.
 """
 
 import json
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from test_replay_mutants import STREAMS
 
 import pretzel_surgery.classify as classify_module
-from pretzel_surgery.classify import (CYCLIC, FINITE_Q, RULES, Certificate, Rule, SlopeStatus,
-                                      emit_certificate, rule_text)
+from pretzel_surgery.classify import (CYCLIC, FAR, FINITE_Q, PUBLISHED, RULES, SURVIVORS, WINDOW,
+                                      Certificate, Rule, classify, emit_certificate, rule_text)
 from pretzel_surgery.knots import canonicalize
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
@@ -31,8 +32,8 @@ def reference_dict(cert):
         "question": cert.question,
         "verdict": cert.verdict,
         "realized": list(cert.realized),
-        "slopes": [{"slope": str(s.slope), "status": s.status, "rule": s.rule_id}
-                   for s in cert.slopes],
+        "slopes": [{"slope": str(make_slope(a, b)), "status": status, "rule": rule}
+                   for a, b, status, rule in cert.slopes],
         "rules": [{"id": r.id, "inputs": r.inputs,
                    **dict(zip(("source", "citation", "conclusion"),
                               rule_text(cert.question, r.id, r.inputs)))} for r in cert.rules],
@@ -62,6 +63,23 @@ _VALUE = st.recursive(st.none() | st.booleans() | st.integers() | _TEXT,
                       | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=8)
 _INPUTS = st.dictionaries(_TEXT, _VALUE, max_size=4)
 _NONZERO = st.integers(-99, 99).filter(bool)
+_SLOPES = st.lists(st.integers(-60, 60), max_size=3)
+# The inputs conclude reads, by what a row settles; a row that settles
+# nothing, or settles by the chain alone, may record any inputs.
+_READ = {
+    WINDOW: st.fixed_dictionaries({"candidates": _SLOPES}),
+    FAR: st.fixed_dictionaries({
+        "window": st.lists(st.tuples(st.integers(-60, 60), _TEXT).map(list), max_size=3),
+        "distances": st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 20)).map(list),
+                              max_size=3)}),
+    SURVIVORS: st.fixed_dictionaries({"survivors": _SLOPES}),
+    PUBLISHED: st.fixed_dictionaries({"slopes": _SLOPES}),
+}
+
+
+def _rule(question, key):
+    read = _READ.get(RULES[question][key].settles, st.just({}))
+    return st.builds(lambda inputs, shaped: Rule(key, {**inputs, **shaped}), _INPUTS, read)
 
 
 # A rule's text and the notes come from its row, so the question and the ids
@@ -74,15 +92,20 @@ def _certificates(question):
         question=st.just(question),
         verdict=_TEXT,
         realized=st.lists(st.integers(), max_size=3).map(tuple),
-        slopes=st.lists(st.builds(SlopeStatus,
-                                  st.builds(make_slope, st.integers(-60, 60), st.integers(1, 9)),
-                                  _TEXT, st.none() | _TEXT), max_size=3),
-        rules=st.lists(st.builds(Rule, st.sampled_from(ids), _INPUTS), max_size=3),
-        data=_INPUTS,
+        rules=st.lists(st.sampled_from(ids).flatmap(lambda key: _rule(question, key)),
+                       max_size=3).map(tuple),
     )
 
 
-certificates = st.sampled_from(sorted(RULES)).flatmap(_certificates)
+# Classified certificates of random knots with |index| <= 200, half of them in
+# the (-2,p,q) and (p,q,-r) families, so that slope marks and data occur.
+_INDEX = st.integers(-200, 200).filter(bool)
+_ODD = st.integers(1, 99).map(lambda n: 2 * n + 1)
+_KNOTS = (st.builds(canonicalize, _INDEX, _INDEX, _INDEX).filter(lambda k: k.is_knot)
+          | st.builds(canonicalize, st.integers(-100, -1).map(lambda n: 2 * n), _ODD, _ODD))
+_classified = st.builds(classify, _KNOTS, st.sampled_from(sorted(RULES)))
+
+certificates = st.sampled_from(sorted(RULES)).flatmap(_certificates) | _classified
 
 
 @given(certificates)
@@ -97,7 +120,7 @@ def test_any_certificate_matches_the_reference(cert):
     (CYCLIC, "exceptional_distance:43"), (FINITE_Q, "made_up_rule"), ("made_up", "torus_pretzel")])
 def test_a_rule_outside_its_question_table_is_not_emitted(question, rule_id):
     # No row has the text such a rule would need, so emitting it raises.
-    cert = Certificate(canonicalize(7, 9, -10), question, {},
+    cert = Certificate(canonicalize(7, 9, -10), question,
                        rules=(Rule(rule_id, {"slope": 43, "distance": 11, "toroidal": "32"}),))
     for fmt in ("json", "text"):
         with pytest.raises(KeyError):

@@ -85,18 +85,20 @@ def test_no_frozen_dataclass_validates_in_post_init(name):
     assert found == []
 
 
-def test_certificates_are_tuples_that_share_their_empty_slopes():
+def test_certificates_store_only_their_chain_and_verdict():
     # A sweep keeps one certificate per knot: a dict per certificate, or a
-    # list per empty slope field, costs cyclic_sweep megabytes of peak memory.
+    # stored copy of what the knot or the chain determines, costs a sweep
+    # megabytes of peak memory.  The data and the slope marks are derived
+    # when read, so there is no slope-mark record either.
+    import pretzel_surgery.classify as classify
     from pretzel_surgery.classify import CYCLIC, Certificate
     from pretzel_surgery.knots import canonicalize
     from pretzel_surgery.sweeps import sweep_cyclic
+    assert Certificate._fields == ("knot", "question", "verdict", "realized", "rules")
+    assert not hasattr(classify, "SlopeStatus")
     assert issubclass(Certificate, tuple) and "__slots__" in vars(Certificate)
-    assert not hasattr(Certificate(canonicalize(-2, 3, 7), CYCLIC, {}), "__dict__")
-    certs = sweep_cyclic(11).certificates
-    assert all(type(c.rules) is tuple and type(c.slopes) is tuple for c in certs)
-    empty = [c.slopes for c in certs if not c.slopes]
-    assert len(empty) > 1 and len({id(slopes) for slopes in empty}) == 1
+    assert not hasattr(Certificate(canonicalize(-2, 3, 7), CYCLIC), "__dict__")
+    assert all(type(c.rules) is tuple for c in sweep_cyclic(11).certificates)
 
 
 def test_readme_lists_every_module():

@@ -1,18 +1,21 @@
 """Replay must reject every tampered conclusion of a genuine certificate.
 
 Each certificate of the three pinned streams (those of
-``test_certificate_streams_pinned``) is mutated in its slope marks, its
-realized slopes and its verdict; a finite certificate also loses each of its
-norm rules in turn.  A mutant that still emits the genuine bytes is not
-tampered; every other mutant must fail replay.  A rule's text is not
-recorded, so it cannot be edited: the emitter reads it from the rule table.
+``test_certificate_streams_pinned``) is mutated in its realized slopes and
+its verdict, and gains each row of its question without a slope, recorded
+with None as its inputs (what a premise that fails returns) and with the
+realized slopes and verdict the longer chain implies; a finite certificate
+also loses each of its norm rules in turn.  A mutant that still emits the
+genuine bytes is not tampered; every other mutant must fail replay.  A
+rule's text, the data and the slope marks are not recorded, so they cannot
+be edited: the emitter derives them from the rule table, the knot and the chain.
 """
 
 import pytest
 
-from pretzel_surgery.classify import (NONE, REALIZED, STATUS_ELIMINATED, STATUS_REALIZED,
-                                      STATUS_UNRESOLVED, TORUS_INFINITE, UNRESOLVED,
-                                      classify_cyclic, classify_finite, emit_certificate)
+from pretzel_surgery.classify import (NONE, REALIZED, RULES, TORUS_INFINITE, UNRESOLVED, Rule,
+                                      classify_cyclic, classify_finite, conclude,
+                                      emit_certificate)
 from pretzel_surgery.knots import canonicalize
 from pretzel_surgery.replay import replay_certificate
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
@@ -25,30 +28,38 @@ STREAMS = {
 }
 
 
+def _with_no_inputs(cert, key):
+    """cert with the row key appended, its inputs None, and the realized slopes
+    and verdict of the longer chain when conclude can read it (a row that
+    settles by its inputs cannot be concluded without them)."""
+    rules = (*cert.rules, Rule(key, None))
+    try:
+        _, realized, verdict = conclude(rules)
+    except TypeError:
+        return cert._replace(rules=rules)
+    return cert._replace(rules=rules, realized=realized, verdict=verdict)
+
+
+def _emitted(cert) -> str | None:
+    """The JSON line of cert, None when its chain cannot be concluded."""
+    try:
+        return emit_certificate(cert)
+    except TypeError:
+        return None
+
+
 def _mutants(cert) -> dict[str, list]:
     """Operator name -> the mutants it makes of cert."""
-    s, realized, n = cert.slopes, cert.realized, len(cert.slopes)
-    links = [None, *dict.fromkeys(rule.id for rule in cert.rules)]
-
-    def with_mark(i, **change):
-        return cert._replace(slopes=(*s[:i], s[i]._replace(**change), *s[i + 1:]))
+    realized = cert.realized
     return {
-        "drop_mark": [cert._replace(slopes=s[:i] + s[i + 1:]) for i in range(n)],
-        "duplicate_mark": [cert._replace(slopes=s[:i + 1] + s[i:]) for i in range(n)],
-        "swap_adjacent_marks": [cert._replace(slopes=(*s[:i], s[i + 1], s[i], *s[i + 2:]))
-                                for i in range(n - 1) if s[i] != s[i + 1]],
-        "restatus_mark": [with_mark(i, status=status) for i in range(n) for status in
-                          (STATUS_REALIZED, STATUS_ELIMINATED, STATUS_UNRESOLVED)
-                          if status != s[i].status],
-        "relink_eliminated_mark": [with_mark(i, rule_id=link) for i in range(n)
-                                   if s[i].status == STATUS_ELIMINATED
-                                   for link in links if link != s[i].rule_id],
         "drop_realized": [cert._replace(realized=realized[:i] + realized[i + 1:])
                           for i in range(len(realized))],
         "add_realized": [cert._replace(realized=(*realized, max(realized, default=0) + 1))],
         "set_verdict": [cert._replace(verdict=verdict)
                         for verdict in (REALIZED, NONE, TORUS_INFINITE, UNRESOLVED)
                         if verdict != cert.verdict],
+        "none_inputs": [_with_no_inputs(cert, key) for key in RULES[cert.question]
+                        if key[-1] != ":"],
     }
 
 
@@ -67,7 +78,7 @@ def test_replay_rejects_every_mutant_of_the_pinned_certificates(stream):
         assert replay_certificate(cert), f"{cert.knot} {cert.question}"
         for operator, mutants in _mutants(cert).items():
             for mutant in mutants[:1] if _solves_norm_lps(cert) else mutants:
-                if emit_certificate(mutant) != genuine:
+                if _emitted(mutant) != genuine:
                     tried += 1
                     if replay_certificate(mutant):
                         forged.append(f"{cert.knot} {cert.question} {operator}")
