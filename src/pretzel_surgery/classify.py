@@ -9,7 +9,10 @@ verdict of the chain, and :func:`certificate_data` the ``data`` of the knot.
 A certificate is an immutable record of the chain, its verdict and realized
 slopes; its data and slope marks are derived when read.  The one-knot memos
 here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
-functions of the knot, so replay shares no mutable state with classify.
+functions of the knot, so replay shares no mutable state with classify.  A
+row whose premise records the same inputs on every knot where it holds is one
+read-only rule built at import, shared by every certificate recording it, and
+a knot an opening row settles gets that row's chain, concluded at import.
 Imported theorems enter only through the facts table; computed steps are int
 kernels (slopes and gaps as reduced pairs, no ``Fraction``).
 
@@ -58,6 +61,19 @@ class Rule(NamedTuple):
 
     id: str
     inputs: dict
+
+
+class _ReadOnly(dict):
+    """The inputs of a rule that every certificate recording it shares: no
+    in-place edit, and a copy or pickle of it is a plain dict."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("shared rule inputs are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 class Certificate(NamedTuple):
@@ -549,13 +565,28 @@ def conclude(rules: list[Rule]) -> tuple[list[tuple[int, int, str, str | None]],
     return marks, realized, verdict
 
 
+# The rows whose premise records the same inputs on every knot where it holds,
+# each with the one read-only rule that every certificate recording it shares.
+_SHARED = {key: Rule(key, _ReadOnly(inputs)) for key, inputs in [
+    *((key, {}) for key in ("torus_pretzel", "unclassified_indices", "lamination_form",
+                            "denominator_bound", "half_integral_excluded", "odd_uniqueness")),
+    ("cyclic_via_finite", {"finite_verdict": NONE})]}
+_OPENING = ("lamination_form", "unclassified_indices", "torus_pretzel")  # commonest first
+# The chain (verdict, realized, rules) of a knot that an opening row settles.
+_OPENED = {key: (verdict, realized, (_SHARED[key],)) for key in _OPENING
+           for _, realized, verdict in [conclude([_SHARED[key]])]}
+
+
 def _apply(rules: list[Rule], question: str, key: str, *args) -> dict | None:
     """Apply the row ``key`` of the question to ``args``: when its premise
-    holds, append the rule to ``rules`` and return the inputs it records.  A
-    per-slope row "id:" is recorded as "id:u", u the last argument."""
+    holds, append the rule to ``rules`` (the shared one when it records the
+    shared inputs) and return the inputs it records.  A per-slope row "id:"
+    is recorded as "id:u", u the last argument."""
     inputs = RULES[question][key].premise(*args)
     if inputs is not None:
-        rules.append(Rule(f"{key}{args[-1]}" if key[-1] == ":" else key, inputs))
+        shared = _SHARED.get(key)
+        rules.append(shared if shared and shared.inputs == inputs else
+                     Rule(f"{key}{args[-1]}" if key[-1] == ":" else key, inputs))
     return inputs
 
 
@@ -589,19 +620,19 @@ def _certificate(k: PretzelKnot, question: str, rules: list[Rule]) -> Certificat
 # -- the pipelines ------------------------------------------------------------
 
 
-def _open(k: PretzelKnot, question: str) -> tuple[list[Rule], KnotFamily | None]:
-    """A new chain after the opening rules; the family is None when one of
-    them applies."""
+def _open(k: PretzelKnot, question: str) -> tuple[KnotFamily, tuple | None]:
+    """The family of k, and the shared chain ``(verdict, realized, rules)`` of
+    the opening row that settles k; None for a (-2,p,q) or (p,q,-r) knot."""
     if not k.is_knot:
         raise ValueError(f"{k} is a link, not a knot")
-    rules, fam = [], family(k)
+    fam = family(k)
     if fam.tag is _M2 or fam.tag is _PQR:  # the three premises need another tag
-        return rules, fam
-    # At most one of these premises holds; the commonest is tried first.
-    for key in ("lamination_form", "unclassified_indices", "torus_pretzel"):
-        if _apply(rules, question, key, k, fam) is not None:
-            return rules, None
-    return rules, fam
+        return fam, None
+    # Exactly one of these premises holds off the two families.
+    for key in _OPENING:
+        if RULES[question][key].premise(k, fam) == _SHARED[key].inputs:
+            return fam, _OPENED[key]
+    raise ArithmeticError(f"no opening rule settles {k}")
 
 
 def _published_minus2_3(rules: list[Rule], question: str, p: int, q: int, r: int) -> None:
@@ -644,16 +675,17 @@ def classify_finite(k: PretzelKnot) -> Certificate:
     A second call on that knot returns the kept record itself, which no
     caller can edit but through its rule inputs.
     """
-    rules, fam = _open(k, FINITE_Q)
-    if fam is not None:
-        (p, q), r = fam.odd_pair, -fam.even_value
-        if fam.tag is FamilyTag.PQ_MINUS_R:
-            _finite_pq_minus_r(rules, p, q, r)
-        elif p == 3:
-            _published_minus2_3(rules, FINITE_Q, p, q, r)
-        elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:
-            raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
-                                  "not-cyclic annotation does not apply")
+    fam, opened = _open(k, FINITE_Q)
+    if opened:
+        return Certificate(k, FINITE_Q, *opened)
+    rules, (p, q), r = [], fam.odd_pair, -fam.even_value
+    if fam.tag is FamilyTag.PQ_MINUS_R:
+        _finite_pq_minus_r(rules, p, q, r)
+    elif p == 3:
+        _published_minus2_3(rules, FINITE_Q, p, q, r)
+    elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:
+        raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
+                              "not-cyclic annotation does not apply")
     return _certificate(k, FINITE_Q, rules)
 
 
@@ -670,14 +702,15 @@ def _cyclic_minus2_pq(rules: list[Rule], p: int, q: int, r: int) -> None:
 
 def classify_cyclic(k: PretzelKnot) -> Certificate:
     """Verdict and certificate for non-trivial cyclic surgeries on k."""
-    rules, fam = _open(k, CYCLIC)
-    if fam is not None:
-        (p, q), r = fam.odd_pair, -fam.even_value
-        if fam.tag is FamilyTag.MINUS2_PQ:
-            _cyclic_minus2_pq(rules, p, q, r)
-        elif _apply(rules, CYCLIC, "cyclic_via_finite", p, q, r) is None:
-            raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
-                                  "cyclic_via_finite does not apply")
+    fam, opened = _open(k, CYCLIC)
+    if opened:
+        return Certificate(k, CYCLIC, *opened)
+    rules, (p, q), r = [], fam.odd_pair, -fam.even_value
+    if fam.tag is FamilyTag.MINUS2_PQ:
+        _cyclic_minus2_pq(rules, p, q, r)
+    elif _apply(rules, CYCLIC, "cyclic_via_finite", p, q, r) is None:
+        raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
+                              "cyclic_via_finite does not apply")
     return _certificate(k, CYCLIC, rules)
 
 

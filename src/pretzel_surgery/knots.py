@@ -101,10 +101,9 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
     with a +-1 index are only classified when they match the degenerate
     (-2,1,n) pattern, and are UNCLASSIFIED otherwise.
     """
-    t = k.indices
-    if 1 not in t and -1 not in t:
-        return TorusStatus.TORUS if t in TORUS_TRIPLES else TorusStatus.NOT_TORUS
-    if t[0] == -2 and t[1] == 1 and t[2] % 2 == 1:
+    if 1 not in k and -1 not in k:  # a record hashes and compares as its plain tuple
+        return TorusStatus.TORUS if k in TORUS_TRIPLES else TorusStatus.NOT_TORUS
+    if k.p == -2 and k.q == 1 and k.r % 2 == 1:
         return TorusStatus.TORUS
     return TorusStatus.UNCLASSIFIED
 

@@ -1,9 +1,10 @@
 """Certificate replay: every rule's premise, on the certificate's own knot,
 must return exactly the inputs (a dict) the rule recorded, the rows it
-``requires`` must come before it, each per-slope rule must mark its slope,
-and the realized slopes and verdict must be the ones ``conclude`` derives
-from the chain.  A certificate stores nothing else: its data, slope marks,
-rule text and notes are derived when read, so there is no copy to check.
+``requires`` must come before it, each per-slope rule must mark its slope, a
+rule's survivors must be exactly the candidates still open before it, and
+the realized slopes and verdict must be the ones ``conclude`` derives from
+the chain.  A certificate stores nothing else: its data, slope marks, rule
+text and notes are derived when read, so there is no copy to check.
 
 Premises, families and what each rule settles all live in one table,
 :data:`classify.RULES`.  Two premises rest on a nested computation:
@@ -15,7 +16,8 @@ of the knot); ``seminorm_infeasibility`` solves the norm LPs again
 
 from __future__ import annotations
 
-from .classify import RULES, SURVIVORS, Certificate, classify_finite, conclude  # noqa: F401
+from .classify import (RULES, STATUS_UNRESOLVED, SURVIVORS, Certificate,  # noqa: F401
+                       classify_finite, conclude)
 from .knots import KnotFamily, PretzelKnot, family
 from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 
@@ -42,8 +44,9 @@ def _holds(rows: dict, k: PretzelKnot, fam: KnotFamily, rule_id: str, inputs: di
 def replay_certificate(cert: Certificate) -> bool:
     """True when the question has a table, the knot is not a link, every rule's
     premise holds on it with exactly the recorded inputs and the rows it
-    requires come before it, every per-slope rule marks its slope, and the
-    realized slopes and verdict are the ones the chain implies."""
+    requires come before it, every per-slope rule marks its slope, the
+    survivors of a rule are the candidates open before it, and the realized
+    slopes and verdict are the ones the chain implies."""
     rows, k, fam = RULES.get(cert.question), cert.knot, family(cert.knot)
     if rows is None or not k.is_knot:
         return False
@@ -53,6 +56,9 @@ def replay_certificate(cert: Certificate) -> bool:
         row = rows.get(rule.id)  # a per-slope rule "id:u" requires nothing
         if row and row.requires and not {r.id for r in cert.rules[:i]}.issuperset(row.requires):
             return False
+        if row and row.settles is SURVIVORS and rule.inputs["survivors"] != [
+                a for a, _, s, _ in conclude(cert.rules[:i])[0] if s == STATUS_UNRESOLVED]:
+            return False  # it eliminates exactly the candidates still open, in order
     marks, realized, verdict = conclude(cert.rules)
     linked = [rule for *_, rule in marks if rule and ":" in rule]  # one mark per "id:u" rule
     return (realized, verdict) == (cert.realized, cert.verdict) and linked == [

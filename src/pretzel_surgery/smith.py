@@ -94,16 +94,6 @@ class AbelianInvariants:
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
-
-    def is_cyclic_of_order(self, n: int) -> bool:
-        n = abs(n)
-        if n == 1:
-            return self.is_trivial
-        return self.free_rank == 0 and self.torsion == (n,)
-
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "1"

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import importlib
 import json
+import pickle
 from fractions import Fraction
 from math import gcd
 from types import ModuleType
@@ -16,8 +18,8 @@ from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, S
                                       quotient_certified_infinite, strict_triangle)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import INFINITE, CoxeterSignature, edjvet_verdict
-from pretzel_surgery.knots import (FamilyTag, PretzelKnot, canonicalize, enumerate_canonical,
-                                   family, triangle_slack)
+from pretzel_surgery.knots import (FamilyTag, PretzelKnot, TorusStatus, canonicalize,
+                                   enumerate_canonical, family, triangle_slack)
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
 from pretzel_surgery.replay import replay_certificate
@@ -391,6 +393,18 @@ def _set(**fields):
     return forge
 
 
+# The rows whose premise records the same inputs on every knot where it
+# holds, each with a knot whose certificate records it.
+SHARED_ROWS = [
+    ("torus_pretzel", classify_cyclic, (-2, 3, 5)),
+    ("unclassified_indices", classify_finite, (-1, 3, 5)),
+    ("lamination_form", classify_cyclic, (-3, 3, 5)),
+    *((key, classify_finite, (7, 9, -10))
+      for key in ("denominator_bound", "half_integral_excluded", "odd_uniqueness")),
+    ("cyclic_via_finite", classify_cyclic, (7, 9, -10)),
+]
+
+
 # Rules that record knot parameters, each with two knots where it applies.
 # The last cases forge a certificate of the source knot instead: the target
 # is then the forging function.
@@ -447,6 +461,14 @@ COPIED_RULES = [
      _reconcluded(_add_rule("lamination_form", None))),
     ("toroidal_gap_small_p_with_no_inputs_for_an_elimination", classify_finite, (7, 9, -10),
      _reconcluded(_drop_rule("exceptional_distance:43"), _add_rule("toroidal_gap_small_p", None))),
+    # A row whose premise records the same inputs on every knot, recorded
+    # with other ones.
+    *((f"{key}_with_inputs", classifier, triple, _edit_rule(key, slope=1))
+      for key, classifier, triple in SHARED_ROWS),
+    # residual_case_table eliminates exactly the candidates still open, in order.
+    *((f"residual_survivors_{name}", classify_finite, (3, 5, -6),
+       _reconcluded(_edit_rule("residual_case_table", survivors=survivors)))
+      for name, survivors in (("with_a_slope_added", [23, 1]), ("emptied", []))),
     # A certificate of a knot moved onto a link, which classify refuses.
     *((f"{classifier.__name__}_moved_onto_the_link_{'_'.join(map(str, link))}", classifier,
        (-3, 3, 5), _set(knot=PretzelKnot(*link)))
@@ -637,6 +659,46 @@ def test_replay_rejects_inputs_edited_in_place_right_after_classify(
     assert not replay_certificate(cert)
 
 
+SHARED_EDITS = {
+    "setitem": lambda d: d.__setitem__("slope", 1),
+    "delitem": lambda d: d.__delitem__(next(iter(d), "slope")),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop(next(iter(d), "slope"), None),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("slope", 1),
+    "update": lambda d: d.update(slope=1),
+    "ior": lambda d: d.__ior__({"slope": 1}),
+}
+
+
+@pytest.mark.parametrize("edit", SHARED_EDITS.values(), ids=SHARED_EDITS.keys())
+def test_shared_inputs_cannot_be_edited_in_place(edit):
+    # Every certificate that records the row holds the same inputs.
+    for key, classifier, triple in SHARED_ROWS:
+        cert = classifier(canonicalize(*triple))
+        genuine, inputs = emit_certificate(cert), _inputs(cert, key)
+        with pytest.raises(TypeError, match="read-only"):
+            edit(inputs)
+        assert inputs == dict(inputs) and inputs is classify_module._SHARED[key].inputs
+        assert emit_certificate(cert) == genuine and replay_certificate(cert), key
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_certificate_is_equal_and_replays(duplicate):
+    # A deep copy of shared inputs is a plain dict, which the copy may edit.
+    for key, classifier, triple in SHARED_ROWS:
+        cert = classifier(canonicalize(*triple))
+        copied = duplicate(cert)
+        assert copied == cert and type(copied) is Certificate
+        assert emit_certificate(copied) == emit_certificate(cert) and replay_certificate(copied)
+        if duplicate is not copy.copy:
+            assert all(type(r.inputs) is dict for r in copied.rules)
+            _inputs(copied, key)["slope"] = 1
+            assert not replay_certificate(copied) and replay_certificate(cert), key
+
+
 def _stream_jobs():
     """(classifier, knot) for every certificate of the three pinned streams."""
     jobs = [(classify_cyclic, c.knot) for c in sweep_cyclic(11).certificates]
@@ -683,13 +745,18 @@ def test_a_copied_rule_is_rejected_with_the_store_warm_and_cold(rule_id, classif
 
 def test_replay_evaluates_each_premise_on_the_knot(monkeypatch):
     # Replay reads no value classify computed: a premise kernel that gives
-    # another count after classify makes the certificate fail replay.
+    # another count after classify makes the certificate fail replay, and so
+    # does a torus status that moves a knot off the shared opening chain it got.
     cert = classify_finite(canonicalize(7, 9, -10))
-    assert replay_certificate(cert)
+    opened = classify_cyclic(canonicalize(-1, 3, 5))
+    assert replay_certificate(cert) and replay_certificate(opened)
+    assert opened.rules is classify_module._OPENED["unclassified_indices"][2]
     count = classify_module.irreducible_char_count
     monkeypatch.setattr(classify_module, "irreducible_char_count",
                         lambda p, q, m: count(p, q, m) + 1)
+    monkeypatch.setattr(classify_module, "torus_status", lambda k: TorusStatus.NOT_TORUS)
     assert not replay_certificate(cert)
+    assert not replay_certificate(opened)
 
 
 def _counting(monkeypatch, names):
@@ -724,7 +791,7 @@ _OPENING = ("lamination_form", "unclassified_indices", "torus_pretzel")
 
 def test_open_lets_family_knots_skip_the_opening_rules():
     # _open returns at once on a (-2,p,q) or (p,q,-r) knot; every other knot
-    # gets the rule it gets by trying the three opening premises in order.
+    # gets the shared chain of the one opening premise that holds.
     family_knots = 0
     for k in enumerate_canonical(60):
         if not k.is_knot:
@@ -736,8 +803,8 @@ def test_open_lets_family_knots_skip_the_opening_rules():
             family_knots += 1
             assert holds == [], k
         for question in (CYCLIC, FINITE_Q):
-            rules, rest = classify_module._open(k, question)
-            assert [r.id for r in rules] == holds and (rest is None) == bool(holds), k
+            rest, opened = classify_module._open(k, question)
+            assert rest is fam and [r.id for r in (opened[2] if opened else ())] == holds, k
     assert family_knots > 0
 
 

@@ -89,16 +89,26 @@ def test_certificates_store_only_their_chain_and_verdict():
     # A sweep keeps one certificate per knot: a dict per certificate, or a
     # stored copy of what the knot or the chain determines, costs a sweep
     # megabytes of peak memory.  The data and the slope marks are derived
-    # when read, so there is no slope-mark record either.
+    # when read, so there is no slope-mark record either.  A row that records
+    # the same inputs on every knot is one shared rule, and a knot that an
+    # opening row settles gets that row's shared chain.
     import pretzel_surgery.classify as classify
     from pretzel_surgery.classify import CYCLIC, Certificate
     from pretzel_surgery.knots import canonicalize
-    from pretzel_surgery.sweeps import sweep_cyclic
+    from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
     assert Certificate._fields == ("knot", "question", "verdict", "realized", "rules")
     assert not hasattr(classify, "SlopeStatus")
     assert issubclass(Certificate, tuple) and "__slots__" in vars(Certificate)
     assert not hasattr(Certificate(canonicalize(-2, 3, 7), CYCLIC), "__dict__")
-    assert all(type(c.rules) is tuple for c in sweep_cyclic(11).certificates)
+    certificates = sweep_cyclic(11).certificates + sweep_finite().certificates
+    assert all(type(c.rules) is tuple for c in certificates)
+    shared = [r for c in certificates for r in c.rules if r.id in classify._SHARED]
+    assert {r.id for r in shared} == set(classify._SHARED)
+    assert all(r is classify._SHARED[r.id] for r in shared)
+    opened = [c for c in certificates if c.rules[0].id in classify._OPENED]
+    assert {c.rules[0].id for c in opened} == set(classify._OPENED)
+    assert all((c.verdict, c.realized, c.rules) == classify._OPENED[c.rules[0].id]
+               and c.rules is classify._OPENED[c.rules[0].id][2] for c in opened)
 
 
 def test_readme_lists_every_module():
