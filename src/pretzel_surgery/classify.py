@@ -2,9 +2,11 @@
 
 A certificate records the applied rules in order, each as its id and the
 inputs its premise returned.  Each rule is one row of :data:`RULES`, per
-question: the knot family it applies to, its source, its premise, its
-conclusion, what it settles and the notes it adds.  The pipelines here only
-apply rows; :func:`conclude` gives the slope marks, realized slopes and
+question: its source, its premise, its conclusion, what it settles and the
+notes it adds.  The pipelines here only apply rows, in the order of the
+paper's case analysis, which is written nowhere else: :func:`classify` walks
+them afresh for any knot, and replay derives a certificate again with it and
+compares.  :func:`conclude` gives the slope marks, realized slopes and
 verdict of the chain, and :func:`certificate_data` the ``data`` of the knot.
 A certificate is an immutable record of the chain, its verdict and realized
 slopes; its data and slope marks are derived when read.  The one-knot memos
@@ -12,7 +14,8 @@ here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
 functions of the knot, so replay shares no mutable state with classify.  A
 row whose premise records the same inputs on every knot where it holds is one
 read-only rule built at import, shared by every certificate recording it, and
-a knot an opening row settles gets that row's chain, concluded at import.
+a knot that one such row settles alone (an opening row, or ``cyclic_via_finite``)
+gets that row's chain, concluded at import.
 Imported theorems enter only through the facts table; computed steps are int
 kernels (slopes and gaps as reduced pairs, no ``Fraction``).
 
@@ -389,20 +392,17 @@ PUBLISHED = "its published slopes"
 
 
 class RuleRow(NamedTuple):
-    """One rule, as classify applies it and replay checks it."""
+    """One rule, as the pipelines apply it and the emitter writes it."""
 
-    family: FamilyTag | None  # None: any knot, and the premise takes (k, family(k))
     source: str  # a key of facts.SOURCES
     premise: Callable[..., dict | None]
     conclusion: str  # formatted with u and the inputs for a per-slope rule "id:u"
     settles: str | None
-    requires: tuple[str, ...] = ()  # rows a certificate must record before this one
     notes: tuple[str, ...] = ()  # the annotations of a certificate that records this row
 
 
 _M2, _PQR = FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R
-# The norm rules of a (p,q,-r) knot, in the order classify applies them; the
-# finite window rules rest on all five.
+# The norm rules of a (p,q,-r) knot, in the order classify applies them.
 _NORM_RULES = ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
                "half_integral_excluded", "odd_uniqueness")
 
@@ -410,18 +410,18 @@ _NORM_RULES = ("even_numerator_infinite", "denominator_bound", "even_norm_floor"
 def _shared_rows(question: str, fillings: str, published, examples_source: str) -> dict:
     """The opening rows and the (-2,3,q) rows, in the words of the question."""
     return {
-        "torus_pretzel": RuleRow(None, "torus_classification", torus_pretzel, (
+        "torus_pretzel": RuleRow("torus_classification", torus_pretzel, (
             f"torus knots admit infinitely many {fillings} fillings"), TORUS_INFINITE),
-        "unclassified_indices": RuleRow(None, "torus_classification", unclassified_indices, (
+        "unclassified_indices": RuleRow("torus_classification", unclassified_indices, (
             "triples with a +-1 index outside the encoded patterns are not classified here"),
             None),
-        "lamination_form": RuleRow(None, "lamination_reduction", lamination_form, (
+        "lamination_form": RuleRow("lamination_reduction", lamination_form, (
             "a non-torus pretzel knot outside the (p,q,-r) form admits no non-trivial "
             f"{question} surgery"), NONE),
-        f"published_minus2_3_{question}": RuleRow(_M2, "published_minus2_3_surgeries", published, (
+        f"published_minus2_3_{question}": RuleRow("published_minus2_3_surgeries", published, (
             f"the published classification lists exactly these {question} surgery slopes"),
             PUBLISHED),
-        "known_examples": RuleRow(_M2, examples_source, partial(_known_examples, published), (
+        "known_examples": RuleRow(examples_source, partial(_known_examples, published), (
             f"the listed fillings are realized {question} surgeries"), None),
     }
 
@@ -431,70 +431,68 @@ RULES: dict[str, dict[str, RuleRow]] = {
     FINITE_Q: {
         **_shared_rows(FINITE_Q, "finite (indeed cyclic)", published_minus2_3_finite,
                        "bleiler_hodgson"),
-        "not_cyclic_annotation": RuleRow(_M2, "cyclic_surgery_theorem", not_cyclic_annotation, (
+        "not_cyclic_annotation": RuleRow("cyclic_surgery_theorem", not_cyclic_annotation, (
             "this knot admits no non-trivial cyclic surgery, so any finite filling here is not "
             "cyclic"), None, notes=("any non-trivial finite filling is not cyclic",
                                     "no finite filling is known; none is expected")),
-        "exceptional_knot_table": RuleRow(_PQR, "residual_case_analysis", exceptional_knot_table, (
+        "exceptional_knot_table": RuleRow("residual_case_analysis", exceptional_knot_table, (
             "the strict triangle condition fails here; the published direct analysis finds no "
             "non-trivial finite surgeries"), NONE),
-        "even_numerator_infinite": RuleRow(_PQR, "character_doubling", even_numerator_infinite, (
+        "even_numerator_infinite": RuleRow("character_doubling", even_numerator_infinite, (
             "fillings 2a/b factor through the infinite triangle quotient, so any finite filling "
             "has odd numerator"), None),
-        "denominator_bound": RuleRow(_PQR, "finite_norm_bound", strict_triangle, (
+        "denominator_bound": RuleRow("finite_norm_bound", strict_triangle, (
             "a finite filling slope a/b has b <= 2"), None),
-        "even_norm_floor": RuleRow(_PQR, "character_doubling", even_norm_floor, (
+        "even_norm_floor": RuleRow("character_doubling", even_norm_floor, (
             "even-numerator classes have total norm >= S + 12"), None),
-        "half_integral_excluded": RuleRow(_PQR, "finite_norm_bound", strict_triangle, (
+        "half_integral_excluded": RuleRow("finite_norm_bound", strict_triangle, (
             "a half-integral finite filling would force norm < S + 4 at an even integral "
             "midpoint, against the S + 12 floor; so the filling is odd integral"), None),
-        "odd_uniqueness": RuleRow(_PQR, "finite_norm_bound", strict_triangle, (
+        "odd_uniqueness": RuleRow("finite_norm_bound", strict_triangle, (
             "two odd integral fillings of norm <= S + 8 would trap an even integral class of "
             "norm <= S + 8; at most one finite filling exists"), None),
-        "no_nonintegral_slopes": RuleRow(
-            _PQR, "montesinos_boundary_slopes", no_nonintegral_slopes, (
-                "there are no non-integral boundary slopes, so no odd integral slope sits "
-                "within distance one of one; no finite surgery"), NONE, _NORM_RULES),
-        "finite_window": RuleRow(_PQR, "montesinos_boundary_slopes", finite_window, (
+        "no_nonintegral_slopes": RuleRow("montesinos_boundary_slopes", no_nonintegral_slopes, (
+            "there are no non-integral boundary slopes, so no odd integral slope sits within "
+            "distance one of one; no finite surgery"), NONE),
+        "finite_window": RuleRow("montesinos_boundary_slopes", finite_window, (
             "a finite filling must be an odd integer within distance one of a non-integral "
-            "boundary slope"), WINDOW, _NORM_RULES),
-        "toroidal_gap_large_p": RuleRow(_PQR, "exceptional_distance", toroidal_gap_large_p, (
+            "boundary slope"), WINDOW),
+        "toroidal_gap_large_p": RuleRow("exceptional_distance", toroidal_gap_large_p, (
             "both steep slopes lie at gap >= 11 from the toroidal filling 2(p+q), so every "
             "windowed candidate violates the distance bound; no finite surgery"), CANDIDATES),
-        "toroidal_gap_small_p": RuleRow(_PQR, "exceptional_distance", toroidal_gap_small_p, (
+        "toroidal_gap_small_p": RuleRow("exceptional_distance", toroidal_gap_small_p, (
             "the lone non-integral slope lies at gap > 10 from the toroidal filling 2(p+q); no "
             "finite surgery"), CANDIDATES),
-        "exceptional_distance:": RuleRow(_PQR, "exceptional_distance", exceptional_distance, (
+        "exceptional_distance:": RuleRow("exceptional_distance", exceptional_distance, (
             "slope {u} has distance {distance} > 9 from the toroidal filling {toroidal}"), SLOPE),
-        "coxeter_quotient_infinite:": RuleRow(
-            _PQR, "quotient_surjection", coxeter_quotient_infinite, (
-                "the filled group surjects onto the infinite group (2,{signature[1]},"
-                "{signature[2]};{signature[3]}), so the {u}-filling is not finite"), SLOPE),
-        "coxeter_distance_window": RuleRow(_PQR, "coxeter_finiteness", coxeter_distance_window, (
+        "coxeter_quotient_infinite:": RuleRow("quotient_surjection", coxeter_quotient_infinite, (
+            "the filled group surjects onto the infinite group (2,{signature[1]},"
+            "{signature[2]};{signature[3]}), so the {u}-filling is not finite"), SLOPE),
+        "coxeter_distance_window": RuleRow("coxeter_finiteness", coxeter_distance_window, (
             "any finite filling s must keep the quotient (2,p,|s-2p|;r/2) finite, confining s to "
             "the listed window; slopes at distance > 9 from 2(p+q) are excluded by the "
-            "exceptional-distance bound"), FAR, _NORM_RULES),
-        "residual_case_table": RuleRow(_PQR, "residual_case_analysis", residual_case_table, (
+            "exceptional-distance bound"), FAR),
+        "residual_case_table": RuleRow("residual_case_analysis", residual_case_table, (
             "inside the window 3 <= p <= 7, 4 <= r <= 10 the published direct analysis rules out "
             "all remaining candidates"), SURVIVORS),
     },
     CYCLIC: {
         **_shared_rows(CYCLIC, "cyclic", published_minus2_3_cyclic, "fintushel_stern"),
-        "cyclic_via_finite": RuleRow(_PQR, "z_filling", cyclic_via_finite, (
+        "cyclic_via_finite": RuleRow("z_filling", cyclic_via_finite, (
             "a cyclic filling would be finite cyclic (excluded: the knot has no non-trivial "
             "finite surgery) or infinite cyclic (excluded for any non-trivial knot)"), NONE),
-        "no_nonintegral_slopes": RuleRow(_M2, "nonintegral_proximity", no_nonintegral_slopes, (
+        "no_nonintegral_slopes": RuleRow("nonintegral_proximity", no_nonintegral_slopes, (
             "with no non-integral boundary slopes there is no candidate within distance one of "
             "one; no cyclic surgery"), NONE),
-        "nonintegral_proximity": RuleRow(_M2, "nonintegral_proximity", nonintegral_proximity, (
+        "nonintegral_proximity": RuleRow("nonintegral_proximity", nonintegral_proximity, (
             "a non-trivial cyclic filling must be an integer within distance one of a "
             "non-integral boundary slope"), WINDOW),
-        "lens_toroidal_distance:": RuleRow(_M2, "lens_toroidal_distance", lens_toroidal_distance, (
+        "lens_toroidal_distance:": RuleRow("lens_toroidal_distance", lens_toroidal_distance, (
             "a cyclic filling at {u} would be a lens space at distance {distance} > 5 from the "
             "toroidal filling {toroidal}"), SLOPE),
-        "snappea_hyperbolic:": RuleRow(_M2, "snappea_check", snappea_hyperbolic, (
+        "snappea_hyperbolic:": RuleRow("snappea_check", snappea_hyperbolic, (
             "the {u}-filling is verified hyperbolic, hence not cyclic"), SLOPE),
-        "seminorm_infeasibility:": RuleRow(_M2, "total_norm_model", seminorm_infeasibility, (
+        "seminorm_infeasibility:": RuleRow("total_norm_model", seminorm_infeasibility, (
             "assuming {u} attains the minimal norm S is infeasible for every pair of nonzero "
             "coefficients (exact Farkas witnesses)"), SLOPE),
     },
@@ -572,8 +570,9 @@ _SHARED = {key: Rule(key, _ReadOnly(inputs)) for key, inputs in [
                             "denominator_bound", "half_integral_excluded", "odd_uniqueness")),
     ("cyclic_via_finite", {"finite_verdict": NONE})]}
 _OPENING = ("lamination_form", "unclassified_indices", "torus_pretzel")  # commonest first
-# The chain (verdict, realized, rules) of a knot that an opening row settles.
-_OPENED = {key: (verdict, realized, (_SHARED[key],)) for key in _OPENING
+# The chain (verdict, realized, rules) of a knot that one shared row settles
+# alone: an opening row, or cyclic_via_finite on a (p,q,-r) knot.
+_OPENED = {key: (verdict, realized, (_SHARED[key],)) for key in (*_OPENING, "cyclic_via_finite")
            for _, realized, verdict in [conclude([_SHARED[key]])]}
 
 
@@ -609,12 +608,6 @@ def _eliminated(rules: list[Rule], question: str, keys: tuple[str, ...], p: int,
                 r: int, u: int) -> bool:
     """Apply the first per-slope row of ``keys`` that holds at u."""
     return any(_apply(rules, question, key, p, q, r, u) is not None for key in keys)
-
-
-def _certificate(k: PretzelKnot, question: str, rules: list[Rule]) -> Certificate:
-    """The one record of k's chain, with the realized slopes and verdict it implies."""
-    _, realized, verdict = conclude(rules)
-    return Certificate(k, question, verdict, realized, tuple(rules))
 
 
 # -- the pipelines ------------------------------------------------------------
@@ -666,6 +659,47 @@ def _finite_pq_minus_r(rules: list[Rule], p: int, q: int, r: int) -> None:
         _apply(rules, FINITE_Q, "residual_case_table", p, q, r, survivors)
 
 
+def _cyclic_minus2_pq(rules: list[Rule], p: int, q: int, r: int) -> None:
+    if _apply(rules, CYCLIC, "no_nonintegral_slopes", p, q, r) is not None:
+        return
+    window = _apply(rules, CYCLIC, "nonintegral_proximity", p, q, r)
+    for u in window["candidates"]:
+        _eliminated(rules, CYCLIC, ("lens_toroidal_distance:", "snappea_hyperbolic:",
+                                    "seminorm_infeasibility:"), p, q, r, u)
+
+
+def classify(k: PretzelKnot, question: str) -> Certificate:
+    """The certificate of k on the question, "cyclic" or "finite", derived afresh.
+
+    The one path through the paper's case analysis: no certificate is read
+    from a memo here, so replay derives a certificate again with this and
+    compares.  ValueError for an unknown question or a link; ArithmeticError
+    when a bound the paper proves on a whole branch fails.
+    """
+    if question not in RULES:
+        raise ValueError(f"unknown question {question!r}")
+    fam, opened = _open(k, question)
+    if opened:
+        return Certificate(k, question, *opened)
+    rules, (p, q), r = [], fam.odd_pair, -fam.even_value
+    if fam.tag is _M2 and p == 3:
+        _published_minus2_3(rules, question, p, q, r)
+    elif question == CYCLIC and fam.tag is _M2:
+        _cyclic_minus2_pq(rules, p, q, r)
+    elif question == CYCLIC:  # a (p,q,-r) knot, which its finite verdict settles
+        if cyclic_via_finite(p, q, r) is None:
+            raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
+                                  "cyclic_via_finite does not apply")
+        return Certificate(k, CYCLIC, *_OPENED["cyclic_via_finite"])
+    elif fam.tag is _PQR:
+        _finite_pq_minus_r(rules, p, q, r)
+    elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:
+        raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
+                              "not-cyclic annotation does not apply")
+    _, realized, verdict = conclude(rules)
+    return Certificate(k, question, verdict, realized, tuple(rules))
+
+
 @lru_cache(maxsize=1)
 def classify_finite(k: PretzelKnot) -> Certificate:
     """Verdict and certificate for non-trivial finite surgeries on k.
@@ -675,48 +709,9 @@ def classify_finite(k: PretzelKnot) -> Certificate:
     A second call on that knot returns the kept record itself, which no
     caller can edit but through its rule inputs.
     """
-    fam, opened = _open(k, FINITE_Q)
-    if opened:
-        return Certificate(k, FINITE_Q, *opened)
-    rules, (p, q), r = [], fam.odd_pair, -fam.even_value
-    if fam.tag is FamilyTag.PQ_MINUS_R:
-        _finite_pq_minus_r(rules, p, q, r)
-    elif p == 3:
-        _published_minus2_3(rules, FINITE_Q, p, q, r)
-    elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:
-        raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
-                              "not-cyclic annotation does not apply")
-    return _certificate(k, FINITE_Q, rules)
-
-
-def _cyclic_minus2_pq(rules: list[Rule], p: int, q: int, r: int) -> None:
-    if p == 3:
-        return _published_minus2_3(rules, CYCLIC, p, q, r)
-    if _apply(rules, CYCLIC, "no_nonintegral_slopes", p, q, r) is not None:
-        return
-    window = _apply(rules, CYCLIC, "nonintegral_proximity", p, q, r)
-    for u in window["candidates"]:
-        _eliminated(rules, CYCLIC, ("lens_toroidal_distance:", "snappea_hyperbolic:",
-                                    "seminorm_infeasibility:"), p, q, r, u)
+    return classify(k, FINITE_Q)
 
 
 def classify_cyclic(k: PretzelKnot) -> Certificate:
     """Verdict and certificate for non-trivial cyclic surgeries on k."""
-    fam, opened = _open(k, CYCLIC)
-    if opened:
-        return Certificate(k, CYCLIC, *opened)
-    rules, (p, q), r = [], fam.odd_pair, -fam.even_value
-    if fam.tag is FamilyTag.MINUS2_PQ:
-        _cyclic_minus2_pq(rules, p, q, r)
-    elif _apply(rules, CYCLIC, "cyclic_via_finite", p, q, r) is None:
-        raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
-                              "cyclic_via_finite does not apply")
-    return _certificate(k, CYCLIC, rules)
-
-
-def classify(k: PretzelKnot, question: str) -> Certificate:
-    if question == CYCLIC:
-        return classify_cyclic(k)
-    if question == FINITE_Q:
-        return classify_finite(k)
-    raise ValueError(f"unknown question {question!r}")
+    return classify(k, CYCLIC)

@@ -373,6 +373,20 @@ def _respell(rule_id, new_id):
     return forge
 
 
+def _rechain(rule_id, chain):
+    # Rebuild the chain around the rule rule_id: chain(before, rule, after)
+    # gives the new one.
+    def forge(cert):
+        i = next(i for i, r in enumerate(cert.rules) if r.id == rule_id)
+        return cert._replace(rules=tuple(chain(cert.rules[:i], cert.rules[i],
+                                               cert.rules[i + 1:])))
+    return forge
+
+
+def _replace_by(rule_id, new_id, inputs):
+    return _rechain(rule_id, lambda before, rule, after: (*before, Rule(new_id, inputs), *after))
+
+
 def _reconcluded(*forges):
     # Apply the forges in turn, then store the realized slopes and verdict the
     # forged chain implies, so that only its premises can reject it.
@@ -469,6 +483,35 @@ COPIED_RULES = [
     *((f"residual_survivors_{name}", classify_finite, (3, 5, -6),
        _reconcluded(_edit_rule("residual_case_table", survivors=survivors)))
       for name, survivors in (("with_a_slope_added", [23, 1]), ("emptied", []))),
+    # Sound but out of the one path through the case analysis: a chain that
+    # is empty, repeats a rule, swaps or moves rules, leaves out a rule that
+    # settles nothing, or applies a later alternative of a first-match choice.
+    *((f"empty_chain_of_{name}", classifier, triple, _reconcluded(_set(rules=())))
+      for name, classifier, triple in (("a_finite_window", classify_finite, (7, 9, -10)),
+                                       ("a_proximity_window", classify_cyclic, (-2, 5, 9)),
+                                       ("an_opening_row", classify_cyclic, (-3, 3, 5)))),
+    ("denominator_bound_duplicated", classify_finite, (7, 9, -10),
+     _reconcluded(_rechain("denominator_bound", lambda before, rule, after: (
+         *before, rule, rule, *after)))),
+    ("denominator_bound_swapped_with_even_norm_floor", classify_finite, (7, 9, -10),
+     _reconcluded(_rechain("denominator_bound", lambda before, rule, after: (
+         *before, after[0], rule, *after[1:])))),
+    ("nonintegral_proximity_duplicated", classify_cyclic, (-2, 5, 9),
+     _reconcluded(_rechain("nonintegral_proximity", lambda before, rule, after: (
+         *before, rule, rule, *after)))),
+    *((f"known_examples_{name}_{classifier.__name__}", classifier, (-2, 3, 7),
+       _reconcluded(_rechain("known_examples", chain)))
+      for name, chain in (("dropped", lambda before, rule, after: (*before, *after)),
+                          ("moved_first", lambda before, rule, after: (rule, *before, *after)))
+      for classifier in (classify_cyclic, classify_finite)),
+    ("not_cyclic_annotation_dropped", classify_finite, (-2, 7, 9),
+     _reconcluded(_drop_rule("not_cyclic_annotation"))),
+    ("toroidal_gap_small_p_replaced_by_a_slope_elimination", classify_finite, (3, 5, -8),
+     _reconcluded(_replace_by("toroidal_gap_small_p", "exceptional_distance:27",
+                              classify_module.exceptional_distance(3, 5, 8, 27)))),
+    ("exceptional_distance_replaced_by_the_quotient_rule", classify_finite, (7, 9, -10),
+     _reconcluded(_replace_by("exceptional_distance:43", "coxeter_quotient_infinite:43",
+                              classify_module.coxeter_quotient_infinite(7, 9, 10, 43)))),
     # A certificate of a knot moved onto a link, which classify refuses.
     *((f"{classifier.__name__}_moved_onto_the_link_{'_'.join(map(str, link))}", classifier,
        (-3, 3, 5), _set(knot=PretzelKnot(*link)))

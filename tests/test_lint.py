@@ -18,8 +18,8 @@ def test_no_assert_statements(path):
 
 
 def test_replay_uses_only_public_names_of_classify():
-    # Replay calls classify's premises; a private helper would be a second,
-    # unchecked definition of a rule.
+    # Replay derives a certificate again through classify's public entry; a
+    # private helper would be a second, unchecked path through the rules.
     tree = ast.parse((SRC / "replay.py").read_text())
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "classify"
@@ -28,8 +28,9 @@ def test_replay_uses_only_public_names_of_classify():
 
 
 def test_rule_ids_live_only_in_the_classify_table():
-    # Replay reads each rule's family, premise and what it settles from
-    # classify.RULES; a rule id spelled out in replay would be a second table.
+    # Replay derives the chain through classify's pipelines, which apply the
+    # rows of classify.RULES; a rule id spelled out in replay would be a
+    # second table.
     from pretzel_surgery.classify import RULES
     ids = {key for rows in RULES.values() for key in rows}
     ids |= {key.rstrip(":") for key in ids}
@@ -91,7 +92,8 @@ def test_certificates_store_only_their_chain_and_verdict():
     # megabytes of peak memory.  The data and the slope marks are derived
     # when read, so there is no slope-mark record either.  A row that records
     # the same inputs on every knot is one shared rule, and a knot that an
-    # opening row settles gets that row's shared chain.
+    # opening row settles gets that row's shared chain, as does every
+    # (p,q,-r) knot of the cyclic sweep (its one rule is cyclic_via_finite).
     import pretzel_surgery.classify as classify
     from pretzel_surgery.classify import CYCLIC, Certificate
     from pretzel_surgery.knots import canonicalize
@@ -109,6 +111,9 @@ def test_certificates_store_only_their_chain_and_verdict():
     assert {c.rules[0].id for c in opened} == set(classify._OPENED)
     assert all((c.verdict, c.realized, c.rules) == classify._OPENED[c.rules[0].id]
                and c.rules is classify._OPENED[c.rules[0].id][2] for c in opened)
+    via_finite = [c for c in certificates if c.rules[0].id == "cyclic_via_finite"]
+    assert len(via_finite) == 60
+    assert all(c.rules is classify._OPENED["cyclic_via_finite"][2] for c in via_finite)
 
 
 def test_readme_lists_every_module():

@@ -5,8 +5,11 @@ Each certificate of the three pinned streams (those of
 its verdict, and gains each row of its question without a slope, recorded
 with None as its inputs (what a premise that fails returns) and with the
 realized slopes and verdict the longer chain implies; a finite certificate
-also loses each of its norm rules in turn.  A mutant that still emits the
-genuine bytes is not tampered; every other mutant must fail replay.  A
+also loses each of its norm rules in turn.  Whole rules are also dropped,
+duplicated, swapped with the next one, moved to the front and moved to the
+back, with the realized slopes and verdict the new chain implies.  A mutant
+that still emits the genuine bytes is not tampered; every other mutant must
+fail replay.  A
 rule's text, the data and the slope marks are not recorded, so they cannot
 be edited: the emitter derives them from the rule table, the knot and the chain.
 """
@@ -83,6 +86,55 @@ def test_replay_rejects_every_mutant_of_the_pinned_certificates(stream):
                     if replay_certificate(mutant):
                         forged.append(f"{cert.knot} {cert.question} {operator}")
     assert tried > len(certs)
+    assert forged == []
+
+
+def _reconcluded(cert, rules):
+    _, realized, verdict = conclude(rules)
+    return cert._replace(rules=rules, realized=realized, verdict=verdict)
+
+
+def _rule_mutants(cert) -> dict[str, list]:
+    """Operator name -> the chains it makes of cert's by moving whole rules,
+    each re-concluded."""
+    rules, n = cert.rules, len(cert.rules)
+    chains = {
+        "drop": [rules[:i] + rules[i + 1:] for i in range(n)],
+        "duplicate": [rules[:i + 1] + rules[i:] for i in range(n)],
+        "swap_adjacent": [(*rules[:i], rules[i + 1], rules[i], *rules[i + 2:])
+                          for i in range(n - 1)],
+        "move_to_front": [(rules[i], *rules[:i], *rules[i + 1:]) for i in range(1, n)],
+        "move_to_back": [(*rules[:i], *rules[i + 1:], rules[i]) for i in range(n - 1)],
+    }
+    return {operator: [_reconcluded(cert, chain) for chain in made]
+            for operator, made in chains.items()}
+
+
+# Mutants tried per stream and operator, those that emit the genuine bytes left out.
+RULE_MUTANTS_TRIED = {
+    "cyclic": {"drop": 593, "duplicate": 593, "swap_adjacent": 23, "move_to_front": 23,
+               "move_to_back": 23},
+    "finite": {"drop": 5687, "duplicate": 5687, "swap_adjacent": 4829, "move_to_front": 4829,
+               "move_to_back": 4829},
+    "minus2": {"drop": 111, "duplicate": 111, "swap_adjacent": 59, "move_to_front": 59,
+               "move_to_back": 59},
+}
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+def test_replay_rejects_every_whole_rule_mutant(stream):
+    # Replay derives the chain again, so a rule dropped, repeated or out of
+    # place fails it, even when the verdict and realized slopes follow the chain.
+    tried, forged = dict.fromkeys(RULE_MUTANTS_TRIED[stream], 0), []
+    for cert in STREAMS[stream]():
+        genuine = emit_certificate(cert)
+        for operator, mutants in _rule_mutants(cert).items():
+            for mutant in mutants[:1] if _solves_norm_lps(cert) else mutants:
+                if emit_certificate(mutant) != genuine:
+                    tried[operator] += 1
+                    if replay_certificate(mutant):
+                        forged.append(f"{cert.knot} {cert.question} {operator}")
+    assert tried == RULE_MUTANTS_TRIED[stream]
     assert forged == []
 
 
