@@ -13,9 +13,9 @@ slopes; its data and slope marks are derived when read.  The one-knot memos
 here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
 functions of the knot, so replay shares no mutable state with classify.  A
 row whose premise records the same inputs on every knot where it holds is one
-read-only rule built at import, shared by every certificate recording it, and
-a knot that one such row settles alone (an opening row, or ``cyclic_via_finite``)
-gets that row's chain, concluded at import.
+read-only rule built at import, shared by every certificate recording it; a
+table keyed by question and family tag names the one that settles a knot
+alone, and the knot gets that row's chain, concluded at import.
 Imported theorems enter only through the facts table; computed steps are int
 kernels (slopes and gaps as reduced pairs, no ``Fraction``).
 
@@ -36,8 +36,7 @@ from . import facts
 from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
                        nonintegral_slopes_pq_minus_r, small_p_pair, toroidal_gap_pairs_large_p)
 from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
-from .knots import (FamilyTag, KnotFamily, PretzelKnot, TorusStatus, family, torus_status,
-                    triangle_slack)
+from .knots import FamilyTag, KnotFamily, PretzelKnot, family, triangle_slack
 from .norms import cyclic_infeasibility_minus2_5_q
 from .slopes import ratio_text
 from .triangle import irreducible_char_count
@@ -167,24 +166,20 @@ def rule_text(question: str, rule_id: str, inputs: dict) -> tuple[str, str, str]
 # -- premises ----------------------------------------------------------------
 #
 # One function per rule.  It returns the inputs the rule records when its
-# premise holds, None when it does not.  An opening rule, which applies to
-# any knot, takes the knot and its family.  The other rules take the knot's
+# premise holds, None when it does not.  A rule that settles a knot alone
+# takes the knot and its family.  The other rules take the knot's
 # parameters, (p, q, r) for (p,q,-r) and (p, q, 2) for (-2,p,q), and the
 # slope u of a per-slope rule "id:u".  A bound the paper proves on the whole
 # branch raises ArithmeticError when it fails.
 
 
-def torus_pretzel(k: PretzelKnot, fam: KnotFamily) -> dict | None:
-    return {} if fam.tag is FamilyTag.TORUS else None
+def _tagged(tag: FamilyTag, k: PretzelKnot, fam: KnotFamily) -> dict | None:
+    return {} if fam.tag is tag else None
 
 
-def unclassified_indices(k: PretzelKnot, fam: KnotFamily) -> dict | None:
-    return {} if torus_status(k) is TorusStatus.UNCLASSIFIED else None
-
-
-def lamination_form(k: PretzelKnot, fam: KnotFamily) -> dict | None:
-    outside = fam.tag is FamilyTag.OTHER and torus_status(k) is TorusStatus.NOT_TORUS
-    return {} if outside else None
+torus_pretzel = partial(_tagged, FamilyTag.TORUS)
+unclassified_indices = partial(_tagged, FamilyTag.UNCLASSIFIED)
+lamination_form = partial(_tagged, FamilyTag.OTHER)
 
 
 @lru_cache(maxsize=1)
@@ -357,8 +352,8 @@ def not_cyclic_annotation(p: int, q: int, r: int) -> dict | None:
     return {"p": p, "q": q} if cyclic == NONE else None
 
 
-def cyclic_via_finite(p: int, q: int, r: int) -> dict | None:
-    finite = classify_finite(PretzelKnot(-r, p, q)).verdict
+def cyclic_via_finite(k: PretzelKnot, fam: KnotFamily) -> dict | None:
+    finite = classify_finite(k).verdict
     return {"finite_verdict": finite} if finite == NONE else None
 
 
@@ -569,10 +564,14 @@ _SHARED = {key: Rule(key, _ReadOnly(inputs)) for key, inputs in [
     *((key, {}) for key in ("torus_pretzel", "unclassified_indices", "lamination_form",
                             "denominator_bound", "half_integral_excluded", "odd_uniqueness")),
     ("cyclic_via_finite", {"finite_verdict": NONE})]}
-_OPENING = ("lamination_form", "unclassified_indices", "torus_pretzel")  # commonest first
-# The chain (verdict, realized, rules) of a knot that one shared row settles
-# alone: an opening row, or cyclic_via_finite on a (p,q,-r) knot.
-_OPENED = {key: (verdict, realized, (_SHARED[key],)) for key in (*_OPENING, "cyclic_via_finite")
+# (question, family tag) -> the shared row that settles a knot of the family
+# alone: an opening row, or on the cyclic question a (p,q,-r) knot's finite verdict.
+_ALONE = {(question, tag): key for question in RULES for tag, key in [
+    (FamilyTag.TORUS, "torus_pretzel"), (FamilyTag.UNCLASSIFIED, "unclassified_indices"),
+    (FamilyTag.OTHER, "lamination_form")]}
+_ALONE[CYCLIC, _PQR] = "cyclic_via_finite"
+# The chain (verdict, realized, rules) of each such row, concluded once.
+_OPENED = {key: (verdict, realized, (_SHARED[key],)) for key in dict.fromkeys(_ALONE.values())
            for _, realized, verdict in [conclude([_SHARED[key]])]}
 
 
@@ -611,21 +610,6 @@ def _eliminated(rules: list[Rule], question: str, keys: tuple[str, ...], p: int,
 
 
 # -- the pipelines ------------------------------------------------------------
-
-
-def _open(k: PretzelKnot, question: str) -> tuple[KnotFamily, tuple | None]:
-    """The family of k, and the shared chain ``(verdict, realized, rules)`` of
-    the opening row that settles k; None for a (-2,p,q) or (p,q,-r) knot."""
-    if not k.is_knot:
-        raise ValueError(f"{k} is a link, not a knot")
-    fam = family(k)
-    if fam.tag is _M2 or fam.tag is _PQR:  # the three premises need another tag
-        return fam, None
-    # Exactly one of these premises holds off the two families.
-    for key in _OPENING:
-        if RULES[question][key].premise(k, fam) == _SHARED[key].inputs:
-            return fam, _OPENED[key]
-    raise ArithmeticError(f"no opening rule settles {k}")
 
 
 def _published_minus2_3(rules: list[Rule], question: str, p: int, q: int, r: int) -> None:
@@ -674,23 +658,23 @@ def classify(k: PretzelKnot, question: str) -> Certificate:
     The one path through the paper's case analysis: no certificate is read
     from a memo here, so replay derives a certificate again with this and
     compares.  ValueError for an unknown question or a link; ArithmeticError
-    when a bound the paper proves on a whole branch fails.
+    when a premise or bound the paper proves on the knot's branch fails.
     """
     if question not in RULES:
         raise ValueError(f"unknown question {question!r}")
-    fam, opened = _open(k, question)
-    if opened:
-        return Certificate(k, question, *opened)
+    if not k.is_knot:
+        raise ValueError(f"{k} is a link, not a knot")
+    fam = family(k)
+    key = _ALONE.get((question, fam.tag))
+    if key:
+        if RULES[question][key].premise(k, fam) is None:
+            raise ArithmeticError(f"the premise of {key} fails on {k}")
+        return Certificate(k, question, *_OPENED[key])
     rules, (p, q), r = [], fam.odd_pair, -fam.even_value
     if fam.tag is _M2 and p == 3:
         _published_minus2_3(rules, question, p, q, r)
-    elif question == CYCLIC and fam.tag is _M2:
+    elif question == CYCLIC:  # a (-2,p,q) knot
         _cyclic_minus2_pq(rules, p, q, r)
-    elif question == CYCLIC:  # a (p,q,-r) knot, which its finite verdict settles
-        if cyclic_via_finite(p, q, r) is None:
-            raise ArithmeticError(f"the finite verdict of {k} is not {NONE}; "
-                                  "cyclic_via_finite does not apply")
-        return Certificate(k, CYCLIC, *_OPENED["cyclic_via_finite"])
     elif fam.tag is _PQR:
         _finite_pq_minus_r(rules, p, q, r)
     elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:

@@ -32,6 +32,7 @@ class TorusStatus(Enum):
 
 class FamilyTag(Enum):
     TORUS = "TORUS"
+    UNCLASSIFIED = "UNCLASSIFIED"
     MINUS2_PQ = "MINUS2_PQ"
     PQ_MINUS_R = "PQ_MINUS_R"
     OTHER = "OTHER"
@@ -108,13 +109,16 @@ def torus_status(k: PretzelKnot) -> TorusStatus:
     return TorusStatus.UNCLASSIFIED
 
 
-_TORUS, _OTHER = KnotFamily(FamilyTag.TORUS), KnotFamily(FamilyTag.OTHER)  # built once, shared
+_TORUS, _UNCLASSIFIED, _OTHER = (KnotFamily(tag) for tag in (  # parameter-free, shared
+    FamilyTag.TORUS, FamilyTag.UNCLASSIFIED, FamilyTag.OTHER))
 
 
 @lru_cache(maxsize=1)  # classify and replay ask for one knot's family in turn
 def family(k: PretzelKnot) -> KnotFamily:
-    if torus_status(k) is TorusStatus.TORUS:
-        return _TORUS
+    """Sort k, reading its torus status once; OTHER is a non-torus knot in neither family."""
+    status = torus_status(k)
+    if status is not TorusStatus.NOT_TORUS:
+        return _TORUS if status is TorusStatus.TORUS else _UNCLASSIFIED
     a, b, c = k
     if a == -2 and b % 2 == c % 2 == 1 and 3 <= b <= c:
         return KnotFamily(FamilyTag.MINUS2_PQ, odd_pair=(b, c), even_value=-2)

@@ -9,7 +9,7 @@ positive norm S.  Every rule in this module manipulates such forms exactly;
 feasibility questions go through :mod:`pretzel_surgery.linprog` and return
 either exact rational sample points or Farkas witnesses.  Every row is
 integral, as :func:`linprog.row` requires: the coefficients are
-``2 * distance``, the offsets 0, and the positivity rows unit rows.
+``2 * distance``, the right-hand sides 0, and the positivity rows unit rows.
 :func:`_pair_systems` builds the pairwise ``(-2,5,q)`` systems once, for
 both the solve and the re-verification of its witnesses.
 
@@ -42,23 +42,18 @@ def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, .
 
 @dataclass(frozen=True)
 class NormConstraint:
-    """A relation  |gamma| (EQ|GE|LE) S + offset  over a fixed boundary list."""
+    """A relation  |gamma| (EQ|GE|LE) S  over a fixed boundary list."""
 
     gamma: Slope
     coeffs: tuple[int, ...]
     rel: str
-    offset: int = 0
-
-    @property
-    def rhs_label(self) -> str:
-        return "S" if self.offset == 0 else f"S{self.offset:+d}"
 
     @property
     def label(self) -> str:
-        return f"|{self.gamma}| {self.rel} {self.rhs_label}"
+        return f"|{self.gamma}| {self.rel} S"
 
     def to_json(self) -> dict:
-        return {"gamma": str(self.gamma), "kind": self.rel, "rhs": self.rhs_label}
+        return {"gamma": str(self.gamma), "kind": self.rel, "rhs": "S"}
 
 
 @dataclass
@@ -68,8 +63,8 @@ class NormSystem:
     boundary: tuple[Slope, ...]
     constraints: list[NormConstraint] = field(default_factory=list)
 
-    def add(self, gamma: Slope, rel: str, offset: int = 0) -> NormConstraint:
-        c = NormConstraint(gamma, norm_coefficients(self.boundary, gamma), rel, offset)
+    def add(self, gamma: Slope, rel: str) -> NormConstraint:
+        c = NormConstraint(gamma, norm_coefficients(self.boundary, gamma), rel)
         self.constraints.append(c)
         return c
 
@@ -78,10 +73,8 @@ class NormSystem:
         return len(self.boundary) + 1
 
     def lp_rows(self) -> list[LinearRow]:
-        rows = []
-        for c in self.constraints:
-            rows.append(linprog.row(c.coeffs + (-1,), c.rel, c.offset, c.label))
-        return rows
+        """|gamma| - S (rel) 0 per constraint."""
+        return [linprog.row(c.coeffs + (-1,), c.rel, 0, c.label) for c in self.constraints]
 
     def to_json(self) -> dict:
         return {
@@ -138,9 +131,9 @@ def minus2_5q_norm_system(q: int) -> NormSystem:
     |mu| = S, |2q+5| = S and |2q+4| >= S over the full boundary-slope list."""
     boundary = slope_list_minus2_5_q(q).slopes
     system = NormSystem(boundary)
-    system.add(MERIDIAN, EQ, 0)
-    system.add(make_slope(2 * q + 5, 1), EQ, 0)
-    system.add(make_slope(2 * q + 4, 1), GE, 0)
+    system.add(MERIDIAN, EQ)
+    system.add(make_slope(2 * q + 5, 1), EQ)
+    system.add(make_slope(2 * q + 4, 1), GE)
     return system
 
 

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 from types import ModuleType
@@ -10,6 +11,7 @@ from types import ModuleType
 import pytest
 
 import pretzel_surgery.classify as classify_module
+import pretzel_surgery.knots as knots_module
 from pretzel_surgery import facts
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
                                       TORUS_INFINITE, UNRESOLVED, Certificate, Rule,
@@ -18,7 +20,7 @@ from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, S
                                       quotient_certified_infinite, strict_triangle)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import INFINITE, CoxeterSignature, edjvet_verdict
-from pretzel_surgery.knots import (FamilyTag, PretzelKnot, TorusStatus, canonicalize,
+from pretzel_surgery.knots import (FamilyTag, KnotFamily, PretzelKnot, canonicalize,
                                    enumerate_canonical, family, triangle_slack)
 from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
                                    minus2_5q_norm_system)
@@ -789,7 +791,7 @@ def test_a_copied_rule_is_rejected_with_the_store_warm_and_cold(rule_id, classif
 def test_replay_evaluates_each_premise_on_the_knot(monkeypatch):
     # Replay reads no value classify computed: a premise kernel that gives
     # another count after classify makes the certificate fail replay, and so
-    # does a torus status that moves a knot off the shared opening chain it got.
+    # does a family that moves a knot off the shared opening chain it got.
     cert = classify_finite(canonicalize(7, 9, -10))
     opened = classify_cyclic(canonicalize(-1, 3, 5))
     assert replay_certificate(cert) and replay_certificate(opened)
@@ -797,7 +799,7 @@ def test_replay_evaluates_each_premise_on_the_knot(monkeypatch):
     count = classify_module.irreducible_char_count
     monkeypatch.setattr(classify_module, "irreducible_char_count",
                         lambda p, q, m: count(p, q, m) + 1)
-    monkeypatch.setattr(classify_module, "torus_status", lambda k: TorusStatus.NOT_TORUS)
+    monkeypatch.setattr(classify_module, "family", lambda k: KnotFamily(FamilyTag.OTHER))
     assert not replay_certificate(cert)
     assert not replay_certificate(opened)
 
@@ -832,23 +834,51 @@ def test_cyclic_sweep_still_recomputes_nested_runs_and_norm_models(monkeypatch):
 _OPENING = ("lamination_form", "unclassified_indices", "torus_pretzel")
 
 
-def test_open_lets_family_knots_skip_the_opening_rules():
-    # _open returns at once on a (-2,p,q) or (p,q,-r) knot; every other knot
-    # gets the shared chain of the one opening premise that holds.
-    family_knots = 0
+def test_the_family_tag_picks_the_row_that_settles_a_knot_alone():
+    # Off the two families exactly one opening premise holds, and inside them
+    # none; classify returns the shared chain of the row that the
+    # (question, tag) table names, and on the cyclic question that row is
+    # cyclic_via_finite for every (p,q,-r) knot.
+    families = (FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R)
+    seen = dict.fromkeys((CYCLIC, FINITE_Q), 0)
     for k in enumerate_canonical(60):
         if not k.is_knot:
             continue
         fam = family(k)
         holds = [key for key in _OPENING if getattr(classify_module, key)(k, fam) is not None]
-        assert len(holds) <= 1
-        if fam.tag in (FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R):
-            family_knots += 1
-            assert holds == [], k
+        assert len(holds) == (0 if fam.tag in families else 1), k
         for question in (CYCLIC, FINITE_Q):
-            rest, opened = classify_module._open(k, question)
-            assert rest is fam and [r.id for r in (opened[2] if opened else ())] == holds, k
-    assert family_knots > 0
+            key = classify_module._ALONE.get((question, fam.tag))
+            if question == CYCLIC and fam.tag is FamilyTag.PQ_MINUS_R:
+                assert key == "cyclic_via_finite"
+            else:
+                assert ([key] if key else []) == holds, k
+            if key is None:
+                continue
+            seen[question] += 1
+            cert = classify_module.classify(k, question)
+            assert cert.rules is classify_module._OPENED[key][2], k
+            assert (cert.verdict, cert.realized) == classify_module._OPENED[key][:2]
+    assert 0 < seen[FINITE_Q] < seen[CYCLIC]
+
+
+def test_cyclic_sweep_reads_torus_status_once_per_knot(monkeypatch):
+    # knots.family is the one reader of a knot's torus status, and its
+    # one-entry memo serves classify, the nested finite run and replay.
+    original, calls = knots_module.torus_status, []
+
+    def counted(k):
+        calls.append(k)
+        return original(k)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("pretzel_surgery")]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    family.cache_clear()
+    report = sweep_cyclic(11)
+    assert len(report.certificates) == 572 and not report.violations
+    assert len(calls) == 572 and set(calls) == {c.knot for c in report.certificates}
 
 
 # One knot of each branch of the finite (p,q,-r) pipeline, and the rule that
@@ -884,6 +914,14 @@ def test_replay_rejects_an_unknown_rule_or_question():
     cert = classify_cyclic(canonicalize(-2, 3, 7))
     assert not replay_certificate(_add_rule("made_up_rule", {})(cert))
     assert not replay_certificate(Certificate(canonicalize(-3, 3, 5), "bogus"))
+
+
+@pytest.mark.parametrize("knot,question", [
+    ((-2, 3, 7), CYCLIC), (None, CYCLIC), (canonicalize(-2, 3, 7), [CYCLIC])],
+    ids=["plain_tuple_knot", "no_knot", "unhashable_question"])
+def test_replay_rejects_a_knot_or_question_of_another_type(knot, question):
+    # Untrusted input gets False, not an AttributeError or TypeError.
+    assert replay_certificate(Certificate(knot, question)) is False
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -96,6 +96,17 @@ def test_families():
     assert family(canonicalize(-2, 3, 5)).tag is FamilyTag.TORUS
 
 
+def test_families_with_a_plus_minus_one_index():
+    # A +-1 triple is TORUS on the (-2,1,n) pattern and UNCLASSIFIED otherwise;
+    # each parameter-free family is one shared record.
+    assert family(canonicalize(-2, 1, 7)).tag is FamilyTag.TORUS
+    assert family(canonicalize(1, 3, 4)).tag is FamilyTag.UNCLASSIFIED
+    assert family(canonicalize(-1, 3, 5)).tag is FamilyTag.UNCLASSIFIED
+    assert family(canonicalize(1, 3, 4)) is family(canonicalize(-1, 3, 5))
+    assert family(canonicalize(-2, 3, 5)) is family(canonicalize(3, 3, -2))
+    assert family(canonicalize(-3, 3, 4)) is family(canonicalize(-3, 5, 7))
+
+
 def test_hyperbolicity_condition():
     assert not hyperbolicity_condition(canonicalize(3, 3, -4))
     assert not hyperbolicity_condition(canonicalize(3, 5, -4))

@@ -17,6 +17,34 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, save those on an import
+    marked ``# noqa: F401`` (a binding kept for other modules to read)."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                and not any("# noqa: F401" in line
+                            for line in lines[node.lineno - 1:node.end_lineno])
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py imports only to re-export, so it is not checked.
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_the_unused_import_check_sees_a_leftover_name():
+    source = "from .knots import TorusStatus, family  # a comment\nfamily(k)\n"
+    assert _unused_imports(source) == ["TorusStatus"]
+    assert _unused_imports(source.replace("# a comment", "# noqa: F401")) == []
+
+
 def test_replay_uses_only_public_names_of_classify():
     # Replay derives a certificate again through classify's public entry; a
     # private helper would be a second, unchecked path through the rules.

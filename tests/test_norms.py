@@ -99,7 +99,7 @@ def test_tampered_witness_fails_verification():
 def test_norm_system_without_pair_constraints_has_scalable_ray():
     # Dropping the minimality constraints leaves a feasible homogeneous cone.
     system = NormSystem(minus2_5q_norm_system(9).boundary)
-    system.add(MERIDIAN, linprog.EQ, 0)
+    system.add(MERIDIAN, linprog.EQ)
     rows = system.lp_rows()
     unit = [0] * system.nvars
     unit[0] = 1
