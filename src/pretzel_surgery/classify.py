@@ -667,6 +667,7 @@ def classify(k: PretzelKnot, question: str) -> Certificate:
     fam = family(k)
     key = _ALONE.get((question, fam.tag))
     if key:
+        # The opening premises test the tag looked up: only cyclic_via_finite can fail.
         if RULES[question][key].premise(k, fam) is None:
             raise ArithmeticError(f"the premise of {key} fails on {k}")
         return Certificate(k, question, *_OPENED[key])

@@ -792,15 +792,22 @@ def test_replay_evaluates_each_premise_on_the_knot(monkeypatch):
     # Replay reads no value classify computed: a premise kernel that gives
     # another count after classify makes the certificate fail replay, and so
     # does a family that moves a knot off the shared opening chain it got.
+    # Each patch is checked alone, while the other certificate still replays.
     cert = classify_finite(canonicalize(7, 9, -10))
-    opened = classify_cyclic(canonicalize(-1, 3, 5))
+    unclassified = canonicalize(-1, 3, 5)
+    opened = classify_cyclic(unclassified)
     assert replay_certificate(cert) and replay_certificate(opened)
     assert opened.rules is classify_module._OPENED["unclassified_indices"][2]
     count = classify_module.irreducible_char_count
     monkeypatch.setattr(classify_module, "irreducible_char_count",
                         lambda p, q, m: count(p, q, m) + 1)
-    monkeypatch.setattr(classify_module, "family", lambda k: KnotFamily(FamilyTag.OTHER))
     assert not replay_certificate(cert)
+    assert replay_certificate(opened)
+    monkeypatch.setattr(classify_module, "irreducible_char_count", count)
+    sort = classify_module.family
+    monkeypatch.setattr(classify_module, "family", lambda k: (
+        KnotFamily(FamilyTag.OTHER) if k == unclassified else sort(k)))
+    assert replay_certificate(cert)
     assert not replay_certificate(opened)
 
 
