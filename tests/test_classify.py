@@ -22,8 +22,6 @@ from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from pretzel_surgery.knots import (FamilyTag, KnotFamily, PretzelKnot, canonicalize,
                                    enumerate_canonical, family, triangle_slack)
-from pretzel_surgery.norms import (FeasibilityVerdict, PairwiseInfeasibilityReport,
-                                   minus2_5q_norm_system)
 from pretzel_surgery.replay import replay_certificate
 from pretzel_surgery.slopes import ratio_text
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
@@ -57,11 +55,7 @@ def test_submodule_names_are_modules():
     assert importlib.import_module("pretzel_surgery.classify") is classify_module
 
 
-def test_cyclic_refuses_a_feasible_norm_report(monkeypatch):
-    feasible = PairwiseInfeasibilityReport(
-        9, minus2_5q_norm_system(9), (FeasibilityVerdict(True, (0, 1)),))
-    monkeypatch.setattr(classify_module, "cyclic_infeasibility_minus2_5_q",
-                        lambda q: feasible)
+def test_cyclic_refuses_a_feasible_norm_report(feasible_norm_model):
     with pytest.raises(ArithmeticError, match=r"feasible at pair \(0, 1\)"):
         classify_cyclic(canonicalize(-2, 5, 9))
 

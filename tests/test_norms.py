@@ -1,5 +1,7 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -69,8 +71,9 @@ def test_witnesses_pinned_for_the_whole_family():
     # one pivot path per LP, so a solver that strays from it changes the digest.
     lines = []
     for q in range(9, 100, 2):
-        for v in cyclic_infeasibility_minus2_5_q(q).verdicts:
-            i, j = v.pair_tested
+        report = cyclic_infeasibility_minus2_5_q(q)
+        pairs = combinations(range(len(report.system.boundary)), 2)
+        for (i, j), v in zip(pairs, report.verdicts, strict=True):
             lines.append(f"{q} {i},{j} " + ",".join(str(w) for w in v.witness))
     assert len(lines) == 690
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -85,14 +88,9 @@ def test_infeasibility_rejects_small_or_even_q(q):
 
 def test_tampered_witness_fails_verification():
     report = cyclic_infeasibility_minus2_5_q(9)
-    verdicts = list(report.verdicts)
-    bad = verdicts[0]
-    tampered = bad.__class__(feasible=bad.feasible, pair_tested=bad.pair_tested,
-                             sample=bad.sample,
-                             witness=tuple(w + 1 for w in bad.witness),
-                             row_labels=bad.row_labels)
-    broken = report.__class__(report.q, report.system,
-                              tuple([tampered] + verdicts[1:]))
+    bad = report.verdicts[0]
+    tampered = replace(bad, witness=tuple(w + 1 for w in bad.witness))
+    broken = replace(report, verdicts=(tampered, *report.verdicts[1:]))
     assert not verify_infeasibility_report(broken)
 
 
