@@ -365,9 +365,10 @@ def seminorm_infeasibility(p: int, q: int, r: int, u: int) -> dict | None:
     if not (p == 5 and q >= 9 and u == 2 * q + 5):
         return None
     report = cyclic_infeasibility_minus2_5_q(q)
-    if not report.infeasible_for_all_pairs:
+    feasible = [pair for pair, v in zip(report.pairs, report.verdicts) if v.feasible]
+    if feasible:
         raise ArithmeticError(f"the norm model of (-2,{p},{q}) is feasible at pair "
-                              f"{report.offending_pair}; cannot eliminate {u}")
+                              f"{feasible[0]}; cannot eliminate {u}")
     return {"slope": u, "q": q, "pairs": len(report.verdicts),
             "witnesses": [[str(w) for w in v.witness] for v in report.verdicts]}
 

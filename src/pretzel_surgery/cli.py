@@ -126,18 +126,16 @@ def _cmd_norm(args) -> int:
     print(f"norm system for the (-2,5,{args.q}) pretzel knot "
           f"(assuming {2 * args.q + 5} is cyclic):")
     print("  boundary slopes:", ", ".join(str(b) for b in report.system.boundary))
-    for c in report.system.constraints:
-        print(f"  {c.label}: coefficients {list(c.coeffs)}")
+    for _, r in report.system.constraints:
+        print(f"  {r.label}: coefficients {list(r.coeffs[:-1])}")  # not the -1 on S
     verdict = "INFEASIBLE" if report.infeasible_for_all_pairs else "FEASIBLE"
     print(f"verdict: {verdict} over all {len(report.verdicts)} coefficient pairs")
-    for v in report.verdicts:
-        i, j = v.pair_tested
+    for ((i, j), rows), v in zip(report.pairs.items(), report.verdicts):
         if v.witness is not None:
-            wit = ", ".join(f"{lbl}: {y}" for lbl, y in zip(v.row_labels, v.witness)
-                            if y != 0)
+            wit = ", ".join(f"{r.label}: {y}" for r, y in zip(rows, v.witness) if y != 0)
             print(f"  pair (a{i + 1}, a{j + 1}): INFEASIBLE; witness {wit}")
         else:
-            print(f"  pair (a{i + 1}, a{j + 1}): FEASIBLE at {v.sample}")
+            print(f"  pair (a{i + 1}, a{j + 1}): FEASIBLE at ({', '.join(map(str, v.point))})")
     return EXIT_OK
 
 

@@ -46,9 +46,7 @@ class PretzelKnot(Record, namedtuple("PretzelKnot", "p q r")):
     def __new__(cls, p: int, q: int, r: int) -> PretzelKnot:
         if not (p and q and r):
             raise ValueError("pretzel indices must be nonzero")
-        # Exactly the fixed points of _canonical_triple: ascending, at most
-        # one negative entry (a triple with no zero is never its own mirror).
-        if not (p <= q <= r and q > 0):
+        if not is_canonical(p, q, r):
             raise ValueError(f"{(p, q, r)} is not in canonical form; use canonicalize()")
         return tuple.__new__(cls, (p, q, r))
 
@@ -71,6 +69,13 @@ class PretzelKnot(Record, namedtuple("PretzelKnot", "p q r")):
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r})"
+
+
+def is_canonical(p: int, q: int, r: int) -> bool:
+    """The fields of a ``PretzelKnot``: exactly the fixed points of
+    _canonical_triple with no zero entry, ascending with at most one negative
+    entry (a triple with no zero is never its own mirror)."""
+    return p != 0 < q and p <= q <= r
 
 
 def _canonical_triple(p: int, q: int, r: int) -> tuple[int, int, int]:

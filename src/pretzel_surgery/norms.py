@@ -10,8 +10,11 @@ feasibility questions go through :mod:`pretzel_surgery.linprog` and return
 either exact rational sample points or Farkas witnesses.  Every row is
 integral, as :func:`linprog.row` requires: the coefficients are
 ``2 * distance``, the right-hand sides 0, and the positivity rows unit rows.
-:func:`_pair_systems` builds the pairwise ``(-2,5,q)`` systems once, for
-both the solve and the re-verification of its witnesses.
+:func:`_pair_systems` builds the pairwise ``(-2,5,q)`` rows, for both the
+solve and the re-verification of its witnesses.  A report holds those rows
+and the solver's own result on each pair (a :class:`linprog.FeasibilityResult`),
+in pair order; :func:`verify_infeasibility_report` rebuilds the rows from
+``q`` and reads nothing else of the report but those results.
 
 Infeasibility over nonnegative rationals implies infeasibility over the
 nonnegative integers the geometric model calls for, which is the only
@@ -21,7 +24,6 @@ direction the classifier ever uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from . import linprog
@@ -34,94 +36,57 @@ def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, .
     """Coefficients (2 * distance(gamma, beta_i)) of the total-norm form."""
     if not boundary:
         raise ValueError("boundary slope list must be nonempty")
-    coeffs = tuple(2 * distance(gamma, b) for b in boundary)
-    if any(c % 2 for c in coeffs):
-        raise ArithmeticError(f"odd norm coefficient in {coeffs}")
-    return coeffs
-
-
-@dataclass(frozen=True)
-class NormConstraint:
-    """A relation  |gamma| (EQ|GE|LE) S  over a fixed boundary list."""
-
-    gamma: Slope
-    coeffs: tuple[int, ...]
-    rel: str
-
-    @property
-    def label(self) -> str:
-        return f"|{self.gamma}| {self.rel} S"
-
-    def to_json(self) -> dict:
-        return {"gamma": str(self.gamma), "kind": self.rel, "rhs": "S"}
+    return tuple(2 * distance(gamma, b) for b in boundary)
 
 
 @dataclass
 class NormSystem:
-    """A boundary list plus norm constraints; variables are (a_1..a_n, S)."""
+    """A boundary list plus norm relations  |gamma| (EQ|GE|LE) S,  each kept as
+    gamma and its row  |gamma| - S (rel) 0  over the variables (a_1..a_n, S)."""
 
     boundary: tuple[Slope, ...]
-    constraints: list[NormConstraint] = field(default_factory=list)
+    constraints: list[tuple[Slope, LinearRow]] = field(default_factory=list)
 
-    def add(self, gamma: Slope, rel: str) -> NormConstraint:
-        c = NormConstraint(gamma, norm_coefficients(self.boundary, gamma), rel)
-        self.constraints.append(c)
-        return c
+    def add(self, gamma: Slope, rel: str) -> None:
+        coeffs = norm_coefficients(self.boundary, gamma) + (-1,)
+        self.constraints.append((gamma, linprog.row(coeffs, rel, 0, f"|{gamma}| {rel} S")))
 
     @property
     def nvars(self) -> int:
         return len(self.boundary) + 1
 
-    def lp_rows(self) -> list[LinearRow]:
-        """|gamma| - S (rel) 0 per constraint."""
-        return [linprog.row(c.coeffs + (-1,), c.rel, 0, c.label) for c in self.constraints]
-
     def to_json(self) -> dict:
         return {
             "boundary": [str(b) for b in self.boundary],
-            "constraints": [c.to_json() for c in self.constraints],
+            "constraints": [{"gamma": str(gamma), "kind": r.rel, "rhs": "S"}
+                            for gamma, r in self.constraints],
         }
 
 
 @dataclass(frozen=True)
-class FeasibilityVerdict:
-    """Outcome of one pairwise feasibility test of a homogeneous norm system."""
-
-    feasible: bool
-    pair_tested: tuple[int, int]
-    sample: tuple[Fraction, ...] | None = None
-    witness: tuple[Fraction, ...] | None = None
-    row_labels: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class PairwiseInfeasibilityReport:
+    """The solver's result on each pair's rows, in the order of ``pairs``."""
+
     q: int
     system: NormSystem
-    verdicts: tuple[FeasibilityVerdict, ...]
+    pairs: dict[tuple[int, int], list[LinearRow]]
+    verdicts: tuple[linprog.FeasibilityResult, ...]
 
     @property
     def infeasible_for_all_pairs(self) -> bool:
         return all(not v.feasible for v in self.verdicts)
-
-    @property
-    def offending_pair(self) -> tuple[int, int] | None:
-        for v in self.verdicts:
-            if v.feasible:
-                return v.pair_tested
-        return None
 
     def to_json(self) -> dict:
         out = self.system.to_json()
         out["verdict"] = "INFEASIBLE" if self.infeasible_for_all_pairs else "FEASIBLE"
         out["pairs"] = [
             {
-                "pair": list(v.pair_tested),
+                "pair": list(pair),
                 "feasible": v.feasible,
                 "witness": [str(w) for w in v.witness] if v.witness else None,
-                "rows": list(v.row_labels),
+                "rows": [r.label for r in rows],
             }
-            for v in self.verdicts
+            for (pair, rows), v in zip(self.pairs.items(), self.verdicts)
         ]
         return out
 
@@ -147,7 +112,7 @@ def _pair_systems(q: int) -> tuple[NormSystem, dict[tuple[int, int], list[Linear
     def unit(k: int, label: str) -> LinearRow:
         return linprog.row([int(i == k) for i in range(n + 1)], GE, 1, label)
 
-    base = system.lp_rows() + [unit(n, "S >= 1")]
+    base = [r for _, r in system.constraints] + [unit(n, "S >= 1")]
     a = [unit(k, f"a{k + 1} >= 1") for k in range(n)]
     return system, {(i, j): base + [a[i], a[j]] for i, j in combinations(range(n), 2)}
 
@@ -163,23 +128,14 @@ def cyclic_infeasibility_minus2_5_q(q: int) -> PairwiseInfeasibilityReport:
             f"pairwise norm contradiction needs odd q >= 9 (q={q}); "
             "smaller q are settled by explicit slope lists or external facts")
     system, pairs = _pair_systems(q)
-    verdicts = []
-    for pair, rows in pairs.items():
-        result = linprog.solve_feasibility(rows, system.nvars)
-        verdicts.append(FeasibilityVerdict(
-            feasible=result.feasible,
-            pair_tested=pair,
-            sample=result.point,
-            witness=result.witness,
-            row_labels=tuple(r.label for r in rows),
-        ))
-    return PairwiseInfeasibilityReport(q, system, tuple(verdicts))
+    return PairwiseInfeasibilityReport(q, system, pairs, tuple(
+        linprog.solve_feasibility(rows, system.nvars) for rows in pairs.values()))
 
 
 def verify_infeasibility_report(report: PairwiseInfeasibilityReport) -> bool:
-    """Re-verify every Farkas witness of a report from scratch."""
+    """Re-verify every Farkas witness of a report against rows rebuilt from
+    ``report.q`` alone, zipped with ``report.verdicts`` by position."""
     _, pairs = _pair_systems(report.q)
-    return ([v.pair_tested for v in report.verdicts] == list(pairs)
-            and all(not v.feasible and v.witness is not None
-                    and linprog.verify_witness(pairs[v.pair_tested], v.witness)
-                    for v in report.verdicts))
+    return len(report.verdicts) == len(pairs) and all(
+        not v.feasible and v.witness is not None and linprog.verify_witness(rows, v.witness)
+        for rows, v in zip(pairs.values(), report.verdicts))

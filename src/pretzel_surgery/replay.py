@@ -19,15 +19,17 @@ knot's immutable certificate (a pure function of the knot);
 from __future__ import annotations
 
 from .classify import Certificate, classify, classify_finite  # noqa: F401
-from .knots import PretzelKnot
+from .knots import PretzelKnot, is_canonical
 from .norms import cyclic_infeasibility_minus2_5_q  # noqa: F401
 
 
 def replay_certificate(cert: Certificate) -> bool:
     """True when cert is the certificate that its knot and question derive;
-    False for a knot that is a link or not a ``PretzelKnot``, a question outside
-    the rule table, or a bound the paper proves on a branch that fails on the knot."""
-    if not (isinstance(cert.knot, PretzelKnot) and isinstance(cert.question, str)):
+    False for a knot that is a link, not a ``PretzelKnot`` or not in canonical
+    form (one built around its validation), a question outside the rule
+    table, or a bound the paper proves on a branch that fails on the knot."""
+    if not (isinstance(cert.knot, PretzelKnot) and is_canonical(*cert.knot)
+            and isinstance(cert.question, str)):
         return False
     try:
         return classify(cert.knot, cert.question) == cert

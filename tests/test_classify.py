@@ -917,12 +917,19 @@ def test_replay_rejects_an_unknown_rule_or_question():
     assert not replay_certificate(Certificate(canonicalize(-3, 3, 5), "bogus"))
 
 
-@pytest.mark.parametrize("knot,question", [
-    ((-2, 3, 7), CYCLIC), (None, CYCLIC), (canonicalize(-2, 3, 7), [CYCLIC])],
-    ids=["plain_tuple_knot", "no_knot", "unhashable_question"])
-def test_replay_rejects_a_knot_or_question_of_another_type(knot, question):
+@pytest.mark.parametrize("cert", [
+    Certificate((-2, 3, 7), CYCLIC), Certificate(None, CYCLIC),
+    Certificate(canonicalize(-2, 3, 7), [CYCLIC]),
+    # Records built around validation, each with the chain classify derives
+    # from its raw fields: (5,3,-2) is the torus knot (-2,3,5), unsorted.
+    *(Certificate(tuple.__new__(PretzelKnot, t), CYCLIC,
+                  *classify_module._OPENED["lamination_form"]) for t in [(5, 3, -2), (0, 3, 5)])],
+    ids=["plain_tuple_knot", "no_knot", "unhashable_question", "unsorted_knot", "zero_index"])
+def test_replay_rejects_a_knot_or_question_of_another_type(cert):
     # Untrusted input gets False, not an AttributeError or TypeError.
-    assert replay_certificate(Certificate(knot, question)) is False
+    if cert.rules:  # a forged record: only the canonical-form test rejects it
+        assert classify_module.classify(cert.knot, CYCLIC) == cert
+    assert replay_certificate(cert) is False
 
 
 # -- sweeps -------------------------------------------------------------------

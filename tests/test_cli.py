@@ -179,6 +179,24 @@ def test_norm_output_pinned(capsys):
     assert hashlib.sha256(stdout).hexdigest() == digest
 
 
+def test_norm_output_of_a_feasible_model_pinned(capsys, feasible_norm_model):
+    # Each coordinate of a sample point prints with str, as a witness entry does.
+    code, out, _ = run(capsys, "norm", "--q", "9")
+    assert code == 0
+    assert "verdict: FEASIBLE over all 15" in out
+    assert "  pair (a1, a2): FEASIBLE at (1, 1, 0, 0, 0, 0, 4)\n" in out
+    assert "Fraction" not in out
+    code, js, _ = run(capsys, "norm", "--q", "9", "--json")
+    assert code == 0
+    payload = json.loads(js)
+    assert payload["verdict"] == "FEASIBLE"
+    assert all(p["feasible"] and p["witness"] is None for p in payload["pairs"])
+    stdout = (out + js).encode()
+    assert len(stdout) == 2555
+    digest = "227619d9fc0896071b75e154df348f8a2c3055eaa02178644d194d4c98a370f0"
+    assert hashlib.sha256(stdout).hexdigest() == digest
+
+
 def test_norm_rejects_small_q(capsys):
     assert run(capsys, "norm", "--q", "7")[0] == 2
 

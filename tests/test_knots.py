@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pretzel_surgery.knots import (FamilyError, FamilyTag, PretzelKnot, TorusStatus,
                                    _canonical_triple, canonicalize, enumerate_canonical,
-                                   family, hyperbolicity_condition, torus_status,
-                                   triangle_slack)
+                                   family, hyperbolicity_condition, is_canonical,
+                                   torus_status, triangle_slack)
 
 
 def test_canonicalize_permutation():
@@ -45,6 +45,12 @@ def test_constructor_accepts_exactly_the_canonical_fixed_points():
         assert k.even_indices == evens
         assert k.odd_indices == tuple(v for v in t if v % 2 != 0)
         assert k.is_knot == (len(evens) <= 1)
+
+
+def test_is_canonical_holds_exactly_on_the_nonzero_fixed_points():
+    # The one statement of the canonical form, read by the constructor and replay.
+    for t in itertools.product(range(-6, 7), repeat=3):
+        assert is_canonical(*t) == (0 not in t and _canonical_triple(*t) == t), t
 
 
 def test_triangle_slack_matches_the_fraction_definition():
