@@ -23,7 +23,10 @@ kernels (slopes and gaps as reduced pairs, no ``Fraction``).
 notes from the table, and writes a JSON line field by field, with constant
 strings and the JSON of each row without a slope escaped once at import: the
 bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` on the
-certificate's dict form, with no dict built.
+certificate's dict form, with no dict built.  A certificate holding the
+shared chain of a row that settles a knot alone (an identity test), with its
+verdict and realized slopes, is written from that chain's template: the line
+this emitter writes for it at import, cut around the knot's data and triple.
 """
 
 from __future__ import annotations
@@ -117,27 +120,22 @@ else:
 
 
 def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -> str:
-    """Deterministic serialization, 'json' or 'text'; KeyError for a rule outside the table."""
-    marks = conclude(cert.rules)[0]
+    """Deterministic serialization, 'json' or 'text'; KeyError for a rule outside the table.
+    A JSON line whose rules are an opened chain's shared tuple itself, with its verdict and
+    realized slopes, is that chain's template around the knot's data and triple."""
     if fmt == "json":
-        e, k, notes, q = _ESCAPED, cert.knot, cert.annotations, cert.question
-        rules = ",".join([f'{h}{_encode(r.inputs) if r.inputs else "{}"}{t}' for r in cert.rules
-                          for h, t in [_AROUND.get((q, r.id)) or _around(q, r.id, r.inputs)]])
-        slopes = ",".join([f'{{"rule":{e[rule]},"slope":{_encode(ratio_text(a, b))},'
-                           f'"status":{e[status]}}}' for a, b, status, rule in marks])
-        data = certificate_data(q, family(k))
-        return (f'{{"annotations":{_encode(notes) if notes else "[]"},'
-                f'"data":{_encode(data) if data else "{}"},'
-                f'"pretzel":[{k.p},{k.q},{k.r}],"question":{e[q]},'
-                f'"realized":{_encode(cert.realized) if cert.realized else "[]"},'
-                f'"rules":[{rules}],"slopes":[{slopes}],"verdict":{e[cert.verdict]}}}')
+        rules, q = cert.rules, cert.question
+        opened = len(rules) == 1 and _TEMPLATES.get((q, rules[0].id))
+        if opened and rules is opened[2] and (cert.verdict, cert.realized) == opened[:2]:
+            return f"{opened[3]}{_knot_json(q, cert.knot)}{opened[4]}"
+        return _json_line(cert)
     if fmt != "text":
         raise ValueError(f"unknown certificate format {fmt!r}")
     lines = [f"knot {cert.knot}  question={cert.question}  verdict={cert.verdict}"]
     if cert.realized:
         lines.append("  realized: " + ", ".join(str(u) for u in cert.realized))
     lines += [f"  slope {ratio_text(a, b)}: {status}" + (f"  [{rule}]" if rule else "")
-              for a, b, status, rule in marks]
+              for a, b, status, rule in cert.slopes]
     lines += [f"  note: {note}" for note in cert.annotations]
     lines.append("  rules:")
     for i, r in enumerate(cert.rules, start=1):
@@ -146,6 +144,25 @@ def emit_certificate(cert: Certificate, fmt: str = "json", cite: bool = False) -
         if cite:
             lines.append(f"       cite: {citation}")
     return "\n".join(lines)
+
+
+def _json_line(cert: Certificate) -> str:
+    """The JSON line of any certificate, written field by field."""
+    e, notes, q = _ESCAPED, cert.annotations, cert.question
+    rules = ",".join([f'{h}{_encode(r.inputs) if r.inputs else "{}"}{t}' for r in cert.rules
+                      for h, t in [_AROUND.get((q, r.id)) or _around(q, r.id, r.inputs)]])
+    slopes = ",".join([f'{{"rule":{e[rule]},"slope":{_encode(ratio_text(a, b))},'
+                       f'"status":{e[status]}}}' for a, b, status, rule in cert.slopes])
+    return (f'{{"annotations":{_encode(notes) if notes else "[]"},'
+            f'"data":{_knot_json(q, cert.knot)},"question":{e[q]},'
+            f'"realized":{_encode(cert.realized) if cert.realized else "[]"},'
+            f'"rules":[{rules}],"slopes":[{slopes}],"verdict":{e[cert.verdict]}}}')
+
+
+def _knot_json(question: str, k: PretzelKnot) -> str:
+    """The JSON of a line from its data to its knot's triple."""
+    data = certificate_data(question, family(k))
+    return f'{_encode(data) if data else "{}"},"pretzel":[{k.p},{k.q},{k.r}]'
 
 
 def _around(question: str, rule_id: str, inputs: dict) -> tuple[str, str]:
@@ -602,6 +619,14 @@ def certificate_data(question: str, fam: KnotFamily) -> dict:
     if (p, r) != (3, 2):
         data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
     return data
+
+
+# (question, row) of _ALONE -> the row's opened chain (verdict, realized, rules) and its line
+# on a probe knot cut around _knot_json (ValueError unless that occurs once).
+_PROBE = PretzelKnot(1, 1, 1)
+_TEMPLATES = {(question, key): (*_OPENED[key], head, tail) for (question, _), key in _ALONE.items()
+              for head, tail in [_json_line(Certificate(_PROBE, question, *_OPENED[key])).split(
+                  _knot_json(question, _PROBE))]}
 
 
 def _eliminated(rules: list[Rule], question: str, keys: tuple[str, ...], p: int, q: int,

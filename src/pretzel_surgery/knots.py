@@ -74,8 +74,9 @@ class PretzelKnot(Record, namedtuple("PretzelKnot", "p q r")):
 def is_canonical(p: int, q: int, r: int) -> bool:
     """The fields of a ``PretzelKnot``: exactly the fixed points of
     _canonical_triple with no zero entry, ascending with at most one negative
-    entry (a triple with no zero is never its own mirror)."""
-    return p != 0 < q and p <= q <= r
+    entry (a triple with no zero is never its own mirror), each exactly an
+    ``int``: a ``bool`` or ``float`` compares equal but writes other bytes."""
+    return type(p) is type(q) is type(r) is int and p != 0 < q and p <= q <= r
 
 
 def _canonical_triple(p: int, q: int, r: int) -> tuple[int, int, int]:

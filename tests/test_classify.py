@@ -921,10 +921,16 @@ def test_replay_rejects_an_unknown_rule_or_question():
     Certificate((-2, 3, 7), CYCLIC), Certificate(None, CYCLIC),
     Certificate(canonicalize(-2, 3, 7), [CYCLIC]),
     # Records built around validation, each with the chain classify derives
-    # from its raw fields: (5,3,-2) is the torus knot (-2,3,5), unsorted.
+    # from its raw fields: (5,3,-2) is the torus knot (-2,3,5), unsorted, and
+    # float fields compare equal to the ints of a genuine knot.
     *(Certificate(tuple.__new__(PretzelKnot, t), CYCLIC,
-                  *classify_module._OPENED["lamination_form"]) for t in [(5, 3, -2), (0, 3, 5)])],
-    ids=["plain_tuple_knot", "no_knot", "unhashable_question", "unsorted_knot", "zero_index"])
+                  *classify_module._OPENED["lamination_form"])
+      for t in [(5, 3, -2), (0, 3, 5), (4.0, 5.0, 7.0)]),
+    classify_cyclic(canonicalize(-2, 3, 7))._replace(
+        knot=tuple.__new__(PretzelKnot, (-2.0, 3.0, 7.0))),
+    Certificate(tuple.__new__(PretzelKnot, ("a", "b", "c")), CYCLIC)],
+    ids=["plain_tuple_knot", "no_knot", "unhashable_question", "unsorted_knot", "zero_index",
+         "float_knot_on_a_shared_chain", "float_knot", "text_knot"])
 def test_replay_rejects_a_knot_or_question_of_another_type(cert):
     # Untrusted input gets False, not an AttributeError or TypeError.
     if cert.rules:  # a forged record: only the canonical-form test rejects it

@@ -6,10 +6,13 @@ at import.  The reference below is the dict form the certificate classes
 built before, with each rule's text from ``rule_text`` and the data and
 slope marks the certificate derives, encoded by ``json.dumps`` with sorted
 keys; the two must agree byte for byte on every certificate, hostile strings
-included.
+included.  A certificate whose rules are an opened chain's shared tuple
+itself, with that chain's verdict and realized slopes, is written from the
+chain's template; the same reference holds there, on any knot.
 """
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -106,6 +109,73 @@ _KNOTS = (st.builds(canonicalize, _INDEX, _INDEX, _INDEX).filter(lambda k: k.is_
 _classified = st.builds(classify, _KNOTS, st.sampled_from(sorted(RULES)))
 
 certificates = st.sampled_from(sorted(RULES)).flatmap(_certificates) | _classified
+
+
+# Certificates holding an opened chain's shared tuple itself, on any
+# canonical knot, (-2,p,q) and (p,q,-r) included, with the chain's verdict and
+# realized slopes or hostile ones.
+_OPENED_ROWS = sorted({(question, key) for (question, _), key in classify_module._ALONE.items()})
+_ANY_KNOT = (st.builds(canonicalize, _INDEX, _INDEX, _INDEX)
+             | st.builds(canonicalize, st.just(-2), _ODD, _ODD)
+             | st.builds(canonicalize, st.integers(-100, -1).map(lambda n: 2 * n), _ODD, _ODD))
+
+
+def _on_shared_chain(question, key):
+    verdict, realized, rules = classify_module._OPENED[key]
+    return st.builds(Certificate, knot=_ANY_KNOT, question=st.just(question),
+                     verdict=st.just(verdict) | _TEXT,
+                     realized=st.just(realized) | st.lists(st.integers(), max_size=3).map(tuple),
+                     rules=st.just(rules))
+
+
+@given(st.sampled_from(_OPENED_ROWS).flatmap(lambda row: _on_shared_chain(*row)))
+def test_a_certificate_on_a_shared_chain_matches_the_reference(cert):
+    assert cert.rules is classify_module._OPENED[cert.rules[0].id][2]
+    assert emit_certificate(cert) == reference_json(cert)
+
+
+@pytest.mark.parametrize("question,triple", [(CYCLIC, (-2, 5, 7)), (FINITE_Q, (5, 7, -4))])
+def test_the_lamination_chain_on_a_family_knot_writes_that_knots_data(question, triple):
+    cert = Certificate(canonicalize(*triple), question,
+                       *classify_module._OPENED["lamination_form"])
+    assert cert.data  # the knot's own data, which no probe line holds
+    assert emit_certificate(cert) == reference_json(cert)
+
+
+def test_a_copy_of_a_shared_chain_takes_the_general_path(monkeypatch):
+    # A template poisoned here shows which path wrote a line.
+    verdict, realized, rules = classify_module._OPENED["lamination_form"]
+    row = (CYCLIC, "lamination_form")
+    monkeypatch.setitem(classify_module._TEMPLATES, row,
+                        (*classify_module._TEMPLATES[row][:3], "HEAD", "TAIL"))
+    shared = Certificate(canonicalize(4, 5, 7), CYCLIC, verdict, realized, rules)
+    assert emit_certificate(shared).startswith("HEAD")
+    for copied in (tuple([*rules]), (Rule(rules[0].id, dict(rules[0].inputs)),)):
+        cert = shared._replace(rules=copied)
+        assert cert == shared and cert.rules is not rules
+        assert emit_certificate(cert) == reference_json(cert) == reference_json(shared)
+
+
+def test_every_row_that_settles_a_knot_alone_has_its_template():
+    # The templates are built from _ALONE itself: a row added there gets one.
+    templates = classify_module._TEMPLATES
+    assert sorted(templates) == _OPENED_ROWS
+    for (question, key), template in templates.items():
+        assert template[:3] == classify_module._OPENED[key]
+        assert template[2] is classify_module._OPENED[key][2]
+
+
+def test_the_cyclic_sweep_gets_the_same_bytes_from_both_paths(monkeypatch):
+    # Only the general path concludes a chain, so the lines written from a
+    # template are those that never call conclude.
+    certs = sweep_cyclic(50).certificates
+    calls, conclude = Counter(), classify_module.conclude
+    monkeypatch.setattr(classify_module, "conclude",
+                        lambda rules: calls.update(["general"]) or conclude(rules))
+    fast = [emit_certificate(cert) for cert in certs]
+    assert (len(certs), len(certs) - calls["general"]) == (42_925, 42_627)
+    monkeypatch.setattr(classify_module, "_TEMPLATES", {})
+    assert [emit_certificate(cert) for cert in certs] == fast
 
 
 @given(certificates)

@@ -53,6 +53,15 @@ def test_is_canonical_holds_exactly_on_the_nonzero_fixed_points():
         assert is_canonical(*t) == (0 not in t and _canonical_triple(*t) == t), t
 
 
+@pytest.mark.parametrize("triple", [(2.0, 3, 5), (-2.0, 3.0, 7.0), (-2, 3, 7.0), (True, 3, 5),
+                                    ("a", "b", "c")])
+def test_a_field_that_is_not_exactly_an_int_is_not_canonical(triple):
+    # A float or bool compares equal to its int but writes other bytes.
+    assert is_canonical(*triple) is False
+    with pytest.raises(ValueError):
+        PretzelKnot(*triple)
+
+
 def test_triangle_slack_matches_the_fraction_definition():
     wrong = []
     for p in range(2, 81):
