@@ -1,18 +1,21 @@
 """Rule-chained verdicts on cyclic and finite surgeries, with certificates.
 
 A certificate records the applied rules in order, each as its id and the
-inputs its premise returned.  Each rule is one row of :data:`RULES`, per
-question: its source, its premise, its conclusion, what it settles and the
-notes it adds.  The pipelines here only apply rows, in the order of the
-paper's case analysis, which is written nowhere else: :func:`classify` walks
-them afresh for any knot, and replay derives a certificate again with it and
-compares.  :func:`conclude` gives the slope marks, realized slopes and
-verdict of the chain, and :func:`certificate_data` the ``data`` of the knot.
+inputs it records.  Each rule is one row of :data:`RULES`, per question: its
+source, its premise, its conclusion, what it settles and the notes it adds.
+A row that holds wherever a pipeline reaches it has no premise and is
+recorded directly: the opening rows that the family tag picks, and the norm
+rows that Tier-1 proves on the (p,q,-r) family.  The pipelines only apply and
+record rows, in the order of the paper's case analysis, which is written
+nowhere else: :func:`classify` walks them afresh for any knot, and replay
+derives a certificate again with it and compares.  :func:`conclude` gives the
+slope marks, realized slopes and verdict of the chain, and
+:func:`certificate_data` the ``data`` of the knot.
 A certificate is an immutable record of the chain, its verdict and realized
 slopes; its data and slope marks are derived when read.  The one-knot memos
 here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
 functions of the knot, so replay shares no mutable state with classify.  A
-row whose premise records the same inputs on every knot where it holds is one
+row that records the same inputs on every knot that records it is one
 read-only rule built at import, shared by every certificate recording it; a
 table keyed by question and family tag names the one that settles a knot
 alone, and the knot gets that row's chain, concluded at import.
@@ -39,7 +42,7 @@ from . import facts
 from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
                        nonintegral_slopes_pq_minus_r, small_p_pair, toroidal_gap_pairs_large_p)
 from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
-from .knots import FamilyTag, KnotFamily, PretzelKnot, family, triangle_slack
+from .knots import FamilyTag, KnotFamily, PretzelKnot, family
 from .norms import cyclic_infeasibility_minus2_5_q
 from .slopes import ratio_text
 from .triangle import irreducible_char_count
@@ -62,7 +65,7 @@ FINITE_Q = "finite"
 
 
 class Rule(NamedTuple):
-    """One applied rule: its id and the inputs its premise returned."""
+    """One recorded rule: its id and its inputs."""
 
     id: str
     inputs: dict
@@ -182,21 +185,11 @@ def rule_text(question: str, rule_id: str, inputs: dict) -> tuple[str, str, str]
 
 # -- premises ----------------------------------------------------------------
 #
-# One function per rule.  It returns the inputs the rule records when its
-# premise holds, None when it does not.  A rule that settles a knot alone
-# takes the knot and its family.  The other rules take the knot's
-# parameters, (p, q, r) for (p,q,-r) and (p, q, 2) for (-2,p,q), and the
-# slope u of a per-slope rule "id:u".  A bound the paper proves on the whole
-# branch raises ArithmeticError when it fails.
-
-
-def _tagged(tag: FamilyTag, k: PretzelKnot, fam: KnotFamily) -> dict | None:
-    return {} if fam.tag is tag else None
-
-
-torus_pretzel = partial(_tagged, FamilyTag.TORUS)
-unclassified_indices = partial(_tagged, FamilyTag.UNCLASSIFIED)
-lamination_form = partial(_tagged, FamilyTag.OTHER)
+# One function per rule that can fail: the inputs the rule records when its
+# premise holds, None when it does not.  cyclic_via_finite takes the knot and
+# its family, the other rules the knot's parameters, (p, q, r) for (p,q,-r)
+# and (p, q, 2) for (-2,p,q), and the slope u of a per-slope rule "id:u".  A
+# bound the paper proves on the whole branch raises ArithmeticError if it fails.
 
 
 @lru_cache(maxsize=1)
@@ -219,34 +212,6 @@ exceptional_distance = partial(_far_from_toroidal, 9)
 
 def exceptional_knot_table(p: int, q: int, r: int) -> dict | None:
     return {"p": p, "q": q, "r": r} if (p, q, r) in facts.EXCEPTIONAL_PQR else None
-
-
-def strict_triangle(p: int, q: int, r: int) -> dict | None:
-    """The premise of the three norm rules that record nothing:
-    1/p + 1/q + 2/r < 1."""
-    return {} if triangle_slack(p, q, r // 2) > 0 else None
-
-
-def even_numerator_infinite(p: int, q: int, r: int) -> dict | None:
-    """The (p, q, m) triangle group, m = r/2, is infinite (1/p + 1/q + 1/m <= 1)
-    and the longitude's image there collapses, so fillings 2a/b factor through it.
-
-    The collapse is an identity on the whole family, proven in Tier-1
-    (``tests/test_presentations.py``) rather than computed per knot: the image
-    g^k f^m g^(k+1) h^l f^m h^(l+1), k = (p-1)/2 and l = (q-1)/2, is 1 once
-    f^m = 1 joins the g runs into g^p and the h runs into h^q.
-    ``presentations.longitude_triviality_check`` stays as the reference that
-    test compares this premise against.
-    """
-    m = r // 2
-    infinite = triangle_slack(p, q, m) >= 0
-    return {"p": p, "q": q, "m": m, "longitude_collapses": True} if infinite else None
-
-
-def even_norm_floor(p: int, q: int, r: int) -> dict | None:
-    m = r // 2
-    irr = irreducible_char_count(p, q, m)
-    return {"p": p, "q": q, "m": m, "irreducible_characters": irr} if irr >= 3 else None
 
 
 def no_nonintegral_slopes(p: int, q: int, r: int) -> dict | None:
@@ -408,27 +373,24 @@ class RuleRow(NamedTuple):
     """One rule, as the pipelines apply it and the emitter writes it."""
 
     source: str  # a key of facts.SOURCES
-    premise: Callable[..., dict | None]
+    premise: Callable[..., dict | None] | None  # None: recorded wherever a pipeline reaches it
     conclusion: str  # formatted with u and the inputs for a per-slope rule "id:u"
     settles: str | None
     notes: tuple[str, ...] = ()  # the annotations of a certificate that records this row
 
 
 _M2, _PQR = FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R
-# The norm rules of a (p,q,-r) knot, in the order classify applies them.
-_NORM_RULES = ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
-               "half_integral_excluded", "odd_uniqueness")
 
 
 def _shared_rows(question: str, fillings: str, published, examples_source: str) -> dict:
     """The opening rows and the (-2,3,q) rows, in the words of the question."""
     return {
-        "torus_pretzel": RuleRow("torus_classification", torus_pretzel, (
+        "torus_pretzel": RuleRow("torus_classification", None, (
             f"torus knots admit infinitely many {fillings} fillings"), TORUS_INFINITE),
-        "unclassified_indices": RuleRow("torus_classification", unclassified_indices, (
+        "unclassified_indices": RuleRow("torus_classification", None, (
             "triples with a +-1 index outside the encoded patterns are not classified here"),
             None),
-        "lamination_form": RuleRow("lamination_reduction", lamination_form, (
+        "lamination_form": RuleRow("lamination_reduction", None, (
             "a non-torus pretzel knot outside the (p,q,-r) form admits no non-trivial "
             f"{question} surgery"), NONE),
         f"published_minus2_3_{question}": RuleRow("published_minus2_3_surgeries", published, (
@@ -451,17 +413,17 @@ RULES: dict[str, dict[str, RuleRow]] = {
         "exceptional_knot_table": RuleRow("residual_case_analysis", exceptional_knot_table, (
             "the strict triangle condition fails here; the published direct analysis finds no "
             "non-trivial finite surgeries"), NONE),
-        "even_numerator_infinite": RuleRow("character_doubling", even_numerator_infinite, (
+        "even_numerator_infinite": RuleRow("character_doubling", None, (
             "fillings 2a/b factor through the infinite triangle quotient, so any finite filling "
             "has odd numerator"), None),
-        "denominator_bound": RuleRow("finite_norm_bound", strict_triangle, (
+        "denominator_bound": RuleRow("finite_norm_bound", None, (
             "a finite filling slope a/b has b <= 2"), None),
-        "even_norm_floor": RuleRow("character_doubling", even_norm_floor, (
+        "even_norm_floor": RuleRow("character_doubling", None, (
             "even-numerator classes have total norm >= S + 12"), None),
-        "half_integral_excluded": RuleRow("finite_norm_bound", strict_triangle, (
+        "half_integral_excluded": RuleRow("finite_norm_bound", None, (
             "a half-integral finite filling would force norm < S + 4 at an even integral "
             "midpoint, against the S + 12 floor; so the filling is odd integral"), None),
-        "odd_uniqueness": RuleRow("finite_norm_bound", strict_triangle, (
+        "odd_uniqueness": RuleRow("finite_norm_bound", None, (
             "two odd integral fillings of norm <= S + 8 would trap an even integral class of "
             "norm <= S + 8; at most one finite filling exists"), None),
         "no_nonintegral_slopes": RuleRow("montesinos_boundary_slopes", no_nonintegral_slopes, (
@@ -576,8 +538,8 @@ def conclude(rules: list[Rule]) -> tuple[list[tuple[int, int, str, str | None]],
     return marks, realized, verdict
 
 
-# The rows whose premise records the same inputs on every knot where it holds,
-# each with the one read-only rule that every certificate recording it shares.
+# The rows that record the same inputs on every knot that records them, each
+# with the one read-only rule that every certificate recording it shares.
 _SHARED = {key: Rule(key, _ReadOnly(inputs)) for key, inputs in [
     *((key, {}) for key in ("torus_pretzel", "unclassified_indices", "lamination_form",
                             "denominator_bound", "half_integral_excluded", "odd_uniqueness")),
@@ -594,15 +556,12 @@ _OPENED = {key: (verdict, realized, (_SHARED[key],)) for key in dict.fromkeys(_A
 
 
 def _apply(rules: list[Rule], question: str, key: str, *args) -> dict | None:
-    """Apply the row ``key`` of the question to ``args``: when its premise
-    holds, append the rule to ``rules`` (the shared one when it records the
-    shared inputs) and return the inputs it records.  A per-slope row "id:"
-    is recorded as "id:u", u the last argument."""
+    """Apply the row ``key`` of the question to ``args``: when its premise holds, append
+    the rule to ``rules`` and return the inputs it records.  A per-slope row "id:" is
+    recorded as "id:u", u the last argument.  A row with no premise is never applied."""
     inputs = RULES[question][key].premise(*args)
     if inputs is not None:
-        shared = _SHARED.get(key)
-        rules.append(shared if shared and shared.inputs == inputs else
-                     Rule(f"{key}{args[-1]}" if key[-1] == ":" else key, inputs))
+        rules.append(Rule(f"{key}{args[-1]}" if key[-1] == ":" else key, inputs))
     return inputs
 
 
@@ -647,10 +606,16 @@ def _published_minus2_3(rules: list[Rule], question: str, p: int, q: int, r: int
 def _finite_pq_minus_r(rules: list[Rule], p: int, q: int, r: int) -> None:
     if _apply(rules, FINITE_Q, "exceptional_knot_table", p, q, r) is not None:
         return
-    # Outside the exceptional table the paper proves every premise here.
-    for key in _NORM_RULES:
-        if _apply(rules, FINITE_Q, key, p, q, r) is None:
-            raise ArithmeticError(f"the premise of {key} fails on ({-r},{p},{q})")
+    # Off the exceptional table the five norm rows hold on the whole family,
+    # proven in Tier-1: test_strict_triangle_holds_on_the_whole_family,
+    # test_even_norm_floor_holds_on_the_whole_family and
+    # test_longitude_collapse_is_an_identity_on_the_family.
+    m = r // 2
+    collapse = {"p": p, "q": q, "m": m, "longitude_collapses": True}
+    floor = {"p": p, "q": q, "m": m, "irreducible_characters": irreducible_char_count(p, q, m)}
+    rules += [Rule("even_numerator_infinite", collapse), _SHARED["denominator_bound"],
+              Rule("even_norm_floor", floor), _SHARED["half_integral_excluded"],
+              _SHARED["odd_uniqueness"]]
     if _apply(rules, FINITE_Q, "no_nonintegral_slopes", p, q, r) is not None:
         return
     window = _apply(rules, FINITE_Q, "finite_window", p, q, r)
@@ -693,8 +658,8 @@ def classify(k: PretzelKnot, question: str) -> Certificate:
     fam = family(k)
     key = _ALONE.get((question, fam.tag))
     if key:
-        # The opening premises test the tag looked up: only cyclic_via_finite can fail.
-        if RULES[question][key].premise(k, fam) is None:
+        # The tag picked the row; of these rows only cyclic_via_finite has a premise.
+        if (premise := RULES[question][key].premise) and premise(k, fam) is None:
             raise ArithmeticError(f"the premise of {key} fails on {k}")
         return Certificate(k, question, *_OPENED[key])
     rules, (p, q), r = [], fam.odd_pair, -fam.even_value

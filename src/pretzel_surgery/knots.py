@@ -160,4 +160,4 @@ def enumerate_canonical(bound: int) -> Iterator[PretzelKnot]:
         lo = max(a, 1)
         for b in range(lo, bound + 1):
             for c in range(b, bound + 1):
-                yield PretzelKnot(a, b, c)
+                yield tuple.__new__(PretzelKnot, (a, b, c))  # canonical ints by the bounds

@@ -6,12 +6,12 @@ Coxeter-type factor group of an odd filling, and the triangle-group image
 of the longitude whose collapse drives the even-filling parity rule.
 
 That collapse is an identity on the whole family, proven in the Tier-1
-tests (``tests/test_presentations.py``), so the classifier takes it as given
-and never reduces the word per knot.  ``triangle_image_of_longitude``,
-``reduce_modulo_orders`` and ``longitude_triviality_check`` stay as the
-reference the proof and the classifier's premise are checked against, and
-the benchmark (``perfbench/run.py``) traces ``longitude_triviality_check``
-by name.
+tests (``tests/test_presentations.py``), so the classifier records it
+directly and never reduces the word per knot.
+``triangle_image_of_longitude``, ``reduce_modulo_orders`` and
+``longitude_triviality_check`` stay as the reference that proof is checked
+against, and the benchmark (``perfbench/run.py``) traces
+``longitude_triviality_check`` by name.
 """
 
 from __future__ import annotations

@@ -37,12 +37,6 @@ class Slope(Record, namedtuple("Slope", "a b")):
             raise SlopeError(f"meridian must be written 1/0, not {a}/0")
         return tuple.__new__(cls, (a, b))
 
-    # -- predicates ---------------------------------------------------
-
-    @property
-    def is_integral(self) -> bool:
-        return self.b == 1
-
     # -- conversions --------------------------------------------------
 
     def __str__(self) -> str:

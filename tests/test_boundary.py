@@ -135,8 +135,8 @@ def _pack_reference(values):
     def key(s):
         return (1, Fraction(0)) if s.b == 0 else (0, Fraction(s.a, s.b))
     slopes = {make_slope(v.numerator, v.denominator) for v in values}
-    return (tuple(sorted((s for s in slopes if not s.is_integral), key=key)),
-            tuple(sorted((s for s in slopes if s.is_integral), key=key)))
+    return (tuple(sorted((s for s in slopes if s.b != 1), key=key)),
+            tuple(sorted((s for s in slopes if s.b == 1), key=key)))
 
 
 def _pq_minus_r_reference(p, q, r):

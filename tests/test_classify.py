@@ -16,8 +16,7 @@ from pretzel_surgery import facts
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
                                       TORUS_INFINITE, UNRESOLVED, Certificate, Rule,
                                       classify_cyclic, classify_finite, conclude,
-                                      emit_certificate, even_norm_floor,
-                                      quotient_certified_infinite, strict_triangle)
+                                      emit_certificate, quotient_certified_infinite)
 from pretzel_surgery.cli import main
 from pretzel_surgery.coxeter import INFINITE, CoxeterSignature, edjvet_verdict
 from pretzel_surgery.knots import (FamilyTag, KnotFamily, PretzelKnot, canonicalize,
@@ -222,8 +221,8 @@ def test_strict_triangle_holds_on_the_whole_family():
     (3,7,4), (5,5,4), (3,5,6), (3,3,8) in each coordinate (r >= 8; r = 6 and
     q >= 5; r = 4 and p >= 5; r = 4, p = 3 and q >= 7), and the slack there is
     1, 5, 6 and 3.  So the slack is positive on the whole family: the three
-    norm rules that record nothing apply, and even_numerator_infinite's
-    ``>= 0`` and ``> 0`` agree on every knot it is applied to.
+    norm rules that record nothing hold wherever the pipeline records them,
+    and so does even_numerator_infinite's infinite triangle group (``>= 0``).
     """
     corners = [(3, 7, 4), (5, 5, 4), (3, 5, 6), (3, 3, 8)]
     assert [triangle_slack(p, q, r // 2) for p, q, r in corners] == [1, 5, 6, 3]
@@ -237,7 +236,7 @@ def test_strict_triangle_holds_on_the_whole_family():
     for p, q, r in _family_off_the_table(41, 41, 42):
         assert any(p >= a and q >= b and r >= c for a, b, c in corners), (p, q, r)
     for p, q, r in _family_off_the_table(99, 99, 100):
-        assert strict_triangle(p, q, r) == {}, (p, q, r)
+        assert triangle_slack(p, q, r // 2) > 0, (p, q, r)
 
 
 def test_even_norm_floor_holds_on_the_whole_family():
@@ -278,7 +277,24 @@ def test_even_norm_floor_holds_on_the_whole_family():
     head = _family_off_the_table(7, 11, 14)
     assert min(irreducible_char_count(p, q, r // 2) for p, q, r in head) == 3
     for p, q, r in _family_off_the_table(99, 99, 100):
-        assert even_norm_floor(p, q, r) is not None, (p, q, r)
+        assert irreducible_char_count(p, q, r // 2) >= 3, (p, q, r)
+
+
+def test_the_rows_with_no_premise_are_the_opening_and_norm_rows():
+    # These rows hold wherever a pipeline reaches them, so the pipelines record
+    # them directly.  A pipeline that applied one would raise TypeError, which
+    # replay does not catch.
+    opening = ("torus_pretzel", "unclassified_indices", "lamination_form")
+    norm = ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
+            "half_integral_excluded", "odd_uniqueness")
+    unconditional = {(question, key) for question, rows in RULES.items()
+                     for key, row in rows.items() if row.premise is None}
+    assert unconditional == {*((question, key) for question in RULES for key in opening),
+                             *((FINITE_Q, key) for key in norm)}
+    assert len({key for _, key in unconditional}) == 8
+    for question, key in unconditional:
+        with pytest.raises(TypeError):
+            classify_module._apply([], question, key, 7, 9, 10)
 
 
 # -- certificates ------------------------------------------------------------
@@ -403,8 +419,8 @@ def _set(**fields):
     return forge
 
 
-# The rows whose premise records the same inputs on every knot where it
-# holds, each with a knot whose certificate records it.
+# The rows that record the same inputs on every knot that records them, each
+# with a knot whose certificate records it.
 SHARED_ROWS = [
     ("torus_pretzel", classify_cyclic, (-2, 3, 5)),
     ("unclassified_indices", classify_finite, (-1, 3, 5)),
@@ -462,7 +478,7 @@ COPIED_RULES = [
     *((f"near_slope_left_open_without_the_residual_table_{q}", classify_finite, (5, q, -4),
        _drop_rule("residual_case_table")) for q in (5, 7, 9)),
     # A premise that fails returns None, so a rule recorded with None as its
-    # inputs must not pass for one whose premise holds.
+    # inputs must not pass for a recorded one.
     ("lamination_form_with_no_inputs", classify_cyclic, (-1, 3, 5),
      _reconcluded(_add_rule("lamination_form", None))),
     ("torus_pretzel_with_no_inputs", classify_cyclic, (-1, 3, 5),
@@ -471,8 +487,8 @@ COPIED_RULES = [
      _reconcluded(_add_rule("lamination_form", None))),
     ("toroidal_gap_small_p_with_no_inputs_for_an_elimination", classify_finite, (7, 9, -10),
      _reconcluded(_drop_rule("exceptional_distance:43"), _add_rule("toroidal_gap_small_p", None))),
-    # A row whose premise records the same inputs on every knot, recorded
-    # with other ones.
+    # A row that records the same inputs on every knot, recorded with other
+    # ones.
     *((f"{key}_with_inputs", classifier, triple, _edit_rule(key, slope=1))
       for key, classifier, triple in SHARED_ROWS),
     # residual_case_table eliminates exactly the candidates still open, in order.
@@ -783,7 +799,7 @@ def test_a_copied_rule_is_rejected_with_the_store_warm_and_cold(rule_id, classif
 
 
 def test_replay_evaluates_each_premise_on_the_knot(monkeypatch):
-    # Replay reads no value classify computed: a premise kernel that gives
+    # Replay reads no value classify computed: a kernel of the pipeline that gives
     # another count after classify makes the certificate fail replay, and so
     # does a family that moves a knot off the shared opening chain it got.
     # Each patch is checked alone, while the other certificate still replays.
@@ -832,12 +848,13 @@ def test_cyclic_sweep_still_recomputes_nested_runs_and_norm_models(monkeypatch):
     assert calls == {"classify_finite": 2 * pqr, "cyclic_infeasibility_minus2_5_q": 2 * norm}
 
 
-_OPENING = ("lamination_form", "unclassified_indices", "torus_pretzel")
+_OPENING = {FamilyTag.OTHER: "lamination_form", FamilyTag.UNCLASSIFIED: "unclassified_indices",
+            FamilyTag.TORUS: "torus_pretzel"}
 
 
 def test_the_family_tag_picks_the_row_that_settles_a_knot_alone():
-    # Off the two families exactly one opening premise holds, and inside them
-    # none; classify returns the shared chain of the row that the
+    # Off the two families exactly one opening row's tag matches, and inside
+    # them none; classify returns the shared chain of the row that the
     # (question, tag) table names, and on the cyclic question that row is
     # cyclic_via_finite for every (p,q,-r) knot.
     families = (FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R)
@@ -846,7 +863,7 @@ def test_the_family_tag_picks_the_row_that_settles_a_knot_alone():
         if not k.is_knot:
             continue
         fam = family(k)
-        holds = [key for key in _OPENING if getattr(classify_module, key)(k, fam) is not None]
+        holds = [key for tag, key in _OPENING.items() if fam.tag is tag]
         assert len(holds) == (0 if fam.tag in families else 1), k
         for question in (CYCLIC, FINITE_Q):
             key = classify_module._ALONE.get((question, fam.tag))

@@ -138,13 +138,17 @@ def test_is_knot():
     assert not canonicalize(-2, 4, 7).is_knot
 
 
-def test_enumerate_canonical():
-    knots = list(enumerate_canonical(3))
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_enumerate_canonical(bound):
+    # The knots are built without validation, so each must be a genuine record.
+    knots = list(enumerate_canonical(bound))
     assert len(knots) == len(set(knots))
     seen = {k.indices for k in knots}
-    for p in (-3, -2, -1, 1, 2, 3):
-        for q in (-3, -2, -1, 1, 2, 3):
-            for r in (-3, -2, -1, 1, 2, 3):
+    indices = [v for v in range(-bound, bound + 1) if v]
+    for p in indices:
+        for q in indices:
+            for r in indices:
                 assert canonicalize(p, q, r).indices in seen
     for k in knots:
+        assert type(k) is PretzelKnot and is_canonical(*k), k
         assert canonicalize(*k.indices) == k

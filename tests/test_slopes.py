@@ -17,7 +17,7 @@ def test_make_slope_normalizes_signs():
 
 def test_meridian():
     assert make_slope(1, 0) == MERIDIAN
-    assert not MERIDIAN.is_integral
+    assert MERIDIAN.b != 1
 
 
 def test_rejects_zero_zero():
