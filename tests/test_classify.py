@@ -1017,3 +1017,18 @@ def test_certificate_streams_pinned():
         "44e99b325b8020f2c322cb235a3cd365f6ec7ce9105e9a8423b911bdb0261a07",
         "5ea446451873257b69b2c22af4f5dca619aba8ab488d34ea70d5440eac52e3ba",
     ]
+
+
+def test_the_minus2_streams_are_pinned_to_99():
+    # The JSON lines of every (-2,p,q) knot with odd 3 <= p <= q <= 99, one
+    # stream per question: the rows that (-2,p,q) certificates record without
+    # a premise are pinned beyond the 15 of test_certificate_streams_pinned.
+    def digest(classifier):
+        return hashlib.sha256("\n".join(
+            emit_certificate(classifier(canonicalize(-2, p, q)))
+            for p in range(3, 100, 2) for q in range(p, 100, 2)).encode()).hexdigest()
+
+    assert [digest(classify_finite), digest(classify_cyclic)] == [
+        "6e1f76ffb9a0655f442cf5596d9c02036ffac0994533f4b22d6d4bceddf83b84",
+        "5162dc17b89b6e7d869521e61a5746b5a299169ad13947b359e15b24c2f18c6e",
+    ]
