@@ -4,13 +4,15 @@ A certificate records the applied rules in order, each as its id and the
 inputs it records.  Each rule is one row of :data:`RULES`, per question: its
 source, its premise, its conclusion, what it settles and the notes it adds.
 A row that holds wherever a pipeline reaches it has no premise and is
-recorded directly: the opening rows that the family tag picks, and the norm
-rows that Tier-1 proves on the (p,q,-r) family.  The pipelines only apply and
-record rows, in the order of the paper's case analysis, which is written
-nowhere else: :func:`classify` walks them afresh for any knot, and replay
-derives a certificate again with it and compares.  :func:`conclude` gives the
-slope marks, realized slopes and verdict of the chain, and
-:func:`certificate_data` the ``data`` of the knot.
+recorded directly: the opening rows that the family tag picks, the norm rows
+that Tier-1 proves on the (p,q,-r) family, the published (-2,3,q) lists, which
+cover every such knot, and the not-cyclic note of a (-2,p,q) knot with p >= 5,
+which Tier-1 proves has no cyclic surgery.  The pipelines only apply and record
+rows, in the order of the paper's case analysis, which is written nowhere
+else: :func:`classify` walks them afresh for any knot, and replay derives a
+certificate again with it and compares.  :func:`conclude` gives the slope
+marks, realized slopes and verdict of the chain, and :func:`certificate_data`
+the ``data`` of the knot.
 A certificate is an immutable record of the chain, its verdict and realized
 slopes; its data and slope marks are derived when read.  The one-knot memos
 here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
@@ -314,26 +316,6 @@ def residual_case_table(p: int, q: int, r: int, survivors: list[int]) -> dict | 
     return {"p": p, "r": r, "survivors": survivors} if facts.in_residual_window(p, r) else None
 
 
-def _published(known_list, p: int, q: int, r: int) -> dict | None:
-    known = known_list(q) if p == 3 else None
-    return None if known is None else {"q": q, "slopes": list(known)}
-
-
-published_minus2_3_cyclic = partial(_published, facts.known_cyclic_minus2_3)
-published_minus2_3_finite = partial(_published, facts.known_finite_minus2_3)
-
-
-def _known_examples(published, p: int, q: int, r: int) -> dict | None:
-    """The slopes of a non-empty published list, as realized examples."""
-    listed = published(p, q, r)
-    return {"slopes": listed["slopes"]} if listed and listed["slopes"] else None
-
-
-def not_cyclic_annotation(p: int, q: int, r: int) -> dict | None:
-    cyclic = classify_cyclic(PretzelKnot(-r, p, q)).verdict
-    return {"p": p, "q": q} if cyclic == NONE else None
-
-
 def cyclic_via_finite(k: PretzelKnot, fam: KnotFamily) -> dict | None:
     finite = classify_finite(k).verdict
     return {"finite_verdict": finite} if finite == NONE else None
@@ -373,7 +355,7 @@ class RuleRow(NamedTuple):
     """One rule, as the pipelines apply it and the emitter writes it."""
 
     source: str  # a key of facts.SOURCES
-    premise: Callable[..., dict | None] | None  # None: recorded wherever a pipeline reaches it
+    premise: Callable[..., dict | None] | None  # None: holds wherever a pipeline records it
     conclusion: str  # formatted with u and the inputs for a per-slope rule "id:u"
     settles: str | None
     notes: tuple[str, ...] = ()  # the annotations of a certificate that records this row
@@ -382,7 +364,7 @@ class RuleRow(NamedTuple):
 _M2, _PQR = FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R
 
 
-def _shared_rows(question: str, fillings: str, published, examples_source: str) -> dict:
+def _shared_rows(question: str, fillings: str, examples_source: str) -> dict:
     """The opening rows and the (-2,3,q) rows, in the words of the question."""
     return {
         "torus_pretzel": RuleRow("torus_classification", None, (
@@ -393,10 +375,10 @@ def _shared_rows(question: str, fillings: str, published, examples_source: str) 
         "lamination_form": RuleRow("lamination_reduction", None, (
             "a non-torus pretzel knot outside the (p,q,-r) form admits no non-trivial "
             f"{question} surgery"), NONE),
-        f"published_minus2_3_{question}": RuleRow("published_minus2_3_surgeries", published, (
+        f"published_minus2_3_{question}": RuleRow("published_minus2_3_surgeries", None, (
             f"the published classification lists exactly these {question} surgery slopes"),
             PUBLISHED),
-        "known_examples": RuleRow(examples_source, partial(_known_examples, published), (
+        "known_examples": RuleRow(examples_source, None, (
             f"the listed fillings are realized {question} surgeries"), None),
     }
 
@@ -404,9 +386,8 @@ def _shared_rows(question: str, fillings: str, published, examples_source: str) 
 # Per question: rule id -> its row.  A per-slope rule "id:u" is keyed "id:".
 RULES: dict[str, dict[str, RuleRow]] = {
     FINITE_Q: {
-        **_shared_rows(FINITE_Q, "finite (indeed cyclic)", published_minus2_3_finite,
-                       "bleiler_hodgson"),
-        "not_cyclic_annotation": RuleRow("cyclic_surgery_theorem", not_cyclic_annotation, (
+        **_shared_rows(FINITE_Q, "finite (indeed cyclic)", "bleiler_hodgson"),
+        "not_cyclic_annotation": RuleRow("cyclic_surgery_theorem", None, (
             "this knot admits no non-trivial cyclic surgery, so any finite filling here is not "
             "cyclic"), None, notes=("any non-trivial finite filling is not cyclic",
                                     "no finite filling is known; none is expected")),
@@ -452,7 +433,7 @@ RULES: dict[str, dict[str, RuleRow]] = {
             "all remaining candidates"), SURVIVORS),
     },
     CYCLIC: {
-        **_shared_rows(CYCLIC, "cyclic", published_minus2_3_cyclic, "fintushel_stern"),
+        **_shared_rows(CYCLIC, "cyclic", "fintushel_stern"),
         "cyclic_via_finite": RuleRow("z_filling", cyclic_via_finite, (
             "a cyclic filling would be finite cyclic (excluded: the knot has no non-trivial "
             "finite surgery) or infinite cyclic (excluded for any non-trivial knot)"), NONE),
@@ -597,10 +578,13 @@ def _eliminated(rules: list[Rule], question: str, keys: tuple[str, ...], p: int,
 # -- the pipelines ------------------------------------------------------------
 
 
-def _published_minus2_3(rules: list[Rule], question: str, p: int, q: int, r: int) -> None:
-    if _apply(rules, question, f"published_minus2_3_{question}", p, q, r) is None:
-        raise ArithmeticError(f"no published {question} surgery list covers ({-r},{p},{q})")
-    _apply(rules, question, "known_examples", p, q, r)
+def _published_minus2_3(rules: list[Rule], question: str, q: int) -> None:
+    # q >= 7 is odd, where both lists cover: test_a_minus2_3_knot_has_odd_q_from_7.
+    listed = facts.known_cyclic_minus2_3 if question == CYCLIC else facts.known_finite_minus2_3
+    known = listed(q)
+    rules.append(Rule(f"published_minus2_3_{question}", {"q": q, "slopes": list(known)}))
+    if known:
+        rules.append(Rule("known_examples", {"slopes": list(known)}))
 
 
 def _finite_pq_minus_r(rules: list[Rule], p: int, q: int, r: int) -> None:
@@ -664,14 +648,15 @@ def classify(k: PretzelKnot, question: str) -> Certificate:
         return Certificate(k, question, *_OPENED[key])
     rules, (p, q), r = [], fam.odd_pair, -fam.even_value
     if fam.tag is _M2 and p == 3:
-        _published_minus2_3(rules, question, p, q, r)
+        _published_minus2_3(rules, question, q)
     elif question == CYCLIC:  # a (-2,p,q) knot
         _cyclic_minus2_pq(rules, p, q, r)
     elif fam.tag is _PQR:
         _finite_pq_minus_r(rules, p, q, r)
-    elif _apply(rules, FINITE_Q, "not_cyclic_annotation", p, q, r) is None:
-        raise ArithmeticError(f"{k} has a cyclic verdict other than {NONE}; the "
-                              "not-cyclic annotation does not apply")
+    else:  # (-2,p,q) with p >= 5: no cyclic surgery, proven in Tier-1 by
+        # test_the_farkas_witnesses_hold_for_every_odd_q and
+        # test_no_minus2_knot_with_p_from_5_has_a_cyclic_surgery.
+        rules.append(Rule("not_cyclic_annotation", {"p": p, "q": q}))
     _, realized, verdict = conclude(rules)
     return Certificate(k, question, verdict, realized, tuple(rules))
 

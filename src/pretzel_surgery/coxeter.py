@@ -92,9 +92,7 @@ def edjvet_verdict(sig: CoxeterSignature) -> FinitenessVerdict:
 def coxeter_presentation(sig: CoxeterSignature) -> GroupPresentation:
     R, S = gen("R"), gen("S")
     relators = (R ** sig.a, S ** sig.b, (R * S) ** 2, (R * R * S * S) ** sig.c)
-    return GroupPresentation(
-        ("R", "S"), relators,
-        display=(f"R^{sig.a}", f"S^{sig.b}", "(RS)^2", f"(R^2S^2)^{sig.c}"))
+    return GroupPresentation(("R", "S"), relators)
 
 
 @dataclass(frozen=True)

@@ -44,17 +44,7 @@ def wirtinger_presentation(p: int, q: int, r: int) -> GroupPresentation:
     lhs3 = yzi ** (-half_r) * z * yzi ** half_r
     rhs3 = zx ** ((p + 1) // 2) * x * zx ** (-((p + 1) // 2))
 
-    k, m = (p - 1) // 2, (q + 1) // 2
-    display = (
-        f"(zx)^{k} z (zx)^{-k} = (yx)^{-m} y (yx)^{m}",
-        f"(yz^-1)^{-half_r} y (yz^-1)^{half_r} = (yx)^{-(m - 1)} x (yx)^{m - 1}",
-        f"(yz^-1)^{-half_r} z (yz^-1)^{half_r} = (zx)^{k + 1} x (zx)^{-(k + 1)}",
-    )
-    return GroupPresentation(
-        ("x", "y", "z"),
-        (lhs1 * ~rhs1, lhs2 * ~rhs2, lhs3 * ~rhs3),
-        display=display,
-    )
+    return GroupPresentation(("x", "y", "z"), (lhs1 * ~rhs1, lhs2 * ~rhs2, lhs3 * ~rhs3))
 
 
 def longitude_word(p: int, q: int, r: int) -> Word:
@@ -76,11 +66,7 @@ def filled_presentation(p: int, q: int, r: int, s: int) -> GroupPresentation:
     """Fundamental group of the integral s-filling: the knot group plus x^s l."""
     base = wirtinger_presentation(p, q, r)
     fill = gen("x", s) * longitude_word(p, q, r)
-    return GroupPresentation(
-        base.generators,
-        base.relators + (fill,),
-        display=base.display + (f"x^{s} l",),
-    )
+    return GroupPresentation(base.generators, base.relators + (fill,))
 
 
 @dataclass(frozen=True)
@@ -108,11 +94,8 @@ def coxeter_quotient(p: int, r: int, s: int) -> CoxeterQuotient:
 
     half_r = r // 2
     y, w = gen("y"), gen("w")
-    two_generator = GroupPresentation(
-        ("w", "y"),
-        ((y * y * w * w) ** half_r, w ** p, (w * y) ** 2, gen("y", s - 2 * p)),
-        display=(f"(y^2w^2)^{half_r}", f"w^{p}", "(wy)^2", f"y^{s - 2 * p}"),
-    )
+    two_generator = GroupPresentation(("w", "y"), (
+        (y * y * w * w) ** half_r, w ** p, (w * y) ** 2, gen("y", s - 2 * p)))
     d = abs(s - 2 * p)
     signature = CoxeterSignature.of(p, d, half_r) if d >= 2 else None
     return CoxeterQuotient(two_generator, signature)

@@ -9,7 +9,7 @@ construction reads like the algebra it encodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .smith import AbelianInvariants, abelian_invariants
@@ -96,11 +96,10 @@ def gen(name: str, exponent: int = 1) -> Word:
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Named generators, freely reduced relators, optional display equations."""
+    """Named generators and freely reduced relators."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    display: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if len(set(self.generators)) != len(self.generators):

@@ -10,9 +10,10 @@ from types import ModuleType
 
 import pytest
 
+import pretzel_surgery.boundary as boundary_module
 import pretzel_surgery.classify as classify_module
 import pretzel_surgery.knots as knots_module
-from pretzel_surgery import facts
+from pretzel_surgery import facts, linprog
 from pretzel_surgery.classify import (CYCLIC, FINITE_Q, NONE, REALIZED, RULES, STATUS_ELIMINATED,
                                       TORUS_INFINITE, UNRESOLVED, Certificate, Rule,
                                       classify_cyclic, classify_finite, conclude,
@@ -280,21 +281,117 @@ def test_even_norm_floor_holds_on_the_whole_family():
         assert irreducible_char_count(p, q, r // 2) >= 3, (p, q, r)
 
 
-def test_the_rows_with_no_premise_are_the_opening_and_norm_rows():
+def test_the_rows_with_no_premise_are_those_that_cannot_fail():
     # These rows hold wherever a pipeline reaches them, so the pipelines record
-    # them directly.  A pipeline that applied one would raise TypeError, which
-    # replay does not catch.
-    opening = ("torus_pretzel", "unclassified_indices", "lamination_form")
-    norm = ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
-            "half_integral_excluded", "odd_uniqueness")
+    # them directly: the opening rows, which the family tag picks; the (-2,3,q)
+    # published rows, whose lists cover every q of the family; the norm rows
+    # and the not-cyclic note, which Tier-1 proves on their families.  A
+    # pipeline that applied one would raise TypeError, which replay does not catch.
+    both = ("torus_pretzel", "unclassified_indices", "lamination_form", "known_examples")
+    finite = ("even_numerator_infinite", "denominator_bound", "even_norm_floor",
+              "half_integral_excluded", "odd_uniqueness", "not_cyclic_annotation")
     unconditional = {(question, key) for question, rows in RULES.items()
                      for key, row in rows.items() if row.premise is None}
-    assert unconditional == {*((question, key) for question in RULES for key in opening),
-                             *((FINITE_Q, key) for key in norm)}
-    assert len({key for _, key in unconditional}) == 8
+    assert unconditional == {*((question, key) for question in RULES for key in both),
+                             *((question, f"published_minus2_3_{question}") for question in RULES),
+                             *((FINITE_Q, key) for key in finite)}
+    assert len({key for _, key in unconditional}) == 12
     for question, key in unconditional:
         with pytest.raises(TypeError):
             classify_module._apply([], question, key, 7, 9, 10)
+
+
+def test_a_minus2_3_knot_has_odd_q_from_7():
+    """knots.family tags (-2,3,q) MINUS2_PQ only for odd q >= 3 off the torus
+    triples (-2,3,3) and (-2,3,5), so a MINUS2_PQ knot with p = 3 has odd
+    q >= 7; both published lists are None only for even q or q < 7, so they
+    cover it, and classify records each list as it stands."""
+    assert facts.TORUS_TRIPLES == {(-2, 3, 3), (-2, 3, 5)}
+    for c in range(3, 400):
+        k = PretzelKnot(-2, 3, c)
+        tagged = k.is_knot and family(k) == KnotFamily(FamilyTag.MINUS2_PQ, (3, c), -2)
+        assert tagged == (c % 2 == 1 and c >= 7), c
+        for known in (facts.known_cyclic_minus2_3, facts.known_finite_minus2_3):
+            assert (known(c) is None) == (c % 2 == 0 or c < 7), c
+        if tagged:
+            for question in RULES:
+                listed = classify_module.classify(k, question).rules[0].inputs["slopes"]
+                known = facts.known_cyclic_minus2_3 if question == CYCLIC else \
+                    facts.known_finite_minus2_3
+                assert listed == list(known(c)), (c, question)
+
+
+def _candidates(p, q):
+    """The lemma's window: 2v+4 and 2v+5 for v in {p, q} with v >= 7, ascending."""
+    return sorted({u for v in (p, q) if v >= 7 for u in (2 * v + 4, 2 * v + 5)})
+
+
+def test_no_minus2_knot_with_p_from_5_has_a_cyclic_surgery():
+    """Every (-2,p,q) knot with odd 5 <= p <= q has cyclic verdict NONE.
+
+    For odd v >= 7, 2(v^2-v-5) = (v-3)(2v+4) + 2 (two quadratics that agree at
+    three points), so steep(v) = 2v+4 + 2/(v-3) with 0 < 2/(v-3) < 1.  The
+    non-integral slopes are steep(v) for v in {p, q} with v >= 7, and the
+    window candidates are exactly 2v+4 and 2v+5.  Their distances from the
+    toroidal filling 2(p+q) are 2p-4 and 2p-5 when v = q, and 2q-4 and 2q-5
+    (q >= p) when v = p.  So with p >= 7 lens_toroidal_distance (distance
+    > 5) eliminates every candidate.  With p = 5 there is no p-branch, and it
+    eliminates every candidate but 2q+5, at distance 5: (-2,5,5) has no
+    non-integral slope; the 19-filling of (-2,5,7) is hyperbolic
+    (facts.SNAPPEA_HYPERBOLIC_FILLINGS); for q >= 9 every pair of the norm
+    model is infeasible (tests/test_norms.py,
+    test_the_farkas_witnesses_hold_for_every_odd_q), so seminorm_infeasibility
+    eliminates 2q+5.  The finite question records not_cyclic_annotation on
+    these knots by this theorem.
+
+    The lemma is checked against the code on odd 5 <= p <= q <= 151 and at
+    large v; the cover on every (-2,p,q) knot with p >= 5 of sweep_cyclic(50):
+    each has the chain the case split names, and verdict NONE.
+    """
+    assert all(2 * (v * v - v - 5) == (v - 3) * (2 * v + 4) + 2 for v in (0, 1, 2))
+    for v in [*range(7, 152, 2), 10**9 + 7]:
+        assert Fraction(*boundary_module._steep(v)) == 2 * v + 4 + Fraction(2, v - 3)
+    for p in range(5, 152, 2):
+        for q in range(p, 152, 2):
+            window = classify_module.nonintegral_proximity(p, q, 2)
+            candidates = _candidates(p, q)
+            assert (window["candidates"] if window else []) == candidates, (p, q)
+            distances = {2 * q + 4: 2 * p - 4, 2 * q + 5: 2 * p - 5,
+                         2 * p + 4: 2 * q - 4, 2 * p + 5: 2 * q - 5}
+            for u in candidates:
+                far = classify_module.lens_toroidal_distance(p, q, 2, u)
+                assert (far is None) == (p == 5 and u == 2 * q + 5), (p, q, u)
+                assert far is None or far["distance"] == distances[u], (p, q, u)
+    knots = [k for k in enumerate_canonical(50) if k.p == -2 and k.is_knot
+             and family(k).tag is FamilyTag.MINUS2_PQ and k.q >= 5]
+    assert len(knots) == 276 and {k.q for k in knots} == set(range(5, 50, 2))
+    for k in knots:
+        cert = classify_cyclic(k)
+        p, q = k.q, k.r
+        chain = ["nonintegral_proximity", *(f"lens_toroidal_distance:{u}" for u in _candidates(
+            p, q) if (p, u) != (5, 2 * q + 5))]
+        if (p, q) == (5, 5):
+            chain = ["no_nonintegral_slopes"]
+        elif p == 5:
+            last = "snappea_hyperbolic" if q == 7 else "seminorm_infeasibility"
+            chain.append(f"{last}:{2 * q + 5}")
+        assert [r.id for r in cert.rules] == chain and cert.verdict == NONE, k
+
+
+def test_the_finite_question_runs_no_cyclic_pipeline_and_no_lp(monkeypatch):
+    # A (-2,p,q) finite certificate records its published rows or its
+    # not-cyclic note directly: neither classify nor replay asks for a cyclic
+    # verdict or solves a norm LP, inside the swept box or beyond it.
+    def refuse(*args):
+        raise AssertionError("the finite question ran the cyclic pipeline or an LP")
+
+    monkeypatch.setattr(classify_module, "classify_cyclic", refuse)
+    monkeypatch.setattr(linprog, "solve_feasibility", refuse)
+    classify_finite.cache_clear()
+    for triple, verdict in [((-2, 5, 9), UNRESOLVED), ((-2, 5, 101), UNRESOLVED),
+                            ((-2, 7, 9), UNRESOLVED), ((-2, 3, 7), REALIZED)]:
+        cert = classify_finite(canonicalize(*triple))
+        assert cert.verdict == verdict and replay_certificate(cert), triple
 
 
 # -- certificates ------------------------------------------------------------

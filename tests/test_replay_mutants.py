@@ -67,8 +67,10 @@ def _mutants(cert) -> dict[str, list]:
 
 
 def _solves_norm_lps(cert) -> bool:
-    # Replaying a (-2,5,q) certificate with q >= 9 solves its 15 norm LPs
-    # again, directly or through the not-cyclic annotation's cyclic verdict.
+    # Replaying a (-2,5,q) cyclic certificate with q >= 9 solves its 15 norm
+    # LPs again.  The finite certificate of the same knot records its
+    # not-cyclic note directly and solves none; it keeps the one-mutant
+    # sampling too, so the mutant counts pinned below stay as they were.
     p, q, r = cert.knot.indices
     return (p, q) == (-2, 5) and r >= 9
 
