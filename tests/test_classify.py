@@ -307,18 +307,16 @@ def test_a_minus2_3_knot_has_odd_q_from_7():
     q >= 7; both published lists are None only for even q or q < 7, so they
     cover it, and classify records each list as it stands."""
     assert facts.TORUS_TRIPLES == {(-2, 3, 3), (-2, 3, 5)}
+    lists = {CYCLIC: facts.known_cyclic_minus2_3, FINITE_Q: facts.known_finite_minus2_3}
     for c in range(3, 400):
         k = PretzelKnot(-2, 3, c)
         tagged = k.is_knot and family(k) == KnotFamily(FamilyTag.MINUS2_PQ, (3, c), -2)
         assert tagged == (c % 2 == 1 and c >= 7), c
-        for known in (facts.known_cyclic_minus2_3, facts.known_finite_minus2_3):
+        for question, known in lists.items():
             assert (known(c) is None) == (c % 2 == 0 or c < 7), c
-        if tagged:
-            for question in RULES:
-                listed = classify_module.classify(k, question).rules[0].inputs["slopes"]
-                known = facts.known_cyclic_minus2_3 if question == CYCLIC else \
-                    facts.known_finite_minus2_3
-                assert listed == list(known(c)), (c, question)
+            if tagged:
+                published = classify_module.classify(k, question).rules[0]
+                assert published.inputs["slopes"] == list(known(c)), (c, question)
 
 
 def _candidates(p, q):
@@ -366,15 +364,16 @@ def test_no_minus2_knot_with_p_from_5_has_a_cyclic_surgery():
              and family(k).tag is FamilyTag.MINUS2_PQ and k.q >= 5]
     assert len(knots) == 276 and {k.q for k in knots} == set(range(5, 50, 2))
     for k in knots:
-        cert = classify_cyclic(k)
-        p, q = k.q, k.r
-        chain = ["nonintegral_proximity", *(f"lens_toroidal_distance:{u}" for u in _candidates(
-            p, q) if (p, u) != (5, 2 * q + 5))]
+        cert, (_, p, q) = classify_cyclic(k), k
+        lens = [f"lens_toroidal_distance:{u}" for u in _candidates(p, q)
+                if (p, u) != (5, 2 * q + 5)]
         if (p, q) == (5, 5):
             chain = ["no_nonintegral_slopes"]
         elif p == 5:
             last = "snappea_hyperbolic" if q == 7 else "seminorm_infeasibility"
-            chain.append(f"{last}:{2 * q + 5}")
+            chain = ["nonintegral_proximity", *lens, f"{last}:{2 * q + 5}"]
+        else:
+            chain = ["nonintegral_proximity", *lens]
         assert [r.id for r in cert.rules] == chain and cert.verdict == NONE, k
 
 

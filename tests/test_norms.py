@@ -155,9 +155,9 @@ def test_the_farkas_witnesses_hold_for_every_odd_q():
     steep(q), 2q+10, 2q+12], and the rows |mu| - S, |2q+5| - S and
     |2q+4| - S (twice the distances to each slope, then -1 for S) are
     [2, 2, 2, q-3, 2, 2, -1], [4q+10, 4q-18, 4q-20, q-5, 10, 14, -1] and
-    [4q+8, 4q-20, 4q-22, 2, 12, 16, -1]: each distance |a - c*d| to a
-    slope c/d is linear in q, with a fixed sign, across the family.  A pair
-    (i, j) adds S >= 1, a_i >= 1 and a_j >= 1.
+    [4q+8, 4q-20, 4q-22, 2, 12, 16, -1]: the distance from a/1 to a slope
+    c/d is |ad - c| (from the meridian 1/0, d), linear in q with a fixed sign
+    across the family.  A pair (i, j) adds S >= 1, a_i >= 1 and a_j >= 1.
 
     Each entry of the solver's witness on a pair is a ratio (aq+b)/(cq+d) of
     linear polynomials, fitted from q = 9, 11, 13.  Put q = 9 + 2t and
@@ -171,7 +171,8 @@ def test_the_farkas_witnesses_hold_for_every_odd_q():
     [9, 99], and the rows are checked against the code there and at two large q.
     """
     def rows(q):
-        return [(2, 2, 2, q - 3, 2, 2, -1), (4 * q + 10, 4 * q - 18, 4 * q - 20, q - 5, 10, 14, -1),
+        return [(2, 2, 2, q - 3, 2, 2, -1),
+                (4 * q + 10, 4 * q - 18, 4 * q - 20, q - 5, 10, 14, -1),
                 (4 * q + 8, 4 * q - 20, 4 * q - 22, 2, 12, 16, -1)]
 
     def unit(k):
