@@ -182,7 +182,7 @@ def rule_text(question: str, rule_id: str, inputs: dict) -> tuple[str, str, str]
     key, colon, u = rule_id.partition(":")
     row = RULES[question][key + colon]
     conclusion = row.conclusion.format(u=u, **inputs) if colon else row.conclusion
-    return row.source, facts.SOURCES.get(row.source, row.source), conclusion
+    return row.source, facts.SOURCES[row.source], conclusion
 
 
 # -- premises ----------------------------------------------------------------

@@ -18,7 +18,7 @@ from .coxeter import (DEFAULT_MAX_COSETS, CoxeterSignature, coxeter_presentation
 from .knots import canonicalize
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import coxeter_quotient, filled_presentation, wirtinger_presentation
-from .sweeps import sweep_cyclic, sweep_finite
+from .sweeps import pqr_knots, sweep_cyclic, sweep_finite
 from .triangle import irreducible_char_count, reducible_char_count, total_char_count
 
 EXIT_OK = 0
@@ -94,8 +94,7 @@ def _cmd_sweep(args) -> int:
     for name, (lo, _), least in zip("pqr", ranges, (3, 3, 4)):
         if lo < least:
             raise UsageError(f"{name} bounds must be >= {least}, got {lo}")
-    (p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi) = ranges  # try the least odd p, q >= p, even r
-    if (p := p_lo | 1) > p_hi or max(p, q_lo) | 1 > q_hi or r_lo + r_lo % 2 > r_hi:
+    if next(pqr_knots(*ranges), None) is None:
         raise UsageError("the ranges hold no (p,q,-r) knot with odd p <= q and even r")
     report = sweep_cyclic(args.bound) if args.question == CYCLIC else sweep_finite(*ranges)
     for cert in report.certificates:

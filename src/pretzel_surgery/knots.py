@@ -24,12 +24,6 @@ class FamilyError(ValueError):
     """An operation was applied to a knot outside its family of validity."""
 
 
-class TorusStatus(Enum):
-    TORUS = "TORUS"
-    NOT_TORUS = "NOT_TORUS"
-    UNCLASSIFIED = "UNCLASSIFIED"
-
-
 class FamilyTag(Enum):
     TORUS = "TORUS"
     UNCLASSIFIED = "UNCLASSIFIED"
@@ -101,30 +95,30 @@ class KnotFamily(NamedTuple):
     even_value: int | None = None
 
 
-def torus_status(k: PretzelKnot) -> TorusStatus:
-    """Classify torus-ness exactly as far as the encoded patterns reach.
+_TORUS, _UNCLASSIFIED, _OTHER = (KnotFamily(tag) for tag in (  # parameter-free, shared
+    FamilyTag.TORUS, FamilyTag.UNCLASSIFIED, FamilyTag.OTHER))
+
+
+def torus_status(k: PretzelKnot) -> KnotFamily | None:
+    """The shared TORUS or UNCLASSIFIED family of k, or None if k is not torus,
+    exactly as far as the encoded patterns reach.
 
     With all indices of absolute value > 1 the answer is definitive; triples
     with a +-1 index are only classified when they match the degenerate
     (-2,1,n) pattern, and are UNCLASSIFIED otherwise.
     """
     if 1 not in k and -1 not in k:  # a record hashes and compares as its plain tuple
-        return TorusStatus.TORUS if k in TORUS_TRIPLES else TorusStatus.NOT_TORUS
+        return _TORUS if k in TORUS_TRIPLES else None
     if k.p == -2 and k.q == 1 and k.r % 2 == 1:
-        return TorusStatus.TORUS
-    return TorusStatus.UNCLASSIFIED
-
-
-_TORUS, _UNCLASSIFIED, _OTHER = (KnotFamily(tag) for tag in (  # parameter-free, shared
-    FamilyTag.TORUS, FamilyTag.UNCLASSIFIED, FamilyTag.OTHER))
+        return _TORUS
+    return _UNCLASSIFIED
 
 
 @lru_cache(maxsize=1)  # classify and replay ask for one knot's family in turn
 def family(k: PretzelKnot) -> KnotFamily:
     """Sort k, reading its torus status once; OTHER is a non-torus knot in neither family."""
-    status = torus_status(k)
-    if status is not TorusStatus.NOT_TORUS:
-        return _TORUS if status is TorusStatus.TORUS else _UNCLASSIFIED
+    if (torus := torus_status(k)) is not None:
+        return torus
     a, b, c = k
     if a == -2 and b % 2 == c % 2 == 1 and 3 <= b <= c:
         return KnotFamily(FamilyTag.MINUS2_PQ, odd_pair=(b, c), even_value=-2)

@@ -1,21 +1,22 @@
 """Exact linear feasibility over integer rows, with replayable Farkas certificates.
 
 A small phase-one simplex with Bland's pivoting rule decides systems
-``{A x (>=|=|<=) b, x >= 0}`` whose coefficients and right-hand sides are
-ints (:func:`row` rejects anything else).  Feasible systems come back with
-an exact rational sample point; infeasible ones with a rational dual
-witness ``y`` such that
+``{A x (>=|=) b, b >= 0, x >= 0}`` whose coefficients and right-hand sides
+are ints, the one shape the norm model builds (:func:`row` rejects anything
+else).  Feasible systems come back with an exact rational sample point;
+infeasible ones with a rational dual witness ``y`` such that
 
-* ``y_i >= 0`` on ``>=`` rows, ``y_i <= 0`` on ``<=`` rows, free on ``=``,
+* ``y_i >= 0`` on ``>=`` rows and free on ``=`` rows,
 * ``sum_i y_i A_i <= 0`` in every column, and
 * ``sum_i y_i b_i > 0``.
 
 The simplex pivots fraction-free over ``int`` (Bareiss; the integer
 pivoting of Avis's ``lrs``).  It keeps an integer tableau ``M`` and one
 running determinant ``d > 0``, and the true tableau is always ``T = M/d``.
-It starts from the rows themselves, with unit slack and artificial
-columns and ``d = 1``.  A pivot on ``p = M[r][s]`` keeps row ``r`` and
-replaces every other row, the phase-one objective row included, by
+It starts from the rows themselves, with a ``-1`` surplus column per ``>=``
+row, a unit artificial column per row, the artificials as basis and
+``d = 1``.  A pivot on ``p = M[r][s]`` keeps row ``r`` and replaces every
+other row, the phase-one objective row included, by
 ``(M[i][j]*p - M[i][s]*M[r][j]) // d``; then ``d = p``.  By Sylvester's
 identity every entry of ``M`` is a minor of the starting matrix, objective
 row included, and ``d`` is the basis determinant, so the division is exact;
@@ -38,9 +39,6 @@ from operator import index, mul
 
 EQ = "EQ"
 GE = "GE"
-LE = "LE"
-
-_FLIP = {GE: LE, LE: GE, EQ: EQ}
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,16 @@ class LinearRow:
     label: str = ""
 
 
+def _shaped(r: LinearRow) -> bool:
+    """r is a row the solver takes: EQ or GE, with a right-hand side >= 0."""
+    return r.rel in (EQ, GE) and r.rhs >= 0
+
+
 def row(coeffs, rel: str, rhs, label: str = "") -> LinearRow:
-    if rel not in (EQ, GE, LE):
-        raise ValueError(f"unknown relation {rel!r}")
-    return LinearRow(tuple(map(index, coeffs)), rel, index(rhs), label)
+    r = LinearRow(tuple(map(index, coeffs)), rel, index(rhs), label)
+    if not _shaped(r):
+        raise ValueError(f"a row is EQ or GE with a right-hand side >= 0, not {rel!r} {rhs}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -74,11 +78,11 @@ def _cleared(values) -> list[int]:
 def satisfies(rows: list[LinearRow], x: tuple[Fraction, ...]) -> bool:
     """x >= 0 has the rows' width and meets every row: with X = D*x cleared, a.X ~ b*D."""
     *X, D = _cleared((*x, 1))  # the appended 1 comes back as D
-    if any(len(r.coeffs) != len(X) for r in rows) or any(v < 0 for v in X):
+    if any(len(r.coeffs) != len(X) or not _shaped(r) for r in rows) or any(v < 0 for v in X):
         return False
     for r in rows:
         lhs, rhs = sum(map(mul, r.coeffs, X)), r.rhs * D
-        if not (lhs == rhs if r.rel == EQ else lhs >= rhs if r.rel == GE else lhs <= rhs):
+        if not (lhs == rhs if r.rel == EQ else lhs >= rhs):
             return False
     return True
 
@@ -88,8 +92,8 @@ def verify_witness(rows: list[LinearRow], y: tuple[Fraction, ...]) -> bool:
     if len(y) != len(rows) or len({len(r.coeffs) for r in rows}) > 1:
         return False
     Y = _cleared(y)  # y times a positive lcm: the same signs
-    for r, Yi in zip(rows, Y):
-        if (r.rel == GE and Yi < 0) or (r.rel == LE and Yi > 0):
+    for r, Yi in zip(rows, Y):  # each row is shaped, and y_i >= 0 on a GE row
+        if r.rhs < 0 or (Yi < 0 if r.rel == GE else r.rel != EQ):
             return False
     if any(sum(map(mul, Y, col)) > 0 for col in zip(*[r.coeffs for r in rows])):
         return False
@@ -102,52 +106,26 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
     for r in rows:
         if len(r.coeffs) != nvars:
             raise ValueError("row width does not match variable count")
+        if not _shaped(r):
+            raise ValueError(f"row {r.label!r} is not EQ or GE with a right-hand side >= 0")
 
-    # Normalize to nonnegative right-hand sides, remembering the sign flips.
-    flip = [1] * m
-    norm: list[tuple[tuple[int, ...], str, int]] = []
-    for i, r in enumerate(rows):
-        if r.rhs < 0:
-            flip[i] = -1
-            norm.append((tuple(-c for c in r.coeffs), _FLIP[r.rel], -r.rhs))
-        else:
-            norm.append((r.coeffs, r.rel, r.rhs))
+    # Columns: the variables, a surplus per GE row, an artificial per row.
+    surplus = [i for i, r in enumerate(rows) if r.rel == GE]
+    first_art = nvars + len(surplus)
+    ncols = first_art + m
 
-    slack_col: dict[int, int] = {}
-    art_col: dict[int, int] = {}
-    ncols = nvars
-    for i, (_, rel, _) in enumerate(norm):
-        if rel in (LE, GE):
-            slack_col[i] = ncols
-            ncols += 1
-    first_art = ncols
-    for i, (_, rel, _) in enumerate(norm):
-        if rel in (GE, EQ):
-            art_col[i] = ncols
-            ncols += 1
+    # Integer tableau M = d * T, d = 1, on the artificial basis.
+    M: list[list[int]] = [[*r.coeffs, *[0] * (ncols - nvars), r.rhs] for r in rows]
+    for k, i in enumerate(surplus):
+        M[i][nvars + k] = -1
+    for i, Mi in enumerate(M):
+        Mi[first_art + i] = 1
+    basis = list(range(first_art, ncols))
 
-    # Integer tableau M = d * T, d = 1.
-    M: list[list[int]] = []
-    basis = [-1] * m
-    for i, (coeffs, rel, rhs) in enumerate(norm):
-        Mi = [*coeffs, *[0] * (ncols - nvars), rhs]
-        if rel == LE:
-            Mi[slack_col[i]] = 1
-            basis[i] = slack_col[i]
-        else:
-            if rel == GE:
-                Mi[slack_col[i]] = -1
-            Mi[art_col[i]] = 1
-            basis[i] = art_col[i]
-        M.append(Mi)
-
-    # Phase-one reduced costs for min(sum of artificials), pivoted as row M[m];
-    # obj[ncols] = -d * w.
-    obj = [0] * (ncols + 1)
-    for i in art_col:
-        obj = [o - v for o, v in zip(obj, M[i])]
-    for j in art_col.values():
-        obj[j] += 1
+    # Phase-one reduced costs for min(sum of artificials), pivoted as row M[m]:
+    # minus the column sums, 0 on the artificials; obj[ncols] = -d * w.
+    obj = [-sum(col) for col in zip(*M)] if M else [0] * (ncols + 1)
+    obj[first_art:ncols] = [0] * m
     M.append(obj)
     d = 1
 
@@ -194,10 +172,8 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
             raise ArithmeticError("feasible sample failed exact recheck")
         return FeasibilityResult(True, point=point)
 
-    # Duals from the reduced costs over the initial identity columns.
-    witness = tuple(
-        Fraction(flip[i] * (d - obj[art_col[i]] if i in art_col else -obj[slack_col[i]]), d)
-        for i in range(m))
+    # Duals from the reduced costs over the artificial columns.
+    witness = tuple(Fraction(d - obj[first_art + i], d) for i in range(m))
     if not verify_witness(rows, witness):
         raise ArithmeticError("Farkas witness failed exact recheck")
     return FeasibilityResult(False, witness=witness)

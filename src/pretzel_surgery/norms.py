@@ -8,8 +8,9 @@ in unknown nonnegative coefficients a_1..a_n, together with the minimal
 positive norm S.  Every rule in this module manipulates such forms exactly;
 feasibility questions go through :mod:`pretzel_surgery.linprog` and return
 either exact rational sample points or Farkas witnesses.  Every row is
-integral, as :func:`linprog.row` requires: the coefficients are
-``2 * distance``, the right-hand sides 0, and the positivity rows unit rows.
+an integral ``=`` or ``>=`` row with a right-hand side ``>= 0``, the one shape
+:func:`linprog.row` takes: the coefficients are ``2 * distance``, the
+right-hand sides 0, and the positivity rows unit ``>= 1`` rows.
 :func:`_pair_systems` builds the pairwise ``(-2,5,q)`` rows, for both the
 solve and the re-verification of its witnesses.  A report holds those rows
 and the solver's own result on each pair (a :class:`linprog.FeasibilityResult`),
@@ -41,7 +42,7 @@ def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, .
 
 @dataclass
 class NormSystem:
-    """A boundary list plus norm relations  |gamma| (EQ|GE|LE) S,  each kept as
+    """A boundary list plus norm relations  |gamma| (EQ|GE) S,  each kept as
     gamma and its row  |gamma| - S (rel) 0  over the variables (a_1..a_n, S)."""
 
     boundary: tuple[Slope, ...]

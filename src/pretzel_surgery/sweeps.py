@@ -50,24 +50,25 @@ def sweep_cyclic(bound: int) -> SweepReport:
     return report
 
 
-def _pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
-               r_range: tuple[int, int]) -> Iterator[PretzelKnot]:
-    for p in range(p_range[0], p_range[1] + 1):
-        if p % 2 == 0:
-            continue
-        for q in range(max(p, q_range[0]), q_range[1] + 1):
-            if q % 2 == 0:
-                continue
-            for r in range(r_range[0], r_range[1] + 1):
-                if r % 2:
-                    continue
+def pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
+              r_range: tuple[int, int]) -> Iterator[PretzelKnot]:
+    """The (p,q,-r) knots with odd p <= q and even r in the inclusive ranges, in
+    sweep order.  No p above q's range and no empty r range is walked, so a box
+    that holds no knot is seen at once."""
+    (p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi) = p_range, q_range, r_range
+    rs = range(r_lo + r_lo % 2, r_hi + 1, 2)
+    if not rs:
+        return
+    for p in range(p_lo | 1, min(p_hi, q_hi) + 1, 2):
+        for q in range(max(p, q_lo) | 1, q_hi + 1, 2):
+            for r in rs:
                 yield canonicalize(p, q, -r)
 
 
 def sweep_finite(p_range=(3, 15), q_range=(3, 15), r_range=(4, 16)) -> SweepReport:
     """Classify finite surgeries over the (p,q,-r) family ranges (inclusive)."""
     report = SweepReport(FINITE_Q)
-    for k in _pqr_knots(p_range, q_range, r_range):
+    for k in pqr_knots(p_range, q_range, r_range):
         cert = classify_finite(k)
         report.certificates.append(cert)
         if not replay_certificate(cert):

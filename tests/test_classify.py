@@ -413,6 +413,13 @@ def test_certificate_text_contains_citations_when_asked():
     assert emit_certificate(cert, "text").count("cite:") == 0
 
 
+def test_every_rule_row_is_cited_and_every_citation_used():
+    # rule_text reads facts.SOURCES[row.source] with no fallback: a row whose
+    # source has no citation would raise, and an unused citation is dead text.
+    sources = {row.source for rows in RULES.values() for row in rows.values()}
+    assert sources == set(facts.SOURCES) and len(sources) == 18
+
+
 def test_certificate_rule_order_stable():
     first = emit_certificate(classify_finite(canonicalize(5, 7, -4)), "json")
     second = emit_certificate(classify_finite(canonicalize(5, 7, -4)), "json")

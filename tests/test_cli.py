@@ -6,9 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pretzel_surgery.cli as cli_module
 from pretzel_surgery.cli import main
+from pretzel_surgery.knots import canonicalize
+from pretzel_surgery.sweeps import pqr_knots
 from schema import validate_certificate_json
 
 
@@ -76,6 +80,10 @@ def test_user_input_faults_are_usage_errors(capsys):
                  ["sweep", "--question", "finite", "--r-range", "5:5"],
                  ["sweep", "--question", "finite", "--p-range", "15:15", "--q-range", "3:13"],
                  ["sweep", "--question", "cyclic", "--bound", "1", "--p-range", "4:4"],
+                 # Found empty without walking the ranges.
+                 ["sweep", "--question", "finite", "--p-range", "5:999999999", "--q-range", "3:3"],
+                 ["sweep", "--question", "finite", "--p-range", "3:99999", "--q-range", "3:99999",
+                  "--r-range", "5:5"],
                  ["chars", "1", "3", "7"],
                  ["group", "present", "2", "3", "-4"],
                  ["group", "present", "3", "3", "-4", "--fill", "6", "--coxeter"],
@@ -83,6 +91,14 @@ def test_user_input_faults_are_usage_errors(capsys):
                  ["group", "coxeter", "3", "7", "6", "--enumerate", "--max-cosets", "0"]):
         code, _, err = run(capsys, *argv)
         assert (code, err.startswith("error: ")) == (2, True), argv
+
+
+@given(*[st.integers(1, 12)] * 6)
+def test_the_sweep_enumerator_walks_exactly_its_box(p_lo, p_hi, q_lo, q_hi, r_lo, r_hi):
+    # The CLI's emptiness check and the finite sweep read the same enumerator.
+    box = [canonicalize(p, q, -r) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)
+           for r in range(r_lo, r_hi + 1) if p % 2 == q % 2 == 1 and p <= q and r % 2 == 0]
+    assert list(pqr_knots((p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi))) == box
 
 
 def test_internal_value_error_is_an_internal_error(monkeypatch, capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pretzel_surgery.knots import (FamilyError, FamilyTag, PretzelKnot, TorusStatus,
-                                   _canonical_triple, canonicalize, enumerate_canonical,
-                                   family, hyperbolicity_condition, is_canonical,
-                                   torus_status, triangle_slack)
+from pretzel_surgery.knots import (FamilyError, FamilyTag, PretzelKnot, _canonical_triple,
+                                   canonicalize, enumerate_canonical, family,
+                                   hyperbolicity_condition, is_canonical, torus_status,
+                                   triangle_slack)
 
 
 def test_canonicalize_permutation():
@@ -94,12 +94,16 @@ def test_family_invariant_under_permutation_and_mirror(p, q, r):
 
 
 def test_torus_status():
-    assert torus_status(canonicalize(-2, 3, 5)) is TorusStatus.TORUS
-    assert torus_status(canonicalize(2, -3, -3)) is TorusStatus.TORUS
-    assert torus_status(canonicalize(-2, 3, 7)) is TorusStatus.NOT_TORUS
-    assert torus_status(canonicalize(-2, 1, 7)) is TorusStatus.TORUS
-    assert torus_status(canonicalize(1, 3, 4)) is TorusStatus.UNCLASSIFIED
-    assert torus_status(canonicalize(-2, 5, 5)) is TorusStatus.NOT_TORUS
+    # The shared TORUS or UNCLASSIFIED family, which family returns as is;
+    # None for a knot that is not torus.
+    torus, unclassified = family(canonicalize(-2, 3, 5)), family(canonicalize(1, 3, 4))
+    assert (torus.tag, unclassified.tag) == (FamilyTag.TORUS, FamilyTag.UNCLASSIFIED)
+    assert torus_status(canonicalize(-2, 3, 5)) is torus
+    assert torus_status(canonicalize(2, -3, -3)) is torus
+    assert torus_status(canonicalize(-2, 3, 7)) is None
+    assert torus_status(canonicalize(-2, 1, 7)) is torus
+    assert torus_status(canonicalize(1, 3, 4)) is unclassified
+    assert torus_status(canonicalize(-2, 5, 5)) is None
 
 
 def test_families():

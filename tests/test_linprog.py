@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pretzel_surgery import linprog
-from pretzel_surgery.linprog import (EQ, GE, LE, row, satisfies, solve_feasibility,
+from pretzel_surgery.linprog import (EQ, GE, LinearRow, row, satisfies, solve_feasibility,
                                      verify_witness)
 from pretzel_surgery.norms import cyclic_infeasibility_minus2_5_q
 
@@ -13,7 +13,7 @@ from pretzel_surgery.norms import cyclic_infeasibility_minus2_5_q
 def test_feasible_system_returns_exact_point():
     rows = [
         row([1, 1], GE, 2),
-        row([1, -1], LE, 0),
+        row([-1, 1], GE, 0),
         row([2, 1], EQ, 5),
     ]
     result = solve_feasibility(rows, 2)
@@ -23,7 +23,7 @@ def test_feasible_system_returns_exact_point():
 
 def test_infeasible_system_returns_verified_witness():
     rows = [
-        row([1, 1], LE, 1),
+        row([-1, -1], GE, 0),
         row([1, 0], GE, 2),
     ]
     result = solve_feasibility(rows, 2)
@@ -31,11 +31,25 @@ def test_infeasible_system_returns_verified_witness():
     assert verify_witness(rows, result.witness)
 
 
-def test_equalities_with_negative_rhs():
-    rows = [row([1, -2], EQ, -3), row([1, 1], GE, 1)]
-    result = solve_feasibility(rows, 2)
-    assert result.feasible
-    assert satisfies(rows, result.point)
+def test_rows_outside_the_norm_models_shape_are_refused():
+    # The norm model builds = and >= rows with a right-hand side >= 0, and the
+    # solver takes nothing else.  x + y <= 2 is spelled here as a <= row and
+    # as a >= row with a negative right-hand side; with x >= 3 it is infeasible.
+    with pytest.raises(ValueError):
+        row([1, 1], "LE", 2)
+    with pytest.raises(ValueError):
+        row([-1, -1], GE, -1)
+    F, x_at_least_3 = Fraction, row([1, 0], GE, 3)
+    for bad, y in [(LinearRow((1, 1), "LE", 2), (F(-1), F(1))),
+                   (LinearRow((-1, -1), GE, -2), (F(1), F(1)))]:
+        with pytest.raises(ValueError):
+            solve_feasibility([bad, x_at_least_3], 2)
+        # (1, 1) meets x + y <= 2 and y refutes the pair, but not in this shape.
+        assert not satisfies([bad], (F(1), F(1)))
+        assert not verify_witness([bad, x_at_least_3], y)
+    # A <= row cannot pass as =: the same point and witness hold for x + y = 2.
+    assert satisfies([row([1, 1], EQ, 2)], (F(1), F(1)))
+    assert verify_witness([row([1, 1], EQ, 2), x_at_least_3], (F(-1), F(1)))
 
 
 def test_infeasible_equalities():
@@ -78,7 +92,7 @@ small_fraction = st.builds(Fraction, small_int, st.integers(1, 7))
 def integer_rows(nvars, max_size):
     return st.lists(
         st.tuples(st.lists(small_int, min_size=nvars, max_size=nvars),
-                  st.sampled_from([EQ, GE, LE]), small_int),
+                  st.sampled_from([EQ, GE]), st.integers(0, 6)),
         min_size=1, max_size=max_size)
 
 
@@ -96,7 +110,7 @@ def test_random_systems_decided_with_checkable_evidence(nvars, data):
 @given(st.integers(1, 40), st.integers(1, 40))
 def test_scaling_preserves_homogeneous_feasibility(na, nb):
     # Homogeneous system: points scale by any positive rational.
-    rows = [row([2, -3, -1], EQ, 0), row([1, 1, -1], LE, 0)]
+    rows = [row([2, -3, -1], EQ, 0), row([-1, -1, 1], GE, 0)]
     result = solve_feasibility(rows + [row([1, 0, 0], GE, 1)], 3)
     assert result.feasible
     scale = Fraction(na, nb)
@@ -112,11 +126,7 @@ def reference_satisfies(rows, x):
 
     def holds(r):
         lhs = sum((c * v for c, v in zip(r.coeffs, x)), Fraction(0))
-        if r.rel == EQ:
-            return lhs == r.rhs
-        if r.rel == GE:
-            return lhs >= r.rhs
-        return lhs <= r.rhs
+        return lhs == r.rhs if r.rel == EQ else lhs >= r.rhs
     return all(holds(r) for r in rows)
 
 
@@ -125,8 +135,6 @@ def reference_verify_witness(rows, y):
         return False
     for r, yi in zip(rows, y):
         if r.rel == GE and yi < 0:
-            return False
-        if r.rel == LE and yi > 0:
             return False
     nvars = len(rows[0].coeffs) if rows else 0
     for j in range(nvars):
@@ -141,13 +149,13 @@ def test_rechecks_test_the_whole_system():
         (satisfies, reference_satisfies, [row([1, 1], GE, 2)], (F(2),)),  # too short
         # too long, with a negative entry although x >= 0 is part of the system
         (satisfies, reference_satisfies, [row([1], GE, 2)], (F(2), F(-7))),
-        (satisfies, reference_satisfies, [row([-1], LE, 5)], (F(-3),)),
+        (satisfies, reference_satisfies, [row([-1], GE, 0)], (F(-3),)),
         # the second column, hidden by the first row's width
         (verify_witness, reference_verify_witness,
-         [row([-1], GE, 1), row([0, 5], LE, 0)], (F(1), F(0))),
+         [row([-1], GE, 1), row([0, -5], GE, 0)], (F(1), F(0))),
         # a later row narrower than the first
         (verify_witness, reference_verify_witness,
-         [row([0, 5], LE, 0), row([-1], GE, 1)], (F(0), F(1))),
+         [row([0, -5], GE, 0), row([-1], GE, 1)], (F(0), F(1))),
     ]
     for check, reference, rows, v in probes:
         assert (check(rows, v), reference(rows, v)) == (False, False), (rows, v)
@@ -212,31 +220,24 @@ def test_integer_check_agrees_on_every_norm_family_witness(monkeypatch):
 
 def reference_phase_one(rows, nvars):
     """Phase one on a Fraction tableau with ordinary division: the same start
-    (unit slack columns, then unit artificial columns, in row order), Bland's
-    entering rule and the same ratio-test tie-break as solve_feasibility.
-    Returns (feasible, point or witness)."""
+    (a -1 surplus column per GE row, then a unit artificial column per row, in
+    row order, the artificials as basis), Bland's entering rule and the same
+    ratio-test tie-break as solve_feasibility.  Returns (feasible, point or witness)."""
     m = len(rows)
-    flip = [-1 if r.rhs < 0 else 1 for r in rows]
-    norm = [(tuple(s * c for c in r.coeffs), {GE: LE, LE: GE, EQ: EQ}[r.rel] if s < 0 else r.rel,
-             s * r.rhs) for r, s in zip(rows, flip)]
-    slack_rows = [i for i, (_, rel, _) in enumerate(norm) if rel != EQ]
-    art_rows = [i for i, (_, rel, _) in enumerate(norm) if rel != LE]
-    slack = {i: nvars + k for k, i in enumerate(slack_rows)}
-    first_art = nvars + len(slack_rows)
-    art = {i: first_art + k for k, i in enumerate(art_rows)}
-    ncols = first_art + len(art_rows)
-    T, basis = [], []
-    for i, (coeffs, rel, rhs) in enumerate(norm):
-        t = [Fraction(c) for c in coeffs] + [Fraction(0)] * (ncols - nvars) + [Fraction(rhs)]
-        if i in slack:
-            t[slack[i]] = Fraction(1 if rel == LE else -1)
-        if i in art:
-            t[art[i]] = Fraction(1)
-        basis.append(art.get(i, slack.get(i)))
+    surplus = {i: nvars + k for k, i in enumerate(i for i, r in enumerate(rows) if r.rel == GE)}
+    first_art = nvars + len(surplus)
+    ncols = first_art + m
+    T = []
+    for i, r in enumerate(rows):
+        t = [Fraction(c) for c in r.coeffs] + [Fraction(0)] * (ncols - nvars) + [Fraction(r.rhs)]
+        if i in surplus:
+            t[surplus[i]] = Fraction(-1)
+        t[first_art + i] = Fraction(1)
         T.append(t)
+    basis = list(range(first_art, ncols))
     # Reduced costs of min(sum of artificials), with -w in the last column.
-    obj = [-sum((T[i][j] for i in art_rows), Fraction(0)) for j in range(ncols + 1)]
-    for j in art.values():
+    obj = [-sum((t[j] for t in T), Fraction(0)) for j in range(ncols + 1)]
+    for j in range(first_art, ncols):
         obj[j] += 1
     T.append(obj)
     while True:
@@ -255,8 +256,7 @@ def reference_phase_one(rows, nvars):
             if b < nvars:
                 x[b] = T[i][ncols]
         return True, tuple(x)
-    return False, tuple(flip[i] * (1 - T[m][art[i]] if i in art else -T[m][slack[i]])
-                        for i in range(m))
+    return False, tuple(1 - T[m][first_art + i] for i in range(m))
 
 
 @given(st.integers(1, 4), st.data())

@@ -16,8 +16,8 @@ be edited: the emitter derives them from the rule table, the knot and the chain.
 
 import pytest
 
-from pretzel_surgery.classify import (NONE, REALIZED, RULES, TORUS_INFINITE, UNRESOLVED, Rule,
-                                      classify_cyclic, classify_finite, conclude,
+from pretzel_surgery.classify import (CYCLIC, NONE, REALIZED, RULES, TORUS_INFINITE, UNRESOLVED,
+                                      Rule, classify_cyclic, classify_finite, conclude,
                                       emit_certificate)
 from pretzel_surgery.knots import canonicalize
 from pretzel_surgery.replay import replay_certificate
@@ -69,10 +69,13 @@ def _mutants(cert) -> dict[str, list]:
 def _solves_norm_lps(cert) -> bool:
     # Replaying a (-2,5,q) cyclic certificate with q >= 9 solves its 15 norm
     # LPs again.  The finite certificate of the same knot records its
-    # not-cyclic note directly and solves none; it keeps the one-mutant
-    # sampling too, so the mutant counts pinned below stay as they were.
+    # not-cyclic note directly and solves none, so all its mutants run.
     p, q, r = cert.knot.indices
-    return (p, q) == (-2, 5) and r >= 9
+    return cert.question == CYCLIC and (p, q) == (-2, 5) and r >= 9
+
+
+# Mutants tried per stream, those that emit the genuine bytes left out.
+MUTANTS_TRIED = {"cyclic": 6848, "finite": 18876, "minus2": 923}
 
 
 @pytest.mark.parametrize("stream", STREAMS)
@@ -87,7 +90,7 @@ def test_replay_rejects_every_mutant_of_the_pinned_certificates(stream):
                     tried += 1
                     if replay_certificate(mutant):
                         forged.append(f"{cert.knot} {cert.question} {operator}")
-    assert tried > len(certs)
+    assert tried == MUTANTS_TRIED[stream]
     assert forged == []
 
 
