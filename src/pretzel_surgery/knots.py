@@ -144,14 +144,18 @@ def hyperbolicity_condition(k: PretzelKnot) -> bool:
 
 
 def enumerate_canonical(bound: int) -> Iterator[PretzelKnot]:
-    """All canonical pretzel triples with every |index| <= bound, ascending."""
-    if bound < 1:
-        return
+    """All canonical pretzel knots with every |index| <= bound, ascending: the
+    canonical triples with at most one even index (two or more give a link)."""
     # Canonical form is an ascending triple with at most one negative entry.
     for a in range(-bound, bound + 1):
         if a == 0:
             continue
-        lo = max(a, 1)
-        for b in range(lo, bound + 1):
-            for c in range(b, bound + 1):
+        for b in range(max(a, 1), bound + 1):
+            if a % 2 and b % 2:
+                cs = range(b, bound + 1)
+            elif a % 2 or b % 2:
+                cs = range(b | 1, bound + 1, 2)  # one even index already: c is odd
+            else:
+                continue  # a and b even: a link for every c
+            for c in cs:
                 yield tuple.__new__(PretzelKnot, (a, b, c))  # canonical ints by the bounds

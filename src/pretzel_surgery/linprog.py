@@ -11,22 +11,32 @@ infeasible ones with a rational dual witness ``y`` such that
 * ``sum_i y_i b_i > 0``.
 
 The simplex pivots fraction-free over ``int`` (Bareiss; the integer
-pivoting of Avis's ``lrs``).  It keeps an integer tableau ``M`` and one
-running determinant ``d > 0``, and the true tableau is always ``T = M/d``.
-It starts from the rows themselves, with a ``-1`` surplus column per ``>=``
-row, a unit artificial column per row, the artificials as basis and
-``d = 1``.  A pivot on ``p = M[r][s]`` keeps row ``r`` and replaces every
-other row, the phase-one objective row included, by
-``(M[i][j]*p - M[i][s]*M[r][j]) // d``; then ``d = p``.  By Sylvester's
-identity every entry of ``M`` is a minor of the starting matrix, objective
-row included, and ``d`` is the basis determinant, so the division is exact;
-it is not checked per pivot.  The point and the duals become ``Fraction``s
-only at the end.
+pivoting of Avis's ``lrs``) on an exchange tableau ``M``: a row per basic
+variable and one for the phase-one objective, a column per nonbasic
+variable (``cols[k]`` names it) and the right-hand side.  It starts from the
+rows, a ``-1`` surplus column per ``>=`` row and the artificials as basis.
+Row ``i`` is the true row times its own ``D[i] > 0``, the basis determinant
+``d`` at its last update (1 at the start).  A pivot on column ``s`` and row
+``r`` brings a stale pivot row to ``d`` and takes ``p = M[r][s]``.  A row with
+``f = M[i][s] == 0`` is left alone; any other becomes
+``(M[i][j]*p - f*M[r][j]) // D[i]``, with ``-(f*d // D[i])`` in column ``s``.
+The pivot row keeps its entries, with ``d`` in column ``s``.  Those rows'
+``D`` and ``d`` become ``p``; the leaving variable's column takes column
+``s``'s place.  The objective row has ``f < 0``, so it is always current.
+Each row is a Bareiss row of a basis met on the way: by Sylvester's identity
+its entries are minors of the starting matrix, and every division is exact.
+
+The pivots are the simplex's on the full ``Fraction`` tableau: Bland's
+entering rule reads only signs of the objective row, and the ratio test
+compares ``rhs/a`` within a row, where ``D[i]`` cancels (ties go to the lower
+basis number).  So the point (``M[i][-1] / D[i]`` on basic ``x``) and the
+duals (``(d - cost) / d`` per artificial, 0 while basic) are the same
+``Fraction``s as there, made at the end.
 
 Soundness rests on the re-checks: before the solver returns, the point or
 witness is verified in exact integer arithmetic after clearing its
 denominators (:func:`satisfies`, :func:`verify_witness`), reading only the
-rows and the vector, never ``M``, ``d`` or the basis; a vector that fails
+rows and the vector, never ``M``, ``D`` or the basis; a vector that fails
 raises ``ArithmeticError``.  Callers repeat the check on replay.
 """
 
@@ -109,31 +119,29 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
         if not _shaped(r):
             raise ValueError(f"row {r.label!r} is not EQ or GE with a right-hand side >= 0")
 
-    # Columns: the variables, a surplus per GE row, an artificial per row.
+    # Variables: the x, a surplus per GE row, an artificial per row.  The
+    # exchange tableau has a column per nonbasic variable, cols[k] naming it,
+    # then the right-hand side; row i is T[i] = M[i] / D[i].
     surplus = [i for i, r in enumerate(rows) if r.rel == GE]
     first_art = nvars + len(surplus)
-    ncols = first_art + m
-
-    # Integer tableau M = d * T, d = 1, on the artificial basis.
-    M: list[list[int]] = [[*r.coeffs, *[0] * (ncols - nvars), r.rhs] for r in rows]
+    M: list[list[int]] = [[*r.coeffs, *[0] * len(surplus), r.rhs] for r in rows]
     for k, i in enumerate(surplus):
         M[i][nvars + k] = -1
-    for i, Mi in enumerate(M):
-        Mi[first_art + i] = 1
-    basis = list(range(first_art, ncols))
+    cols = list(range(first_art))
+    basis = list(range(first_art, first_art + m))
 
     # Phase-one reduced costs for min(sum of artificials), pivoted as row M[m]:
-    # minus the column sums, 0 on the artificials; obj[ncols] = -d * w.
-    obj = [-sum(col) for col in zip(*M)] if M else [0] * (ncols + 1)
-    obj[first_art:ncols] = [0] * m
+    # minus the column sums; obj[-1] = -d * w.
+    obj = [-sum(col) for col in zip(*M)] if M else [0] * (first_art + 1)
     M.append(obj)
-    d = 1
+    D, d = [1] * (m + 1), 1
 
     while True:
-        enter = next((j for j in range(first_art) if obj[j] < 0), -1)
-        if enter < 0:
+        entering = [c for c, v in zip(cols, obj) if v < 0 and c < first_art]
+        if not entering:
             break
-        # Ratio test by cross-multiplication; d > 0, so M has the signs of T.
+        enter = cols.index(min(entering))  # Bland: the lowest-numbered variable
+        # Ratio test by cross-multiplication; D[i] > 0 cancels within row i.
         leave = -1
         for i in range(m):
             a = M[i][enter]
@@ -141,39 +149,41 @@ def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:
                 if leave < 0:
                     leave = i
                     continue
-                here, best = M[i][ncols] * M[leave][enter], M[leave][ncols] * a
+                here, best = M[i][-1] * M[leave][enter], M[leave][-1] * a
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-one objective unbounded; cannot happen")
-        # Fraction-free pivot: T = M/d before and after.
-        prow = M[leave]
+        prow, Dl = M[leave], D[leave]
+        if Dl != d:  # a stale pivot row, brought to the current determinant
+            prow = [w * d // Dl for w in prow]
         p = prow[enter]
         for i, Mi in enumerate(M):
             f = Mi[enter]
-            if i == leave or (not f and p == d):
+            if not f or i == leave:
                 continue
-            if d == 1:
-                M[i] = [v * p - f * w for v, w in zip(Mi, prow)] if f else [v * p for v in Mi]
-            else:
-                M[i] = ([(v * p - f * w) // d for v, w in zip(Mi, prow)] if f
-                        else [v * p // d for v in Mi])
-        obj = M[m]
-        d = p
-        basis[leave] = enter
+            Di = D[i]
+            Mi = [(v * p - f * w) // Di for v, w in zip(Mi, prow)]
+            Mi[enter] = -(f * d // Di)
+            M[i], D[i] = Mi, p
+        prow[enter] = d
+        M[leave], D[leave] = prow, p
+        cols[enter], basis[leave] = basis[leave], cols[enter]
+        obj, d = M[m], p
 
-    if obj[ncols] == 0:
+    if obj[-1] == 0:
         x = [Fraction(0)] * nvars
-        for i in range(m):
-            if basis[i] < nvars:
-                x[basis[i]] = Fraction(M[i][ncols], d)
+        for i, b in enumerate(basis):
+            if b < nvars:
+                x[b] = Fraction(M[i][-1], D[i])
         point = tuple(x)
         if not satisfies(rows, point):
             raise ArithmeticError("feasible sample failed exact recheck")
         return FeasibilityResult(True, point=point)
 
-    # Duals from the reduced costs over the artificial columns.
-    witness = tuple(Fraction(d - obj[first_art + i], d) for i in range(m))
+    # Duals from the reduced costs of the artificials; a basic one costs 0.
+    cost = dict(zip(cols, obj))
+    witness = tuple(Fraction(d - cost.get(first_art + i, 0), d) for i in range(m))
     if not verify_witness(rows, witness):
         raise ArithmeticError("Farkas witness failed exact recheck")
     return FeasibilityResult(False, witness=witness)

@@ -33,11 +33,9 @@ class SweepReport:
 
 
 def sweep_cyclic(bound: int) -> SweepReport:
-    """Classify cyclic surgeries on every canonical triple with |index| <= bound."""
+    """Classify cyclic surgeries on every canonical knot with |index| <= bound."""
     report = SweepReport(CYCLIC)
     for k in enumerate_canonical(bound):
-        if not k.is_knot:
-            continue
         cert = classify_cyclic(k)
         report.certificates.append(cert)
         if not replay_certificate(cert):

@@ -360,8 +360,8 @@ def test_no_minus2_knot_with_p_from_5_has_a_cyclic_surgery():
                 far = classify_module.lens_toroidal_distance(p, q, 2, u)
                 assert (far is None) == (p == 5 and u == 2 * q + 5), (p, q, u)
                 assert far is None or far["distance"] == distances[u], (p, q, u)
-    knots = [k for k in enumerate_canonical(50) if k.p == -2 and k.is_knot
-             and family(k).tag is FamilyTag.MINUS2_PQ and k.q >= 5]
+    knots = [k for k in enumerate_canonical(50)
+             if k.p == -2 and family(k).tag is FamilyTag.MINUS2_PQ and k.q >= 5]
     assert len(knots) == 276 and {k.q for k in knots} == set(range(5, 50, 2))
     for k in knots:
         cert, (_, p, q) = classify_cyclic(k), k
@@ -963,8 +963,6 @@ def test_the_family_tag_picks_the_row_that_settles_a_knot_alone():
     families = (FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R)
     seen = dict.fromkeys((CYCLIC, FINITE_Q), 0)
     for k in enumerate_canonical(60):
-        if not k.is_knot:
-            continue
         fam = family(k)
         holds = [key for tag, key in _OPENING.items() if fam.tag is tag]
         assert len(holds) == (0 if fam.tag in families else 1), k

@@ -144,15 +144,15 @@ def test_is_knot():
 
 @pytest.mark.parametrize("bound", range(1, 9))
 def test_enumerate_canonical(bound):
-    # The knots are built without validation, so each must be a genuine record.
+    # Every canonical knot triple appears once, in ascending order, and no
+    # link does.  The knots are built without validation, so each must be a
+    # genuine record.
     knots = list(enumerate_canonical(bound))
-    assert len(knots) == len(set(knots))
-    seen = {k.indices for k in knots}
+    triples = [k.indices for k in knots]
+    assert triples == sorted(set(triples))
     indices = [v for v in range(-bound, bound + 1) if v]
-    for p in indices:
-        for q in indices:
-            for r in indices:
-                assert canonicalize(p, q, r).indices in seen
+    canonical = {canonicalize(*t) for t in itertools.product(indices, repeat=3)}
+    assert set(knots) == {k for k in canonical if k.is_knot}
     for k in knots:
         assert type(k) is PretzelKnot and is_canonical(*k), k
         assert canonicalize(*k.indices) == k

@@ -269,3 +269,37 @@ def test_integer_pivots_follow_the_fraction_simplex(nvars, data):
     result = solve_feasibility(rows, nvars)
     vector = result.point if result.feasible else result.witness
     assert (result.feasible, vector) == reference_phase_one(rows, nvars)
+
+
+def degenerate_rows(nvars, max_size):
+    """Up to max_size rows drawn, with repeats, from a few rows whose
+    right-hand sides are mostly 0: the ratio test ties and entering columns
+    hold zeros."""
+    base = st.tuples(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars),
+                     st.sampled_from([EQ, GE]), st.sampled_from([0, 0, 0, 1, 2]))
+    return st.lists(base, min_size=1, max_size=4).flatmap(
+        lambda drawn: st.lists(st.sampled_from(drawn), min_size=1, max_size=max_size))
+
+
+@given(st.integers(1, 7), st.data())
+def test_degenerate_pivots_follow_the_fraction_simplex(nvars, data):
+    # A row with a 0 in the entering column keeps its entries and determinant,
+    # so it goes stale; ties send Bland's rule to the lower basis number.
+    raw = data.draw(degenerate_rows(nvars, 7), label="rows")
+    rows = [row(coeffs, rel, rhs) for coeffs, rel, rhs in raw]
+    result = solve_feasibility(rows, nvars)
+    vector = result.point if result.feasible else result.witness
+    assert (result.feasible, vector) == reference_phase_one(rows, nvars)
+
+
+def test_a_stale_pivot_row_is_brought_to_the_current_determinant():
+    # 2x - y >= 0, y >= 1.  Bland enters x first; the pivot on row 0 leaves
+    # row 1 (0 in x's column) at determinant 1 while d becomes 2, and y then
+    # enters on row 1, so the pivot row is stale.  Found by a search over
+    # random systems with entries in [-2, 2] and right-hand sides in [0, 3],
+    # smallest first, for one where a copy of the solver that skips the
+    # stale-row scaling returns another vector.
+    rows = [row([2, -1], GE, 0), row([0, 1], GE, 1)]
+    result = solve_feasibility(rows, 2)
+    assert result == linprog.FeasibilityResult(True, point=(Fraction(1, 2), Fraction(1)))
+    assert (result.feasible, result.point) == reference_phase_one(rows, 2)
