@@ -6,14 +6,16 @@ decided by Edjvet's classification, plus a Todd-Coxeter coset enumerator
 used as an independent desk-scale oracle.  The enumerator proves finiteness
 (with the exact order) whenever the coset table closes; it can never prove
 infiniteness, so INCONCLUSIVE outcomes are only ever consistency checks.
-Its coset table is one list per column (generator or inverse), and its HLT
-definition order, hence every result's cosets_defined, is pinned by the tests.
+Its coset table is one list per column, grown by doubling, that names only
+live cosets between coincidences and is checked for consistency on closing;
+its HLT definition order, hence every cosets_defined, is pinned by the tests.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import length_hint
 
 from .records import Record
 from .words import GroupPresentation, gen
@@ -115,15 +117,22 @@ def todd_coxeter(presentation: GroupPresentation,
     """Enumerate cosets of the trivial subgroup (HLT relator filling with
     immediate coincidence handling).
 
-    The table is one list per column: column 2i is generator i, column
-    2i ^ 1 its inverse, and cols[c][x] is the coset x.c, or -1 while
-    undefined.  Each relator is compiled once into its forward columns and
-    its inverse columns, so a scan step is one list index.  The definition
-    order is pinned: alpha ascending, relators in presentation order, then
-    alpha's undefined columns in column order.
+    The table is one list per column, grown by doubling up to max_cosets:
+    column 2i is generator i, column 2i ^ 1 its inverse, and cols[c][x] is
+    the coset x.c, or -1 while undefined.  Each relator is compiled once into
+    its forward and its inverse columns.  The definition order is pinned:
+    alpha ascending, relators in presentation order, then alpha's undefined
+    columns in column order.
+
+    Between coincidences no entry names a dead coset, so scans skip find:
+    every write names live cosets, and coincidence clears each coset it
+    kills, with its back-pointers (cols[c][x] = y iff cols[c ^ 1][y] = x).
+    Relators are freely reduced, so a scan resumes past a coset it defined.
 
     Returns FINITE with the exact group order when the table closes within
-    max_cosets total coset definitions, INCONCLUSIVE otherwise.
+    max_cosets total coset definitions, INCONCLUSIVE otherwise, and raises
+    ArithmeticError if a closed table's columns are not mutually inverse
+    permutations of the live cosets.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
@@ -136,8 +145,9 @@ def todd_coxeter(presentation: GroupPresentation,
         word = [2 * index[g] + (e < 0) for g, e in w.letters()]
         if word:
             relators.append((tuple(cols[c] for c in word),
-                             tuple(cols[c ^ 1] for c in word)))
+                             tuple(cols[c ^ 1] for c in word), len(word) - 1))
     parent = [0]
+    size = 1
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -146,11 +156,14 @@ def todd_coxeter(presentation: GroupPresentation,
         return x
 
     def new_coset() -> int:
+        nonlocal size
         n = len(parent)
-        if n >= max_cosets:
-            raise _CosetCap
-        for col in cols:
-            col.append(-1)
+        if n == size:
+            if n >= max_cosets:
+                raise _CosetCap
+            size = min(2 * n, max_cosets)
+            for col in cols:
+                col.extend([-1] * (size - n))
         parent.append(n)
         return n
 
@@ -190,29 +203,29 @@ def todd_coxeter(presentation: GroupPresentation,
     try:
         alpha = 0
         while alpha < len(parent):
-            for fwd, bwd in relators:
+            for fwd, bwd, last in relators:
                 if parent[alpha] != alpha:
                     break
                 # Scan alpha.word = alpha from both ends; fill a one-letter
                 # gap by deduction, a longer one with a new coset.
-                f, i = alpha, 0
-                b, j = alpha, len(fwd) - 1
-                while True:
-                    while i <= j:
-                        t = fwd[i][f]
-                        if t < 0:
-                            break
-                        f = t if parent[t] == t else find(t)
-                        i += 1
-                    if i > j:
-                        if f != b:
-                            coincidence(f, b)
+                f, span = alpha, iter(fwd)
+                for col in span:
+                    t = col[f]
+                    if t < 0:
                         break
+                    f = t
+                else:
+                    if f != alpha:
+                        coincidence(f, alpha)
+                    continue
+                i = last - length_hint(span)
+                b, j = alpha, last
+                while True:
                     while j >= i:
                         t = bwd[j][b]
                         if t < 0:
                             break
-                        b = t if parent[t] == t else find(t)
+                        b = t
                         j -= 1
                     if j < i:
                         coincidence(f, b)
@@ -224,6 +237,8 @@ def todd_coxeter(presentation: GroupPresentation,
                     d = new_coset()
                     fwd[i][f] = d
                     bwd[i][d] = f
+                    f = d
+                    i += 1
             if parent[alpha] == alpha:
                 for col, back_col in pairs:
                     if col[alpha] < 0:
@@ -235,6 +250,8 @@ def todd_coxeter(presentation: GroupPresentation,
         return EnumerationResult("INCONCLUSIVE", None, len(parent))
 
     live = [x for x in range(len(parent)) if parent[x] == x]
-    if any(col[x] < 0 for col in cols for x in live):
-        raise ArithmeticError("closed enumeration left undefined entries")
+    for col, back_col in pairs:
+        image = [col[x] for x in live]
+        if sorted(image) != live or [back_col[y] for y in image] != live:
+            raise ArithmeticError("closed enumeration left an inconsistent table")
     return EnumerationResult(FINITE, len(live), len(parent))

@@ -124,6 +124,16 @@ def test_trivial_and_single_relator_groups():
     assert todd_coxeter(pres).order == 12
 
 
+def test_presentations_with_no_relator_letters():
+    # No generators: the trivial group, with no column to grow.
+    assert todd_coxeter(GroupPresentation((), ())) == EnumerationResult(FINITE, 1, 1)
+    # x.x^-1 reduces to the empty word, so this is the free group on x.
+    x = gen("x")
+    pres = GroupPresentation(("x",), (x * ~x,))
+    assert pres.relators[0].is_trivial
+    assert todd_coxeter(pres, 50) == EnumerationResult("INCONCLUSIVE", None, 50)
+
+
 def test_max_cosets_validation():
     pres = GroupPresentation(("R",), (gen("R") ** 3,))
     with pytest.raises(ValueError):
@@ -383,6 +393,24 @@ def test_random_presentations_match_the_reference_enumerator(ngens, data):
     pres = GroupPresentation(names, tuple(Word(runs) for runs in relators))
     cap = data.draw(st.integers(1, 2000), label="cap")
     assert todd_coxeter(pres, cap) == reference_todd_coxeter(pres, cap)
+
+
+# The five collapse-corner signatures of WINDOW_SIGNATURE_PINS and three
+# finite goldens, capped at every count up to one past what closing takes:
+# the caps cross each doubling of the table's columns.
+EVERY_CAP_SIGNATURES = [(3, 5, 2), (3, 7, 2), (3, 7, 3), (3, 9, 3), (3, 11, 3),
+                        (2, 3, 3), (3, 3, 4), (3, 7, 4)]
+
+
+def test_every_cap_matches_the_reference_enumerator():
+    runs = 0
+    for abc in EVERY_CAP_SIGNATURES:
+        pres = coxeter_presentation(CoxeterSignature(*abc))
+        closing = todd_coxeter(pres).cosets_defined
+        for cap in range(1, closing + 2):
+            assert todd_coxeter(pres, cap) == reference_todd_coxeter(pres, cap), (abc, cap)
+            runs += 1
+    assert runs == 1083
 
 
 def test_column_fill_order_is_the_reference_order():
