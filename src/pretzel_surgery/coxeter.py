@@ -186,8 +186,7 @@ def todd_coxeter(presentation: GroupPresentation,
                 if target < 0:
                     continue
                 col[dead] = -1
-                if back_col[target] == dead:
-                    back_col[target] = -1
+                back_col[target] = -1
                 mu, nu = find(dead), find(target)
                 existing = col[mu]
                 if existing >= 0:
@@ -218,7 +217,7 @@ def todd_coxeter(presentation: GroupPresentation,
                     if f != alpha:
                         coincidence(f, alpha)
                     continue
-                i = last - length_hint(span)
+                i = last - length_hint(span)  # the column that stopped it
                 b, j = alpha, last
                 while True:
                     while j >= i:

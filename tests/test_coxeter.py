@@ -115,23 +115,19 @@ def test_dihedral_sanity_family():
 def test_free_generator_is_inconclusive():
     pres = GroupPresentation(("R", "S"), (gen("R") ** 2,))
     assert todd_coxeter(pres, 500).status == "INCONCLUSIVE"
+    # x.x^-1 reduces to the empty word, which leaves x free.
+    pres = GroupPresentation(("x",), (gen("x") * ~gen("x"),))
+    assert pres.relators[0].is_trivial
+    assert todd_coxeter(pres, 50) == EnumerationResult("INCONCLUSIVE", None, 50)
 
 
 def test_trivial_and_single_relator_groups():
+    # No generators: the trivial group, with no column to grow.
+    assert todd_coxeter(GroupPresentation((), ())) == EnumerationResult(FINITE, 1, 1)
     pres = GroupPresentation(("R",), (gen("R"),))
     assert todd_coxeter(pres).order == 1
     pres = GroupPresentation(("R",), (gen("R") ** 12,))
     assert todd_coxeter(pres).order == 12
-
-
-def test_presentations_with_no_relator_letters():
-    # No generators: the trivial group, with no column to grow.
-    assert todd_coxeter(GroupPresentation((), ())) == EnumerationResult(FINITE, 1, 1)
-    # x.x^-1 reduces to the empty word, so this is the free group on x.
-    x = gen("x")
-    pres = GroupPresentation(("x",), (x * ~x,))
-    assert pres.relators[0].is_trivial
-    assert todd_coxeter(pres, 50) == EnumerationResult("INCONCLUSIVE", None, 50)
 
 
 def test_max_cosets_validation():
