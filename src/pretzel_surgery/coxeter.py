@@ -217,7 +217,7 @@ def todd_coxeter(presentation: GroupPresentation,
                     if f != alpha:
                         coincidence(f, alpha)
                     continue
-                i = last - length_hint(span)  # the column that stopped it
+                i = last - length_hint(span)  # the column that stopped the scan
                 b, j = alpha, last
                 while True:
                     while j >= i:
