@@ -71,9 +71,13 @@ _ascending = cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])  # for d > 0
 
 
 def _pack(values: list[Pair], completeness: Completeness) -> BoundarySlopeSet:
-    ordered = sorted(set(values), key=_ascending)
-    return BoundarySlopeSet(tuple([Slope(a, b) for a, b in ordered if b != 1]), completeness,
-                            tuple([Slope(a, 1) for a, b in ordered if b == 1]))
+    """The set of at most two closed-form values, ascending by one cross-multiplication."""
+    if len(values) == 2:
+        (a, b), (c, d) = values
+        cross = a * d - c * b  # 0 only for equal values: the pairs are reduced
+        values = values if cross < 0 else values[::-1] if cross else values[:1]
+    return BoundarySlopeSet(tuple([Slope(a, b) for a, b in values if b != 1]), completeness,
+                            tuple([Slope(a, 1) for a, b in values if b == 1]))
 
 
 def _require_odd_pair(p: int, q: int) -> None:

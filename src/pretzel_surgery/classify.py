@@ -165,9 +165,14 @@ def _json_line(cert: Certificate) -> str:
 
 
 def _knot_json(question: str, k: PretzelKnot) -> str:
-    """The JSON of a line from its data to its knot's triple."""
-    data = certificate_data(question, family(k))
-    return f'{_encode(data) if data else "{}"},"pretzel":[{k.p},{k.q},{k.r}]'
+    """The JSON of a line from its data, written field by field, to its knot's triple."""
+    tor, bset = _listed(question, family(k))
+    data = f'"toroidal_slope":"{tor}"' if tor else ""
+    if bset is not None:
+        data = (f'"nonintegral_slopes":{{"boundary_slopes":{_encode(list(map(str, bset.slopes)))},'
+                f'"completeness":{_ESCAPED[bset.completeness.value]},"dropped_integral":'
+                f'{_encode(list(map(str, bset.dropped_integral)))}}},{data}')
+    return f'{{{data}}},"pretzel":[{k.p},{k.q},{k.r}]'
 
 
 def _around(question: str, rule_id: str, inputs: dict) -> tuple[str, str]:
@@ -466,7 +471,7 @@ class _Escaped(dict):
 
 _ESCAPED = _Escaped((text, _encode(text)) for text in (
     None, REALIZED, NONE, TORUS_INFINITE, UNRESOLVED, STATUS_REALIZED, STATUS_ELIMINATED,
-    STATUS_UNRESOLVED, CYCLIC, FINITE_Q, *facts.SOURCES.values(),
+    STATUS_UNRESOLVED, CYCLIC, FINITE_Q, *facts.SOURCES.values(), *(c.value for c in Completeness),
     *(text for rows in RULES.values() for key, row in rows.items() for text in (key, row.source))))
 # (question, id) -> the JSON object of each row without a slope, before and after its inputs.
 _AROUND = {(question, key): _around(question, key, {}) for question, rows in RULES.items()
@@ -546,19 +551,23 @@ def _apply(rules: list[Rule], question: str, key: str, *args) -> dict | None:
     return inputs
 
 
-def certificate_data(question: str, fam: KnotFamily) -> dict:
-    """The toroidal filling 2(p+q) and the non-integral boundary slopes that
-    the certificate of a knot of family ``fam`` lists: none off the question's
-    family or on the exceptional table, and no slopes on a (-2,3,q) knot."""
+def _listed(question: str, fam: KnotFamily) -> tuple[int, BoundarySlopeSet | None]:
+    """The toroidal filling 2(p+q) (0: none) and the non-integral boundary slopes (None: none)
+    that the certificate of a knot of family ``fam`` lists: none off the question's family or
+    on the exceptional table, and no slopes on a (-2,3,q) knot."""
     if fam.tag is not (_M2 if question == CYCLIC else _PQR):
-        return {}
+        return 0, None
     (p, q), r = fam.odd_pair, -fam.even_value
     if exceptional_knot_table(p, q, r):
-        return {}
-    data = {"toroidal_slope": str(2 * (p + q))}
-    if (p, r) != (3, 2):
-        data["nonintegral_slopes"] = _boundary(p, q, r).to_json()
-    return data
+        return 0, None
+    return 2 * (p + q), None if (p, r) == (3, 2) else _boundary(p, q, r)
+
+
+def certificate_data(question: str, fam: KnotFamily) -> dict:
+    """The ``data`` of a certificate as a dict, the form ``_knot_json`` writes."""
+    tor, bset = _listed(question, fam)
+    slopes = {} if bset is None else {"nonintegral_slopes": bset.to_json()}
+    return {"toroidal_slope": str(tor), **slopes} if tor else {}
 
 
 # (question, row) of _ALONE -> the row's opened chain (verdict, realized, rules) and its line

@@ -74,15 +74,14 @@ def is_canonical(p: int, q: int, r: int) -> bool:
 
 
 def _canonical_triple(p: int, q: int, r: int) -> tuple[int, int, int]:
-    plus = tuple(sorted((p, q, r)))
-    minus = tuple(sorted((-p, -q, -r)))
-    # The two mirrors have k and 3-k negative entries; keep the one with <= 1.
-    return plus if sum(1 for v in plus if v < 0) <= 1 else minus
+    # The two mirrors have k and 3-k negative entries; keep the one with <= 1:
+    # sorted, the triple itself unless its middle entry is negative.
+    a, b, c = sorted((p, q, r))
+    return (a, b, c) if b >= 0 else (-c, -b, -a)
 
 
 def canonicalize(p: int, q: int, r: int) -> PretzelKnot:
-    if any(v == 0 for v in (p, q, r)):
-        raise ValueError("pretzel indices must be nonzero")
+    """The canonical knot of (p, q, r); ValueError (from ``PretzelKnot``) on a zero index."""
     return PretzelKnot(*_canonical_triple(p, q, r))
 
 

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from pretzel_surgery.boundary import (BoundarySlopeSet, Completeness,
+from pretzel_surgery.boundary import (BoundarySlopeSet, Completeness, _pack,
                                       nonintegral_slopes_minus2_pq,
                                       nonintegral_slopes_pq_minus_r, slope_list_minus2_5_q,
                                       small_p_value, toroidal_gap_pairs_large_p, toroidal_slope)
@@ -153,6 +153,21 @@ def test_pq_minus_r_kernel_matches_the_fraction_form():
             for r in range(4, 101, 2):
                 got = nonintegral_slopes_pq_minus_r(p, q, r)
                 assert (got.slopes, got.dropped_integral) == _pq_minus_r_reference(p, q, r)
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [_steep_reference(21, 10)],
+    [_steep_reference(23, 10), _steep_reference(21, 10)],  # descending: (-10,21,23) swapped
+    [_steep_reference(21, 10)] * 2,  # equal: p == q on (-10,21,21)
+    [Fraction(33), Fraction(55)], [Fraction(55), Fraction(33)],  # both dropped: (-4,11,23)
+    [Fraction(249, 4), Fraction(69)], [Fraction(69), Fraction(249, 4)],  # one dropped
+    [Fraction(56)] * 2, [Fraction(-7, 2), Fraction(-9, 2)], [Fraction(-7, 2), Fraction(7, 2)],
+], ids=lambda values: ",".join(map(str, values)) or "empty")
+def test_pack_orders_dedups_and_shelves_like_the_reference(values):
+    got = _pack([(v.numerator, v.denominator) for v in values], Completeness.ALL_NONINTEGRAL)
+    assert (got.slopes, got.dropped_integral) == _pack_reference(values)
+    assert got.completeness is Completeness.ALL_NONINTEGRAL
 
 
 def test_minus2_pq_kernel_matches_the_fraction_form():

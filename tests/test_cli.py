@@ -55,6 +55,8 @@ def test_classify_unresolved_exit_code(capsys):
 def test_classify_usage_errors(capsys):
     assert run(capsys, "classify", "--pretzel", "0,3,4",
                "--question", "cyclic")[0] == 2
+    assert run(capsys, "classify", "--pretzel", "0,3,5",
+               "--question", "finite")[0] == 2
     assert run(capsys, "classify", "--pretzel", "1,2",
                "--question", "cyclic")[0] == 2
     assert run(capsys, "classify", "--pretzel", "-2,4,6",

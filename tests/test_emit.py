@@ -21,8 +21,9 @@ from test_replay_mutants import STREAMS
 
 import pretzel_surgery.classify as classify_module
 from pretzel_surgery.classify import (CYCLIC, FAR, FINITE_Q, PUBLISHED, RULES, SURVIVORS, WINDOW,
-                                      Certificate, Rule, classify, emit_certificate, rule_text)
-from pretzel_surgery.knots import canonicalize
+                                      Certificate, Rule, certificate_data, classify,
+                                      emit_certificate, rule_text)
+from pretzel_surgery.knots import canonicalize, family
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
 
@@ -53,6 +54,47 @@ def test_the_pinned_streams_match_the_reference():
     for stream in STREAMS.values():
         for cert in stream():
             assert emit_certificate(cert) == reference_json(cert), f"{cert.knot} {cert.question}"
+
+
+# -- the data field -------------------------------------------------------------
+
+_SET = ('"nonintegral_slopes":{{"boundary_slopes":[{}],"completeness":"{}",'
+        '"dropped_integral":[{}]}},')
+_ALL = "ALL_NONINTEGRAL"
+# One knot per shape of the data a line lists, with that data.
+DATA_SHAPES = {
+    "no slope": (CYCLIC, (-2, 5, 5), _SET.format("", _ALL, "") + '"toroidal_slope":"20"'),
+    "one slope": (CYCLIC, (-2, 5, 7), _SET.format('"37/2"', _ALL, "") + '"toroidal_slope":"24"'),
+    "two slopes": (CYCLIC, (-2, 7, 9),
+                   _SET.format('"37/2","67/3"', _ALL, "") + '"toroidal_slope":"32"'),
+    "toroidal filling only": (CYCLIC, (-2, 3, 7), '"toroidal_slope":"20"'),
+    "one dropped": (FINITE_Q, (-24, 3, 3),
+                    _SET.format("", _ALL, '"56"') + '"toroidal_slope":"12"'),
+    "two dropped": (FINITE_Q, (-4, 11, 23),
+                    _SET.format("", _ALL, '"33","55"') + '"toroidal_slope":"68"'),
+    "one finite slope": (FINITE_Q, (-24, 3, 5),
+                         _SET.format('"178/3"', _ALL, "") + '"toroidal_slope":"16"'),
+    "one slope, one dropped": (FINITE_Q, (-8, 17, 23),
+                               _SET.format('"249/4"', _ALL, '"69"') + '"toroidal_slope":"80"'),
+    "two finite slopes": (FINITE_Q, (-10, 21, 23),
+                          _SET.format('"391/5","159/2"', _ALL, "") + '"toroidal_slope":"88"'),
+    "candidates only": (FINITE_Q, (-24, 25, 25),
+                        _SET.format("", "CANDIDATE_ONLY", "") + '"toroidal_slope":"100"'),
+    "exceptional table": (FINITE_Q, (-6, 3, 3), ""),
+    **{f"off the family: {question} {triple}": (question, triple, "")
+       for question in (CYCLIC, FINITE_Q) for triple in [(-25, 2, 3), (-2, 1, 1), (-25, 1, 1)]},
+    "off the question": (CYCLIC, (-24, 3, 3), ""),
+}
+
+
+@pytest.mark.parametrize("question,triple,data", DATA_SHAPES.values(), ids=DATA_SHAPES.keys())
+def test_the_data_field_is_written_as_the_encoder_writes_its_dict(question, triple, data):
+    k = canonicalize(*triple)
+    assert k.indices == triple
+    reference = json.dumps(certificate_data(question, family(k)), sort_keys=True,
+                           separators=(",", ":"))
+    assert reference == f"{{{data}}}"
+    assert classify_module._knot_json(question, k) == f'{reference},"pretzel":[{k.p},{k.q},{k.r}]'
 
 
 # -- hostile certificates -----------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,24 @@ def test_canonicalize_fixes_figure_knot():
 
 
 def test_canonicalize_rejects_zero():
-    with pytest.raises(ValueError):
-        canonicalize(0, 3, 4)
+    for t in [(0, 3, 4), (0, 3, 5), (3, 0, -5), (-3, -5, 0), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="^pretzel indices must be nonzero$"):
+            canonicalize(*t)
+
+
+def _canonical_triple_reference(p, q, r):
+    """The two-sort form that _canonical_triple replaced."""
+    plus = tuple(sorted((p, q, r)))
+    minus = tuple(sorted((-p, -q, -r)))
+    return plus if sum(1 for v in plus if v < 0) <= 1 else minus
+
+
+def test_canonical_triple_matches_the_two_sort_form():
+    rng = random.Random(32)
+    triples = [tuple(rng.randint(-60, 60) for _ in range(3)) for _ in range(20_000)]
+    triples += itertools.product(range(-3, 4), repeat=3)  # zeros and ties
+    for t in triples:
+        assert _canonical_triple(*t) == _canonical_triple_reference(*t), t
 
 
 def test_raw_constructor_rejects_noncanonical():
