@@ -11,8 +11,8 @@ which Tier-1 proves has no cyclic surgery.  The pipelines only apply and record
 rows, in the order of the paper's case analysis, which is written nowhere
 else: :func:`classify` walks them afresh for any knot, and replay derives a
 certificate again with it and compares.  :func:`conclude` gives the slope
-marks, realized slopes and verdict of the chain, and :func:`certificate_data`
-the ``data`` of the knot.
+marks, realized slopes and verdict of the chain; :func:`certificate_data` is
+the dict form of a knot's ``data``, which the tests encode as the reference.
 A certificate is an immutable record of the chain, its verdict and realized
 slopes; its data and slope marks are derived when read.  The one-knot memos
 here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
@@ -25,10 +25,10 @@ Imported theorems enter only through the facts table; computed steps are int
 kernels (slopes and gaps as reduced pairs, no ``Fraction``).
 
 :func:`emit_certificate` reads each rule's text (:func:`rule_text`) and the
-notes from the table, and writes a JSON line field by field, with constant
-strings and the JSON of each row without a slope escaped once at import: the
-bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` on the
-certificate's dict form, with no dict built.  A certificate holding the
+notes from the table, and writes a JSON line field by field, ``data`` too,
+with constant strings and the JSON of each row without a slope escaped once at
+import: the bytes of ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+on the certificate's dict form, with no dict built.  A certificate holding the
 shared chain of a row that settles a knot alone (an identity test), with its
 verdict and realized slopes, is written from that chain's template: the line
 this emitter writes for it at import, cut around the knot's data and triple.
@@ -552,9 +552,8 @@ def _apply(rules: list[Rule], question: str, key: str, *args) -> dict | None:
 
 
 def _listed(question: str, fam: KnotFamily) -> tuple[int, BoundarySlopeSet | None]:
-    """The toroidal filling 2(p+q) (0: none) and the non-integral boundary slopes (None: none)
-    that the certificate of a knot of family ``fam`` lists: none off the question's family or
-    on the exceptional table, and no slopes on a (-2,3,q) knot."""
+    """The toroidal filling 2(p+q) and non-integral boundary slopes a certificate lists for
+    ``fam``: 0 and None off the question's family or on the exceptional table, None on (-2,3,q)."""
     if fam.tag is not (_M2 if question == CYCLIC else _PQR):
         return 0, None
     (p, q), r = fam.odd_pair, -fam.even_value
