@@ -32,6 +32,8 @@ on the certificate's dict form, with no dict built.  A certificate holding the
 shared chain of a row that settles a knot alone (an identity test), with its
 verdict and realized slopes, is written from that chain's template: the line
 this emitter writes for it at import, cut around the knot's data and triple.
+What the data lists, on a line and in its dict form, is decided in one place,
+which asks ``knots.family`` only when the knot's first index leaves it open.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class Certificate(NamedTuple):
 
     @property
     def data(self) -> dict:
-        return certificate_data(self.question, family(self.knot))
+        return certificate_data(self.question, self.knot)
 
     @property
     def slopes(self) -> list[tuple[int, int, str, str | None]]:  # (a, b, status, rule id)
@@ -165,13 +167,15 @@ def _json_line(cert: Certificate) -> str:
 
 
 def _knot_json(question: str, k: PretzelKnot) -> str:
-    """The JSON of a line from its data, written field by field, to its knot's triple."""
-    tor, bset = _listed(question, family(k))
+    """The JSON of a line from its data, written field by field, to its knot's triple.
+    A slope's text is a ratio of ints, so each list is written without the encoder."""
+    tor, bset = _listed(question, k)
     data = f'"toroidal_slope":"{tor}"' if tor else ""
     if bset is not None:
-        data = (f'"nonintegral_slopes":{{"boundary_slopes":{_encode(list(map(str, bset.slopes)))},'
-                f'"completeness":{_ESCAPED[bset.completeness.value]},"dropped_integral":'
-                f'{_encode(list(map(str, bset.dropped_integral)))}}},{data}')
+        slopes, dropped = ('["{}"]'.format('","'.join(map(str, s))) if s else "[]"
+                           for s in (bset.slopes, bset.dropped_integral))
+        data = (f'"nonintegral_slopes":{{"boundary_slopes":{slopes},"completeness":'
+                f'{_ESCAPED[bset.completeness.value]},"dropped_integral":{dropped}}},{data}')
     return f'{{{data}}},"pretzel":[{k.p},{k.q},{k.r}]'
 
 
@@ -551,9 +555,13 @@ def _apply(rules: list[Rule], question: str, key: str, *args) -> dict | None:
     return inputs
 
 
-def _listed(question: str, fam: KnotFamily) -> tuple[int, BoundarySlopeSet | None]:
+def _listed(question: str, k: PretzelKnot) -> tuple[int, BoundarySlopeSet | None]:
     """The toroidal filling 2(p+q) and non-integral boundary slopes a certificate lists for
-    ``fam``: 0 and None off the question's family or on the exceptional table, None on (-2,3,q)."""
+    k: 0 and None off the question's family or on the exceptional table, None on (-2,3,q).
+    Read first: a (-2,p,q) knot has k.p == -2, a (p,q,-r) knot an even k.p <= -4."""
+    if (k.p != -2) if question == CYCLIC else (k.p > -4 or k.p % 2):
+        return 0, None
+    fam = family(k)
     if fam.tag is not (_M2 if question == CYCLIC else _PQR):
         return 0, None
     (p, q), r = fam.odd_pair, -fam.even_value
@@ -562,9 +570,9 @@ def _listed(question: str, fam: KnotFamily) -> tuple[int, BoundarySlopeSet | Non
     return 2 * (p + q), None if (p, r) == (3, 2) else _boundary(p, q, r)
 
 
-def certificate_data(question: str, fam: KnotFamily) -> dict:
+def certificate_data(question: str, k: PretzelKnot) -> dict:
     """The ``data`` of a certificate as a dict, the form ``_knot_json`` writes."""
-    tor, bset = _listed(question, fam)
+    tor, bset = _listed(question, k)
     slopes = {} if bset is None else {"nonintegral_slopes": bset.to_json()}
     return {"toroidal_slope": str(tor), **slopes} if tor else {}
 

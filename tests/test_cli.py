@@ -6,12 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pretzel_surgery.cli as cli_module
 from pretzel_surgery.cli import main
-from pretzel_surgery.knots import canonicalize
+from pretzel_surgery.knots import PretzelKnot, canonicalize, is_canonical
 from pretzel_surgery.sweeps import pqr_knots
 from schema import validate_certificate_json
 
@@ -95,12 +95,29 @@ def test_user_input_faults_are_usage_errors(capsys):
         assert (code, err.startswith("error: ")) == (2, True), argv
 
 
-@given(*[st.integers(1, 12)] * 6)
+def _yields(walk):
+    """The list a walk yields, or the type and text of what it raises."""
+    try:
+        return list(walk())
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@given(*[st.integers(-12, 12)] * 6)
+@example(1, 5, 1, 5, 2, 6)
+@example(-3, 3, -3, 3, -2, 2)
+@example(-5, -1, -5, 3, 4, 6)
 def test_the_sweep_enumerator_walks_exactly_its_box(p_lo, p_hi, q_lo, q_hi, r_lo, r_hi):
     # The CLI's emptiness check and the finite sweep read the same enumerator.
-    box = [canonicalize(p, q, -r) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)
-           for r in range(r_lo, r_hi + 1) if p % 2 == q % 2 == 1 and p <= q and r % 2 == 0]
-    assert list(pqr_knots((p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi))) == box
+    # Off p, r > 0 (where (-r, p, q) is built as it stands) a triple is
+    # canonicalized, and an r of 0 raises as canonicalize does.
+    box = _yields(lambda: [
+        canonicalize(p, q, -r) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)
+        for r in range(r_lo, r_hi + 1) if p % 2 == q % 2 == 1 and p <= q and r % 2 == 0])
+    walked = _yields(lambda: pqr_knots((p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi)))
+    assert walked == box
+    if isinstance(walked, list):
+        assert all(type(k) is PretzelKnot and is_canonical(*k) for k in walked)
 
 
 def test_internal_value_error_is_an_internal_error(monkeypatch, capsys):

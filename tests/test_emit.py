@@ -15,7 +15,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_replay_mutants import STREAMS
 
@@ -23,7 +23,7 @@ import pretzel_surgery.classify as classify_module
 from pretzel_surgery.classify import (CYCLIC, FAR, FINITE_Q, PUBLISHED, RULES, SURVIVORS, WINDOW,
                                       Certificate, Rule, certificate_data, classify,
                                       emit_certificate, rule_text)
-from pretzel_surgery.knots import canonicalize, family
+from pretzel_surgery.knots import FamilyTag, canonicalize, enumerate_canonical, family
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
 
@@ -91,10 +91,66 @@ DATA_SHAPES = {
 def test_the_data_field_is_written_as_the_encoder_writes_its_dict(question, triple, data):
     k = canonicalize(*triple)
     assert k.indices == triple
-    reference = json.dumps(certificate_data(question, family(k)), sort_keys=True,
+    reference = json.dumps(certificate_data(question, k), sort_keys=True,
                            separators=(",", ":"))
     assert reference == f"{{{data}}}"
     assert classify_module._knot_json(question, k) == f'{reference},"pretzel":[{k.p},{k.q},{k.r}]'
+
+
+# -- the first index ------------------------------------------------------------
+#
+# _listed reads a knot's first index before it asks knots.family: a (-2,p,q)
+# knot has p == -2 and a (p,q,-r) knot an even p <= -4, so on the cyclic
+# question any other p lists no data, and on the finite question any p > -4
+# or odd.  Where the rule answers, family would have answered the same.
+
+_TAG = {CYCLIC: FamilyTag.MINUS2_PQ, FINITE_Q: FamilyTag.PQ_MINUS_R}
+
+
+def _ruled_out(question, k):
+    return k.p != -2 if question == CYCLIC else k.p > -4 or k.p % 2 == 1
+
+
+def _check_the_first_index_rule(k):
+    for question in (CYCLIC, FINITE_Q):
+        if _ruled_out(question, k):
+            # Off the question's family tag, _listed through family lists nothing.
+            assert family(k).tag is not _TAG[question], (question, k)
+            assert classify_module._listed(question, k) == (0, None), (question, k)
+
+
+def test_the_first_index_rule_holds_on_every_small_knot():
+    knots = list(enumerate_canonical(40))
+    for k in knots:
+        _check_the_first_index_rule(k)
+    ruled_out = sum(_ruled_out(CYCLIC, k) for k in knots)
+    assert 0 < len(knots) - ruled_out < ruled_out
+
+
+_INDEX = st.integers(-10**6, 10**6).filter(bool)
+
+
+@given(_INDEX, _INDEX, _INDEX)
+@example(-2, 1, 7)
+@example(-2, 3, 3)
+@example(-2, 3, 5)
+@example(-6, 3, 3)
+@example(7, -3, -5)
+def test_the_first_index_rule_holds_on_any_triple(p, q, r):
+    _check_the_first_index_rule(canonicalize(p, q, r))
+
+
+@pytest.mark.parametrize("question,triple", [
+    (CYCLIC, (-2, 1, 1)), (CYCLIC, (-2, 1, 9)), (CYCLIC, (-2, 3, 3)), (CYCLIC, (-2, 3, 5)),
+    (FINITE_Q, (-6, 3, 3))])
+def test_a_knot_the_first_index_lets_through_still_asks_its_family(monkeypatch, question,
+                                                                   triple):
+    # Torus knots with first index -2, and the exceptional (-6,3,3), list no data.
+    k, calls = canonicalize(*triple), []
+    assert k.indices == triple and not _ruled_out(question, k)
+    monkeypatch.setattr(classify_module, "family", lambda k: calls.append(k) or family(k))
+    assert classify_module._listed(question, k) == (0, None)
+    assert calls == [k]
 
 
 # -- hostile certificates -----------------------------------------------------
@@ -207,10 +263,15 @@ def test_every_row_that_settles_a_knot_alone_has_its_template():
         assert template[2] is classify_module._OPENED[key][2]
 
 
-def test_the_cyclic_sweep_gets_the_same_bytes_from_both_paths(monkeypatch):
+@pytest.fixture(scope="module")
+def cyclic_50():
+    return sweep_cyclic(50).certificates
+
+
+def test_the_cyclic_sweep_gets_the_same_bytes_from_both_paths(monkeypatch, cyclic_50):
     # Only the general path concludes a chain, so the lines written from a
     # template are those that never call conclude.
-    certs = sweep_cyclic(50).certificates
+    certs = cyclic_50
     calls, conclude = Counter(), classify_module.conclude
     monkeypatch.setattr(classify_module, "conclude",
                         lambda rules: calls.update(["general"]) or conclude(rules))
@@ -218,6 +279,19 @@ def test_the_cyclic_sweep_gets_the_same_bytes_from_both_paths(monkeypatch):
     assert (len(certs), len(certs) - calls["general"]) == (42_925, 42_627)
     monkeypatch.setattr(classify_module, "_TEMPLATES", {})
     assert [emit_certificate(cert) for cert in certs] == fast
+
+
+def test_emitting_the_cyclic_sweep_asks_the_family_of_the_minus2_knots_only(monkeypatch,
+                                                                             cyclic_50):
+    # The 325 knots (-2,q,r), odd 1 <= q <= r <= 49, are the only lines whose
+    # first index leaves the cyclic data open; the emit runs after the sweep,
+    # so each call it makes misses the one-knot family memo.
+    calls = []
+    monkeypatch.setattr(classify_module, "family", lambda k: calls.append(k) or family(k))
+    for cert in cyclic_50:
+        emit_certificate(cert)
+    assert len(calls) == 325 == len(set(calls))
+    assert all(k.p == -2 and k.q % 2 == 1 for k in calls)
 
 
 @given(certificates)
