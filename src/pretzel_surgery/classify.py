@@ -46,7 +46,7 @@ from . import facts
 from .boundary import (BoundarySlopeSet, Completeness, nonintegral_slopes_minus2_pq,
                        nonintegral_slopes_pq_minus_r, small_p_pair, toroidal_gap_pairs_large_p)
 from .coxeter import INFINITE, CoxeterSignature, edjvet_verdict
-from .knots import FamilyTag, KnotFamily, PretzelKnot, family
+from .knots import FamilyTag, KnotFamily, PretzelKnot, family, first_index_family
 from .norms import cyclic_infeasibility_minus2_5_q
 from .slopes import ratio_text
 from .triangle import irreducible_char_count
@@ -167,15 +167,13 @@ def _json_line(cert: Certificate) -> str:
 
 
 def _knot_json(question: str, k: PretzelKnot) -> str:
-    """The JSON of a line from its data, written field by field, to its knot's triple.
-    A slope's text is a ratio of ints, so each list is written without the encoder."""
+    """The JSON of a line from its data, written field by field, to its knot's triple."""
     tor, bset = _listed(question, k)
     data = f'"toroidal_slope":"{tor}"' if tor else ""
     if bset is not None:
-        slopes, dropped = ('["{}"]'.format('","'.join(map(str, s))) if s else "[]"
-                           for s in (bset.slopes, bset.dropped_integral))
-        data = (f'"nonintegral_slopes":{{"boundary_slopes":{slopes},"completeness":'
-                f'{_ESCAPED[bset.completeness.value]},"dropped_integral":{dropped}}},{data}')
+        data = (f'"nonintegral_slopes":{{"boundary_slopes":{_encode(list(map(str, bset.slopes)))},'
+                f'"completeness":{_ESCAPED[bset.completeness.value]},"dropped_integral":'
+                f'{_encode(list(map(str, bset.dropped_integral)))}}},{data}')
     return f'{{{data}}},"pretzel":[{k.p},{k.q},{k.r}]'
 
 
@@ -558,11 +556,9 @@ def _apply(rules: list[Rule], question: str, key: str, *args) -> dict | None:
 def _listed(question: str, k: PretzelKnot) -> tuple[int, BoundarySlopeSet | None]:
     """The toroidal filling 2(p+q) and non-integral boundary slopes a certificate lists for
     k: 0 and None off the question's family or on the exceptional table, None on (-2,3,q).
-    Read first: a (-2,p,q) knot has k.p == -2, a (p,q,-r) knot an even k.p <= -4."""
-    if (k.p != -2) if question == CYCLIC else (k.p > -4 or k.p % 2):
-        return 0, None
-    fam = family(k)
-    if fam.tag is not (_M2 if question == CYCLIC else _PQR):
+    ``family`` is asked only when k's first index leaves the question's family open."""
+    tag = _M2 if question == CYCLIC else _PQR
+    if first_index_family(k.p) is not tag or (fam := family(k)).tag is not tag:
         return 0, None
     (p, q), r = fam.odd_pair, -fam.even_value
     if exceptional_knot_table(p, q, r):

@@ -96,6 +96,13 @@ class KnotFamily(NamedTuple):
 
 _TORUS, _UNCLASSIFIED, _OTHER = (KnotFamily(tag) for tag in (  # parameter-free, shared
     FamilyTag.TORUS, FamilyTag.UNCLASSIFIED, FamilyTag.OTHER))
+_M2, _PQR = FamilyTag.MINUS2_PQ, FamilyTag.PQ_MINUS_R
+
+
+def first_index_family(a: int) -> FamilyTag | None:
+    """The one family a canonical knot with first index a can belong to, as ``family`` reads
+    it: MINUS2_PQ for a == -2, PQ_MINUS_R for an even a <= -4, None for any other a."""
+    return _M2 if a == -2 else _PQR if a <= -4 and a % 2 == 0 else None
 
 
 def torus_status(k: PretzelKnot) -> KnotFamily | None:
@@ -119,10 +126,8 @@ def family(k: PretzelKnot) -> KnotFamily:
     if (torus := torus_status(k)) is not None:
         return torus
     a, b, c = k
-    if a == -2 and b % 2 == c % 2 == 1 and 3 <= b <= c:
-        return KnotFamily(FamilyTag.MINUS2_PQ, odd_pair=(b, c), even_value=-2)
-    if a <= -4 and a % 2 == 0 and b % 2 == c % 2 == 1 and 3 <= b <= c:
-        return KnotFamily(FamilyTag.PQ_MINUS_R, odd_pair=(b, c), even_value=a)
+    if (tag := first_index_family(a)) is not None and b % 2 == c % 2 == 1 and 3 <= b <= c:
+        return KnotFamily(tag, odd_pair=(b, c), even_value=a)
     return _OTHER
 
 

@@ -52,8 +52,7 @@ def pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
               r_range: tuple[int, int]) -> Iterator[PretzelKnot]:
     """The (p,q,-r) knots with odd p <= q and even r in the inclusive ranges, in
     sweep order.  No p above q's range and no empty r range is walked, so a box
-    that holds no knot is seen at once.  With p and r positive, (-r, p, q) is
-    already canonical and is built directly."""
+    that holds no knot is seen at once."""
     (p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi) = p_range, q_range, r_range
     rs = range(r_lo + r_lo % 2, r_hi + 1, 2)
     if not rs:
@@ -61,8 +60,7 @@ def pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
     for p in range(p_lo | 1, min(p_hi, q_hi) + 1, 2):
         for q in range(max(p, q_lo) | 1, q_hi + 1, 2):
             for r in rs:
-                yield (tuple.__new__(PretzelKnot, (-r, p, q)) if p > 0 < r
-                       else canonicalize(p, q, -r))
+                yield canonicalize(p, q, -r)
 
 
 def sweep_finite(p_range=(3, 15), q_range=(3, 15), r_range=(4, 16)) -> SweepReport:

@@ -109,8 +109,7 @@ def _yields(walk):
 @example(-5, -1, -5, 3, 4, 6)
 def test_the_sweep_enumerator_walks_exactly_its_box(p_lo, p_hi, q_lo, q_hi, r_lo, r_hi):
     # The CLI's emptiness check and the finite sweep read the same enumerator.
-    # Off p, r > 0 (where (-r, p, q) is built as it stands) a triple is
-    # canonicalized, and an r of 0 raises as canonicalize does.
+    # Every yield is a canonical record, and an r of 0 raises as canonicalize does.
     box = _yields(lambda: [
         canonicalize(p, q, -r) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)
         for r in range(r_lo, r_hi + 1) if p % 2 == q % 2 == 1 and p <= q and r % 2 == 0])

@@ -23,7 +23,8 @@ import pretzel_surgery.classify as classify_module
 from pretzel_surgery.classify import (CYCLIC, FAR, FINITE_Q, PUBLISHED, RULES, SURVIVORS, WINDOW,
                                       Certificate, Rule, certificate_data, classify,
                                       emit_certificate, rule_text)
-from pretzel_surgery.knots import FamilyTag, canonicalize, enumerate_canonical, family
+from pretzel_surgery.knots import (FamilyTag, canonicalize, enumerate_canonical, family,
+                                   first_index_family)
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
 
@@ -99,12 +100,14 @@ def test_the_data_field_is_written_as_the_encoder_writes_its_dict(question, trip
 
 # -- the first index ------------------------------------------------------------
 #
-# _listed reads a knot's first index before it asks knots.family: a (-2,p,q)
-# knot has p == -2 and a (p,q,-r) knot an even p <= -4, so on the cyclic
-# question any other p lists no data, and on the finite question any p > -4
-# or odd.  Where the rule answers, family would have answered the same.
+# _listed reads a knot's first index (knots.first_index_family, which family's
+# own pattern reads) before it asks knots.family: a (-2,p,q) knot has p == -2
+# and a (p,q,-r) knot an even p <= -4, so on the cyclic question any other p
+# lists no data, and on the finite question any p > -4 or odd.  Where the
+# rule answers, family would have answered the same.
 
 _TAG = {CYCLIC: FamilyTag.MINUS2_PQ, FINITE_Q: FamilyTag.PQ_MINUS_R}
+_OFF_FAMILY = (FamilyTag.TORUS, FamilyTag.UNCLASSIFIED, FamilyTag.OTHER)
 
 
 def _ruled_out(question, k):
@@ -112,7 +115,10 @@ def _ruled_out(question, k):
 
 
 def _check_the_first_index_rule(k):
+    # A knot's family is the one its first index allows, or none of the two.
+    assert family(k).tag in {first_index_family(k.p), *_OFF_FAMILY}, k
     for question in (CYCLIC, FINITE_Q):
+        assert _ruled_out(question, k) == (first_index_family(k.p) is not _TAG[question])
         if _ruled_out(question, k):
             # Off the question's family tag, _listed through family lists nothing.
             assert family(k).tag is not _TAG[question], (question, k)
