@@ -267,8 +267,7 @@ def toroidal_gap_small_p(p: int, q: int, r: int) -> dict | None:
 
 
 def coxeter_quotient_infinite(p: int, q: int, r: int, u: int) -> dict | None:
-    d = abs(u - 2 * p)
-    sig = CoxeterSignature.of(p, d, r // 2) if d >= 2 else None
+    sig = CoxeterSignature.of_filling(p, r, u)
     if sig is None or not quotient_certified_infinite(sig, edjvet_verdict(sig).status):
         return None
     return {"slope": u, "signature": [2, sig.a, sig.b, sig.c]}

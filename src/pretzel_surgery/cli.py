@@ -90,11 +90,8 @@ def _cmd_sweep(args) -> int:
     if args.bound < 1:  # no nonzero index fits: the cyclic sweep would be empty
         raise UsageError(f"--bound must be >= 1, got {args.bound}")
     ranges = [_parse_range(text) for text in (args.p_range, args.q_range, args.r_range)]
-    # The (p,q,-r) family: odd p, q >= 3 and even r >= 4.
-    for name, (lo, _), least in zip("pqr", ranges, (3, 3, 4)):
-        if lo < least:
-            raise UsageError(f"{name} bounds must be >= {least}, got {lo}")
-    if next(pqr_knots(*ranges), None) is None:
+    # A box reaching below the (p,q,-r) family raises ValueError on the first step.
+    if _checked(next, pqr_knots(*ranges), None) is None:
         raise UsageError("the ranges hold no (p,q,-r) knot with odd p <= q and even r")
     report = sweep_cyclic(args.bound) if args.question == CYCLIC else sweep_finite(*ranges)
     for cert in report.certificates:

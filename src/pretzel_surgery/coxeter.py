@@ -38,6 +38,13 @@ class CoxeterSignature(Record, namedtuple("CoxeterSignature", "a b c")):
         lo, hi = sorted((x, y))
         return CoxeterSignature(lo, hi, c)
 
+    @staticmethod
+    def of_filling(p: int, r: int, s: int) -> "CoxeterSignature | None":
+        """(2, p, |s-2p|; r/2), the quotient of the s-filling of a (p,q,-r)
+        knot, or None where |s-2p| < 2 and the form degenerates."""
+        d = abs(s - 2 * p)
+        return CoxeterSignature.of(p, d, r // 2) if d >= 2 else None
+
     def __str__(self) -> str:
         return f"(2,{self.a},{self.b};{self.c})"
 

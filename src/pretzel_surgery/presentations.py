@@ -72,8 +72,7 @@ def filled_presentation(p: int, q: int, r: int, s: int) -> GroupPresentation:
 @dataclass(frozen=True)
 class CoxeterQuotient:
     """The two-generator factor group of an odd filling and its normalized
-    signature (a None signature flags |s-2p| < 2, where the (2,a,b;c) form
-    degenerates)."""
+    signature, ``CoxeterSignature.of_filling`` (None where it degenerates)."""
 
     two_generator: GroupPresentation
     signature: CoxeterSignature | None
@@ -89,16 +88,12 @@ def coxeter_quotient(p: int, r: int, s: int) -> CoxeterQuotient:
         raise ValueError(f"need even r >= 4, got r={r}")
     if s % 2 == 0:
         raise ValueError(f"need an odd filling slope, got s={s}")
-    if s == 2 * p:
-        raise ValueError("degenerate quotient: s - 2p = 0")
 
     half_r = r // 2
     y, w = gen("y"), gen("w")
     two_generator = GroupPresentation(("w", "y"), (
         (y * y * w * w) ** half_r, w ** p, (w * y) ** 2, gen("y", s - 2 * p)))
-    d = abs(s - 2 * p)
-    signature = CoxeterSignature.of(p, d, half_r) if d >= 2 else None
-    return CoxeterQuotient(two_generator, signature)
+    return CoxeterQuotient(two_generator, CoxeterSignature.of_filling(p, r, s))
 
 
 def triangle_image_of_longitude(p: int, q: int, r: int) -> Word:

@@ -1,7 +1,6 @@
-"""Smith normal form over the integers, with full pivoting on magnitude.
+"""Smith normal form over the integers, and the abelian invariants it gives.
 
-Matrices are plain lists of lists of Python ints, so entries grow without
-overflow; full pivoting keeps them small in practice.
+Matrices are lists of lists of Python ints, so entries never overflow.
 """
 
 from __future__ import annotations
@@ -10,72 +9,38 @@ from dataclasses import dataclass
 
 
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form: d_1 | d_2 | ..., all >= 0."""
+    """Diagonal of the Smith normal form: d_1 | d_2 | ..., all >= 0.
+
+    Each pass pivots on an entry p of least magnitude and cuts its column to
+    remainders by row operations; a clear column lets column operations cut
+    the pivot row mod p.  A pivot row of multiples of p takes in a row that p
+    does not divide, or, with none left, |p| splits off with its row and column.
+    """
     A = [[int(v) for v in row] for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if any(len(row) != n for row in A):
+    if any(len(row) != len(A[0]) for row in A):
         raise ValueError("ragged matrix")
-
-    t = 0
-    while t < m and t < n:
-        pi, pj, best = -1, -1, None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pi, pj = v, i, j
-        if best is None:
-            break
-        A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-
-        while True:
-            swapped = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    quo = A[i][t] // A[t][t]
-                    if quo:
-                        A[i] = [a - quo * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        swapped = True
-            if swapped:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    quo = A[t][j] // A[t][t]
-                    if quo:
-                        for i in range(m):
-                            A[i][j] -= quo * A[i][t]
-                    if A[t][j]:
-                        for i in range(m):
-                            A[i][t], A[i][j] = A[i][j], A[i][t]
-                        swapped = True
-            if not swapped:
-                break
-
-        # The pivot must divide every remaining entry; if not, fold the
-        # offending row in and redo the clearing at the same position.
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            A[t] = [a + b for a, b in zip(A[t], A[offender])]
-            continue
-
-        if A[t][t] < 0:
-            A[t][t] = -A[t][t]
-        t += 1
-
-    return [A[i][i] for i in range(min(m, n))]
+    diag: list[int] = []
+    while True:
+        entries = [(abs(v), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v]
+        if not entries:
+            return diag + [0] * (min(len(A), len(A[0])) if A else 0)
+        _, i, j = min(entries)
+        pivot = A.pop(i)
+        p = pivot[j]
+        for row in A:
+            if quo := row[j] // p:
+                row[:] = [a - quo * b for a, b in zip(row, pivot)]
+        if not any(row[j] for row in A):
+            if not any(v % p for v in pivot):
+                extra = next((row for row in A if any(v % p for v in row)), None)
+                if extra is None:
+                    diag.append(abs(p))
+                    for row in A:
+                        del row[j]
+                    continue
+                pivot = [a + b for a, b in zip(pivot, extra)]
+            pivot = [v % p if c != j else p for c, v in enumerate(pivot)]
+        A.append(pivot)
 
 
 @dataclass(frozen=True)
@@ -88,9 +53,8 @@ class AbelianInvariants:
     def __post_init__(self) -> None:
         if any(d <= 1 for d in self.torsion):
             raise ValueError("torsion factors must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisor chain")
+        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise ValueError("invariant factors must form a divisor chain")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
 
@@ -101,9 +65,6 @@ class AbelianInvariants:
 
 def abelian_invariants(ngens: int, relator_rows: list[list[int]]) -> AbelianInvariants:
     """Invariants of Z^ngens modulo the row space of the relator matrix."""
-    if not relator_rows:
-        return AbelianInvariants((), ngens)
     diag = smith_diagonal(relator_rows)
-    rank = sum(1 for d in diag if d)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(torsion, ngens - rank)
+    rank = len(diag) - diag.count(0)
+    return AbelianInvariants(tuple(d for d in diag if d > 1), ngens - rank)

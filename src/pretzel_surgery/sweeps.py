@@ -13,7 +13,7 @@ from typing import Iterator
 from . import facts
 from .classify import (CYCLIC, FINITE_Q, REALIZED, TORUS_INFINITE, UNRESOLVED,
                        Certificate, classify_cyclic, classify_finite)
-from .knots import PretzelKnot, canonicalize, enumerate_canonical
+from .knots import PretzelKnot, enumerate_canonical
 from .replay import replay_certificate
 
 
@@ -52,7 +52,11 @@ def pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
               r_range: tuple[int, int]) -> Iterator[PretzelKnot]:
     """The (p,q,-r) knots with odd p <= q and even r in the inclusive ranges, in
     sweep order.  No p above q's range and no empty r range is walked, so a box
-    that holds no knot is seen at once."""
+    that holds no knot is seen at once.  A box reaching below the family
+    (p, q >= 3, r >= 4) raises ValueError; inside it each knot is (-r, p, q)."""
+    for name, (lo, _), least in zip("pqr", (p_range, q_range, r_range), (3, 3, 4)):
+        if lo < least:
+            raise ValueError(f"{name} bounds must be >= {least}, got {lo}")
     (p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi) = p_range, q_range, r_range
     rs = range(r_lo + r_lo % 2, r_hi + 1, 2)
     if not rs:
@@ -60,7 +64,7 @@ def pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
     for p in range(p_lo | 1, min(p_hi, q_hi) + 1, 2):
         for q in range(max(p, q_lo) | 1, q_hi + 1, 2):
             for r in rs:
-                yield canonicalize(p, q, -r)
+                yield tuple.__new__(PretzelKnot, (-r, p, q))  # canonical by the bounds
 
 
 def sweep_finite(p_range=(3, 15), q_range=(3, 15), r_range=(4, 16)) -> SweepReport:

@@ -25,14 +25,9 @@ class Word:
     def __init__(self, runs: Iterable[Run] = ()):
         stack: list[Run] = []
         for g, e in runs:
-            if e == 0:
-                continue
             if stack and stack[-1][0] == g:
-                merged = stack[-1][1] + e
-                stack.pop()
-                if merged:
-                    stack.append((g, merged))
-            else:
+                e += stack.pop()[1]
+            if e:
                 stack.append((g, e))
         self.runs: tuple[Run, ...] = tuple(stack)
 
@@ -45,13 +40,8 @@ class Word:
         return Word((g, -e) for g, e in reversed(self.runs))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
         if n < 0:
             return (~self) ** (-n)
-        if len(self.runs) == 1:
-            g, e = self.runs[0]
-            return Word(((g, e * n),))
         return Word(self.runs * n)
 
     # -- inspection ---------------------------------------------------

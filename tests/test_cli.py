@@ -95,28 +95,29 @@ def test_user_input_faults_are_usage_errors(capsys):
         assert (code, err.startswith("error: ")) == (2, True), argv
 
 
-def _yields(walk):
-    """The list a walk yields, or the type and text of what it raises."""
-    try:
-        return list(walk())
-    except ValueError as e:
-        return type(e), str(e)
-
-
-@given(*[st.integers(-12, 12)] * 6)
+@given(*[st.integers(-4, 16)] * 6)
+@example(3, 15, 3, 15, 4, 16)
+@example(4, 9, 3, 8, 5, 10)
 @example(1, 5, 1, 5, 2, 6)
-@example(-3, 3, -3, 3, -2, 2)
+@example(3, 5, 3, 5, 3, 6)
 @example(-5, -1, -5, 3, 4, 6)
 def test_the_sweep_enumerator_walks_exactly_its_box(p_lo, p_hi, q_lo, q_hi, r_lo, r_hi):
     # The CLI's emptiness check and the finite sweep read the same enumerator.
-    # Every yield is a canonical record, and an r of 0 raises as canonicalize does.
-    box = _yields(lambda: [
+    # Inside the family (p, q >= 3, r >= 4) a box yields canonical records, the
+    # reference comprehension's; a box reaching below it raises ValueError.
+    walk = pqr_knots((p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi))
+    below = [(name, lo, least) for name, lo, least in zip("pqr", (p_lo, q_lo, r_lo), (3, 3, 4))
+             if lo < least]
+    if below:
+        name, lo, least = below[0]
+        with pytest.raises(ValueError, match=f"^{name} bounds must be >= {least}, got {lo}$"):
+            next(walk)
+        return
+    walked = list(walk)
+    assert walked == [
         canonicalize(p, q, -r) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)
-        for r in range(r_lo, r_hi + 1) if p % 2 == q % 2 == 1 and p <= q and r % 2 == 0])
-    walked = _yields(lambda: pqr_knots((p_lo, p_hi), (q_lo, q_hi), (r_lo, r_hi)))
-    assert walked == box
-    if isinstance(walked, list):
-        assert all(type(k) is PretzelKnot and is_canonical(*k) for k in walked)
+        for r in range(r_lo, r_hi + 1) if p % 2 == q % 2 == 1 and p <= q and r % 2 == 0]
+    assert all(type(k) is PretzelKnot and is_canonical(*k) for k in walked)
 
 
 def test_internal_value_error_is_an_internal_error(monkeypatch, capsys):
@@ -272,6 +273,19 @@ def test_group_coxeter_enumerate_json_bytes_pinned(capsys):
     assert code == 0
     assert out == ('{"clause":"iii","cosets_defined":382,"enumeration":"FINITE",'
                    '"order":168,"signature":[2,3,7,4],"verdict":"FINITE"}\n')
+
+
+def test_group_present_coxeter_json_digest_pinned(capsys):
+    # The filled knot group's relators (Word products and powers), its
+    # abelianization (Smith normal form) and the factor group with its
+    # signature; the digest leaves out the last newline, as in the CI step.
+    code, out, _ = run(capsys, "group", "present", "5", "7", "-6", "--fill", "23",
+                       "--coxeter", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["abelianization"], payload["signature"]) == ("Z/23", "(2,5,13;3)")
+    digest = "a304d340f66308939c29df93fc1f67d9e7e01e6fc3f2056ae720e06ecea5cdaf"
+    assert hashlib.sha256(out.removesuffix("\n").encode()).hexdigest() == digest
 
 
 def test_group_coxeter_max_cosets_cap(capsys):

@@ -57,6 +57,15 @@ def test_signature_normalization():
         CoxeterSignature(3, 5, 1)
 
 
+def test_filling_signature_rule():
+    # (2, p, |s-2p|; r/2), or None where |s-2p| < 2.
+    assert CoxeterSignature.of_filling(3, 4, 11) == CoxeterSignature(3, 5, 2)
+    assert CoxeterSignature.of_filling(7, 8, 1) == CoxeterSignature(7, 13, 4)
+    assert CoxeterSignature.of_filling(5, 6, 8) == CoxeterSignature(2, 5, 3)
+    assert CoxeterSignature.of_filling(5, 6, 9) is None
+    assert CoxeterSignature.of_filling(5, 6, 11) is None
+
+
 def test_edjvet_examples():
     assert edjvet_verdict(CoxeterSignature(3, 7, 6)) == \
         edjvet_verdict(CoxeterSignature.of(7, 3, 6))

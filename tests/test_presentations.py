@@ -88,7 +88,7 @@ def test_coxeter_quotient_signature(p, r, s, expected):
 
 def test_coxeter_quotient_degenerate_cases():
     with pytest.raises(ValueError):
-        coxeter_quotient(3, 4, 6)  # s = 2p
+        coxeter_quotient(3, 4, 6)  # s = 2p, refused as an even slope
     assert coxeter_quotient(3, 4, 7).signature is None  # |s-2p| = 1
     with pytest.raises(ValueError):
         coxeter_quotient(3, 4, 8)  # even slope

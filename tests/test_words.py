@@ -9,6 +9,9 @@ from pretzel_surgery.words import GroupPresentation, Word, gen
 def test_free_reduction_merges_runs():
     w = Word([("x", 2), ("x", 3), ("y", 1), ("y", -1), ("x", -5)])
     assert w.is_trivial
+    # A zero exponent is no letter: it neither splits nor ends a run.
+    assert Word([("x", 1), ("y", 0), ("x", -1)]).is_trivial
+    assert Word([("x", 2), ("x", 0), ("y", 0)]) == gen("x", 2)
 
 
 def test_multiplication_cancels_across_boundary():
@@ -36,6 +39,14 @@ def test_exponent_sums_and_letters():
 letters = st.lists(
     st.tuples(st.sampled_from("xyz"), st.sampled_from([1, -1])),
     max_size=12)
+
+
+@given(letters, st.integers(-4, 4))
+def test_power_is_repeated_product(base, n):
+    word, product = Word(base), Word()
+    for _ in range(abs(n)):
+        product = product * (word if n > 0 else ~word)
+    assert word ** n == product
 
 
 @given(letters, st.data())
