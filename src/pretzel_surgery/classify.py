@@ -291,7 +291,8 @@ def coxeter_distance_window(p: int, q: int, r: int) -> dict | None:
     """In the middle window r <= p <= 2r, where no slope formula applies: all
     odd s whose two-generator quotient (2,.,.;r/2) is not certified infinite.
 
-    Scans |s-2p| over 1, 3, ..., 13; every clause of the finiteness table
+    Scans d = |s-2p| over 1, 3, ..., 13, reading the quotient of s = 2p + d
+    from ``CoxeterSignature.of_filling``; every clause of the finiteness table
     (and its one open signature) has both odd entries <= 13, and the
     abstention corner a = 3, c <= 3 only concerns d = 3 or p = 3, so larger
     differences always give certified-infinite quotients.
@@ -300,10 +301,10 @@ def coxeter_distance_window(p: int, q: int, r: int) -> dict | None:
         return None
     out = {}
     for d in (1, 3, 5, 7, 9, 11, 13):
-        if d == 1:
+        sig = CoxeterSignature.of_filling(p, r, 2 * p + d)
+        if sig is None:
             reason = "degenerate quotient"
         else:
-            sig = CoxeterSignature.of(p, d, r // 2)
             status = edjvet_verdict(sig).status
             if quotient_certified_infinite(sig, status):
                 continue

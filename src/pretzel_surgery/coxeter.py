@@ -14,8 +14,8 @@ its HLT definition order, hence every cosets_defined, is pinned by the tests.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from operator import length_hint
+from typing import NamedTuple
 
 from .records import Record
 from .words import GroupPresentation, gen
@@ -35,8 +35,7 @@ class CoxeterSignature(Record, namedtuple("CoxeterSignature", "a b c")):
 
     @staticmethod
     def of(x: int, y: int, c: int) -> "CoxeterSignature":
-        lo, hi = sorted((x, y))
-        return CoxeterSignature(lo, hi, c)
+        return CoxeterSignature(x, y, c) if x <= y else CoxeterSignature(y, x, c)
 
     @staticmethod
     def of_filling(p: int, r: int, s: int) -> "CoxeterSignature | None":
@@ -54,8 +53,7 @@ INFINITE = "INFINITE"
 EXCEPTION = "EXCEPTION"
 
 
-@dataclass(frozen=True)
-class FinitenessVerdict:
+class FinitenessVerdict(NamedTuple):
     status: str
     clause: str | None = None
 
@@ -104,8 +102,7 @@ def coxeter_presentation(sig: CoxeterSignature) -> GroupPresentation:
     return GroupPresentation(("R", "S"), relators)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     status: str  # "FINITE" | "INCONCLUSIVE"
     order: int | None
     cosets_defined: int

@@ -42,17 +42,16 @@ raises ``ArithmeticError``.  Callers repeat the check on replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import index, mul
+from typing import NamedTuple
 
 EQ = "EQ"
 GE = "GE"
 
 
-@dataclass(frozen=True)
-class LinearRow:
+class LinearRow(NamedTuple):
     coeffs: tuple[int, ...]
     rel: str
     rhs: int
@@ -71,8 +70,7 @@ def row(coeffs, rel: str, rhs, label: str = "") -> LinearRow:
     return r
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     point: tuple[Fraction, ...] | None = None
     witness: tuple[Fraction, ...] | None = None
@@ -99,15 +97,16 @@ def satisfies(rows: list[LinearRow], x: tuple[Fraction, ...]) -> bool:
 
 def verify_witness(rows: list[LinearRow], y: tuple[Fraction, ...]) -> bool:
     """Re-check a Farkas witness from scratch; True means the system is empty."""
-    if len(y) != len(rows) or len({len(r.coeffs) for r in rows}) > 1:
+    coeffs, rels, rhs, _ = zip(*rows) if rows else ((),) * 4  # the rows' fields
+    if len(y) != len(rows) or len(set(map(len, coeffs))) > 1:
         return False
     Y = _cleared(y)  # y times a positive lcm: the same signs
-    for r, Yi in zip(rows, Y):  # each row is shaped, and y_i >= 0 on a GE row
-        if r.rhs < 0 or (Yi < 0 if r.rel == GE else r.rel != EQ):
+    for rel, b, Yi in zip(rels, rhs, Y):  # each row is shaped, and y_i >= 0 on a GE row
+        if b < 0 or (Yi < 0 if rel == GE else rel != EQ):
             return False
-    if any(sum(map(mul, Y, col)) > 0 for col in zip(*[r.coeffs for r in rows])):
+    if any(sum(map(mul, Y, col)) > 0 for col in zip(*coeffs)):
         return False
-    return sum(Yi * r.rhs for Yi, r in zip(Y, rows)) > 0
+    return sum(map(mul, Y, rhs)) > 0
 
 
 def solve_feasibility(rows: list[LinearRow], nvars: int) -> FeasibilityResult:

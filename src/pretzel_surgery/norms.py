@@ -24,8 +24,9 @@ direction the classifier ever uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linprog
 from .boundary import slope_list_minus2_5_q
@@ -40,13 +41,16 @@ def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, .
     return tuple(2 * distance(gamma, b) for b in boundary)
 
 
-@dataclass
-class NormSystem:
+class NormSystem(namedtuple("NormSystem", "boundary constraints")):
     """A boundary list plus norm relations  |gamma| (EQ|GE) S,  each kept as
-    gamma and its row  |gamma| - S (rel) 0  over the variables (a_1..a_n, S)."""
+    gamma and its row  |gamma| - S (rel) 0  over the variables (a_1..a_n, S).
+    A system built without a constraint list gets a new empty one."""
 
-    boundary: tuple[Slope, ...]
-    constraints: list[tuple[Slope, LinearRow]] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, boundary: tuple[Slope, ...],
+                constraints: list[tuple[Slope, LinearRow]] | None = None) -> NormSystem:
+        return tuple.__new__(cls, (boundary, [] if constraints is None else constraints))
 
     def add(self, gamma: Slope, rel: str) -> None:
         coeffs = norm_coefficients(self.boundary, gamma) + (-1,)
@@ -64,8 +68,7 @@ class NormSystem:
         }
 
 
-@dataclass(frozen=True)
-class PairwiseInfeasibilityReport:
+class PairwiseInfeasibilityReport(NamedTuple):
     """The solver's result on each pair's rows, in the order of ``pairs``."""
 
     q: int

@@ -16,8 +16,7 @@ against, and the benchmark (``perfbench/run.py``) traces
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .coxeter import CoxeterSignature
 from .words import GroupPresentation, Word, gen
@@ -69,8 +68,7 @@ def filled_presentation(p: int, q: int, r: int, s: int) -> GroupPresentation:
     return GroupPresentation(base.generators, base.relators + (fill,))
 
 
-@dataclass(frozen=True)
-class CoxeterQuotient:
+class CoxeterQuotient(NamedTuple):
     """The two-generator factor group of an odd filling and its normalized
     signature, ``CoxeterSignature.of_filling`` (None where it degenerates)."""
 

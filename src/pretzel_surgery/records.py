@@ -3,6 +3,12 @@ fields raises in ``__new__`` on invalid fields.  ``_make``, ``_replace``,
 ``copy`` and ``pickle`` all go through the class, so none builds an invalid
 record, and records are not ordered.  A record equals a plain tuple of the same
 fields, and the C JSON encoder writes it as a list (no emitted field holds one).
+
+Every record type in the package is a tuple record.  ``AbelianInvariants``
+and ``GroupPresentation`` are ``Record`` classes too; ``LinearRow``,
+``FeasibilityResult``, ``PairwiseInfeasibilityReport``, ``FinitenessVerdict``,
+``EnumerationResult``, ``CoxeterQuotient`` and ``SweepReport`` are named
+tuples, as is ``NormSystem``, which gives a new empty list where none is given.
 """
 
 

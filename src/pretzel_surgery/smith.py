@@ -5,7 +5,9 @@ Matrices are lists of lists of Python ints, so entries never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .records import Record
 
 
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
@@ -43,20 +45,19 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
         A.append(pivot)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    """Invariant-factor form d_1 | d_2 | ... (all > 1) plus free rank."""
+class AbelianInvariants(Record, namedtuple("AbelianInvariants", "torsion free_rank")):
+    """Invariant-factor form d_1 | d_2 | ... (all > 1) plus free rank, a validated tuple record."""
 
-    torsion: tuple[int, ...]
-    free_rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(d <= 1 for d in self.torsion):
+    def __new__(cls, torsion: tuple[int, ...], free_rank: int) -> AbelianInvariants:
+        if any(d <= 1 for d in torsion):
             raise ValueError("torsion factors must exceed 1")
-        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
             raise ValueError("invariant factors must form a divisor chain")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        return tuple.__new__(cls, (torsion, free_rank))
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion] + ["Z"] * self.free_rank

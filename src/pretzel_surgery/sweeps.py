@@ -7,8 +7,7 @@ unresolved knot inside a family the classification is supposed to cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import facts
 from .classify import (CYCLIC, FINITE_Q, REALIZED, TORUS_INFINITE, UNRESOLVED,
@@ -17,11 +16,10 @@ from .knots import PretzelKnot, enumerate_canonical
 from .replay import replay_certificate
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     question: str
-    certificates: list[Certificate] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    certificates: list[Certificate]
+    violations: list[str]
 
     @property
     def realized(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
@@ -34,18 +32,18 @@ class SweepReport:
 
 def sweep_cyclic(bound: int) -> SweepReport:
     """Classify cyclic surgeries on every canonical knot with |index| <= bound."""
-    report = SweepReport(CYCLIC)
+    certificates, violations = [], []
     for k in enumerate_canonical(bound):
         cert = classify_cyclic(k)
-        report.certificates.append(cert)
+        certificates.append(cert)
         if not replay_certificate(cert):
-            report.violations.append(f"replay failed for {k}")
+            violations.append(f"replay failed for {k}")
         if cert.verdict == REALIZED:
             expected = facts.known_cyclic_minus2_3(k.indices[2]) \
                 if k.indices[:2] == (-2, 3) else None
             if expected is None or tuple(cert.realized) != tuple(expected):
-                report.violations.append(f"unexpected realized slopes for {k}")
-    return report
+                violations.append(f"unexpected realized slopes for {k}")
+    return SweepReport(CYCLIC, certificates, violations)
 
 
 def pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
@@ -69,16 +67,16 @@ def pqr_knots(p_range: tuple[int, int], q_range: tuple[int, int],
 
 def sweep_finite(p_range=(3, 15), q_range=(3, 15), r_range=(4, 16)) -> SweepReport:
     """Classify finite surgeries over the (p,q,-r) family ranges (inclusive)."""
-    report = SweepReport(FINITE_Q)
+    certificates, violations = [], []
     for k in pqr_knots(p_range, q_range, r_range):
         cert = classify_finite(k)
-        report.certificates.append(cert)
+        certificates.append(cert)
         if not replay_certificate(cert):
-            report.violations.append(f"replay failed for {k}")
+            violations.append(f"replay failed for {k}")
         if cert.verdict == REALIZED:
-            report.violations.append(f"realized finite slope on {k}")
+            violations.append(f"realized finite slope on {k}")
         elif cert.verdict == UNRESOLVED:
-            report.violations.append(f"uncovered triple {k}")
+            violations.append(f"uncovered triple {k}")
         elif cert.verdict == TORUS_INFINITE:
-            report.violations.append(f"torus triple unexpectedly in family sweep: {k}")
-    return report
+            violations.append(f"torus triple unexpectedly in family sweep: {k}")
+    return SweepReport(FINITE_Q, certificates, violations)

@@ -9,9 +9,10 @@ construction reads like the algebra it encodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
+from .records import Record
 from .smith import AbelianInvariants, abelian_invariants
 
 Run = tuple[str, int]
@@ -84,21 +85,20 @@ def gen(name: str, exponent: int = 1) -> Word:
     return Word(((name, exponent),))
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    """Named generators and freely reduced relators."""
+class GroupPresentation(Record, namedtuple("GroupPresentation", "generators relators")):
+    """Named generators and freely reduced relators, a validated tuple record."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.generators)) != len(self.generators):
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]) -> GroupPresentation:
+        known = set(generators)
+        if len(known) != len(generators):
             raise ValueError("duplicate generator names")
-        known = set(self.generators)
-        for w in self.relators:
+        for w in relators:
             extra = w.alphabet() - known
             if extra:
                 raise ValueError(f"relator uses unknown generators {sorted(extra)}")
+        return tuple.__new__(cls, (generators, relators))
 
     def exponent_matrix(self) -> list[list[int]]:
         return [[w.exponent_sum(g) for g in self.generators] for w in self.relators]

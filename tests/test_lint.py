@@ -1,7 +1,7 @@
 import ast
-import importlib
 import re
-from dataclasses import is_dataclass
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,16 +102,17 @@ def test_the_one_entry_memos_are_the_known_three():
     assert memos == ["classify._boundary", "classify.classify_finite", "knots.family"]
 
 
-@pytest.mark.parametrize("name", ["knots", "slopes", "coxeter", "boundary", "classify"])
-def test_no_frozen_dataclass_validates_in_post_init(name):
-    # The per-knot records of these modules are validated tuples
-    # (records.Record): a frozen dataclass hashes and compares in Python and
-    # keeps a dict per instance, and every sweep holds one record per knot.
-    module = importlib.import_module(f"pretzel_surgery.{name}")
-    found = [cls.__name__ for cls in vars(module).values() if isinstance(cls, type)
-             and cls.__module__ == module.__name__ and is_dataclass(cls)
-             and cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)]
-    assert found == []
+def test_the_package_imports_neither_dataclasses_nor_inspect():
+    # Every record is a tuple record (records.Record or a named tuple), so the
+    # package and its CLI start without the dataclasses module and the
+    # inspect module it loads, which cost every process several milliseconds.
+    # A fresh process without site imports only what the package asks for.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import pretzel_surgery, pretzel_surgery.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_certificates_store_only_their_chain_and_verdict():

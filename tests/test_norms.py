@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, lcm
@@ -90,8 +89,8 @@ def test_infeasibility_rejects_small_or_even_q(q):
 def test_tampered_witness_fails_verification():
     report = cyclic_infeasibility_minus2_5_q(9)
     bad = report.verdicts[0]
-    tampered = replace(bad, witness=tuple(w + 1 for w in bad.witness))
-    broken = replace(report, verdicts=(tampered, *report.verdicts[1:]))
+    tampered = bad._replace(witness=tuple(w + 1 for w in bad.witness))
+    broken = report._replace(verdicts=(tampered, *report.verdicts[1:]))
     assert not verify_infeasibility_report(broken)
 
 

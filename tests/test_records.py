@@ -1,13 +1,23 @@
 import copy
+import importlib
 import operator
 import pickle
+from pathlib import Path
 
 import pytest
 
 from pretzel_surgery.boundary import BoundarySlopeSet, Completeness
+from pretzel_surgery.classify import CYCLIC
 from pretzel_surgery.coxeter import CoxeterSignature
 from pretzel_surgery.knots import PretzelKnot
-from pretzel_surgery.slopes import Slope, SlopeError
+from pretzel_surgery.linprog import EQ
+from pretzel_surgery.norms import NormSystem
+from pretzel_surgery.slopes import MERIDIAN, Slope, SlopeError
+from pretzel_surgery.smith import AbelianInvariants
+from pretzel_surgery.sweeps import SweepReport
+from pretzel_surgery.words import GroupPresentation, gen
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pretzel_surgery"
 
 # A valid record, its repr and str, a field change that makes it invalid, and
 # the error its constructor raises for that change.
@@ -21,6 +31,11 @@ RECORDS = {
                  "BoundarySlopeSet(slopes=(Slope(1/3), Slope(1/2)), completeness="
                  "<Completeness.FULL_LIST: 'FULL_LIST'>, dropped_integral=())", None,
                  {"slopes": (Slope(1, 2), Slope(1, 3))}, ValueError),
+    "abelian": (AbelianInvariants((2, 4), 1), "AbelianInvariants(torsion=(2, 4), free_rank=1)",
+                "Z/2 + Z/4 + Z", {"torsion": (2, 3)}, ValueError),
+    "presentation": (GroupPresentation(("x", "y"), (gen("x") ** 2, gen("x") * gen("y"))),
+                     "GroupPresentation(generators=('x', 'y'), relators=(Word(x^2), Word(x.y)))",
+                     "< x,y | x^2, x.y >", {"generators": ("x", "y", "x")}, ValueError),
 }
 
 
@@ -59,6 +74,32 @@ def test_records_keep_the_guarantees_of_the_dataclasses_they_replace(record, tex
             setattr(record, name, getattr(record, name, None))
     assert repr(record) == text
     assert str(record) == (text if string is None else string)
+
+
+def test_norm_systems_built_without_lists_share_no_list():
+    # As the dataclass default factory gave: a new empty list per system.
+    first, second = NormSystem((MERIDIAN,)), NormSystem((MERIDIAN,))
+    assert first.constraints == second.constraints == []
+    assert first.constraints is not second.constraints
+    first.add(MERIDIAN, EQ)
+    assert second.constraints == [] and NormSystem((MERIDIAN,)) == second
+
+
+def test_no_record_has_a_mutable_default():
+    # A list or dict default is one object that every record built without
+    # it shares; a SweepReport takes its lists from the sweep that built them.
+    modules = [importlib.import_module(f"pretzel_surgery.{p.stem}") for p in SRC.glob("*.py")
+               if p.stem != "__init__"]
+    records = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+               and cls.__module__.startswith("pretzel_surgery.")}
+    defaults = {cls.__name__: [*cls._field_defaults.values(), *(cls.__new__.__defaults__ or ())]
+                for cls in records}
+    assert {"SweepReport", "NormSystem", "LinearRow", "GroupPresentation"} <= defaults.keys()
+    assert [name for name, values in defaults.items()
+            if any(isinstance(v, (list, dict, set)) for v in values)] == []
+    with pytest.raises(TypeError):
+        SweepReport(CYCLIC)
 
 
 def test_knot_indices_are_a_plain_tuple():
