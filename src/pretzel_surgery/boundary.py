@@ -53,13 +53,6 @@ class BoundarySlopeSet(Record, namedtuple("BoundarySlopeSet",
     def is_empty(self) -> bool:
         return not self.slopes
 
-    def to_json(self) -> dict:
-        return {
-            "boundary_slopes": [str(s) for s in self.slopes],
-            "completeness": self.completeness.value,
-            "dropped_integral": [str(s) for s in self.dropped_integral],
-        }
-
 
 def _reduced(n: int, d: int) -> Pair:
     """n/d in lowest terms, for d > 0."""

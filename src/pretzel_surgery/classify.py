@@ -11,10 +11,9 @@ which Tier-1 proves has no cyclic surgery.  The pipelines only apply and record
 rows, in the order of the paper's case analysis, which is written nowhere
 else: :func:`classify` walks them afresh for any knot, and replay derives a
 certificate again with it and compares.  :func:`conclude` gives the slope
-marks, realized slopes and verdict of the chain; :func:`certificate_data` is
-the dict form of a knot's ``data``, which the tests encode as the reference.
-A certificate is an immutable record of the chain, its verdict and realized
-slopes; its data and slope marks are derived when read.  The one-knot memos
+marks, realized slopes and verdict of the chain.  A certificate is an
+immutable record of the chain, its verdict and realized slopes; its slope
+marks are derived when read, and its data when written.  The one-knot memos
 here (``_boundary``, ``classify_finite``) and ``knots.family`` hold pure
 functions of the knot, so replay shares no mutable state with classify.  A
 row that records the same inputs on every knot that records it is one
@@ -32,8 +31,8 @@ on the certificate's dict form, with no dict built.  A certificate holding the
 shared chain of a row that settles a knot alone (an identity test), with its
 verdict and realized slopes, is written from that chain's template: the line
 this emitter writes for it at import, cut around the knot's data and triple.
-What the data lists, on a line and in its dict form, is decided in one place,
-which asks ``knots.family`` only when the knot's first index leaves it open.
+What the data of a line lists is decided in one place, which asks
+``knots.family`` only when the knot's first index leaves it open.
 """
 
 from __future__ import annotations
@@ -90,17 +89,13 @@ class _ReadOnly(dict):
 
 class Certificate(NamedTuple):
     """One knot's rule chain, verdict and realized slopes on one question, built once;
-    its data, slope marks and notes are derived when read, and rule inputs are read-only."""
+    its slope marks and notes are derived when read, and rule inputs are read-only."""
 
     knot: PretzelKnot
     question: str
     verdict: str = UNRESOLVED
     realized: tuple[int, ...] = ()
     rules: tuple[Rule, ...] = ()
-
-    @property
-    def data(self) -> dict:
-        return certificate_data(self.question, self.knot)
 
     @property
     def slopes(self) -> list[tuple[int, int, str, str | None]]:  # (a, b, status, rule id)
@@ -566,13 +561,6 @@ def _listed(question: str, k: PretzelKnot) -> tuple[int, BoundarySlopeSet | None
     return 2 * (p + q), None if (p, r) == (3, 2) else _boundary(p, q, r)
 
 
-def certificate_data(question: str, k: PretzelKnot) -> dict:
-    """The ``data`` of a certificate as a dict, the form ``_knot_json`` writes."""
-    tor, bset = _listed(question, k)
-    slopes = {} if bset is None else {"nonintegral_slopes": bset.to_json()}
-    return {"toroidal_slope": str(tor), **slopes} if tor else {}
-
-
 # (question, row) of _ALONE -> the row's opened chain (verdict, realized, rules) and its line
 # on a probe knot cut around _knot_json (ValueError unless that occurs once).
 _PROBE = PretzelKnot(1, 1, 1)
@@ -592,8 +580,7 @@ def _eliminated(rules: list[Rule], question: str, keys: tuple[str, ...], p: int,
 
 def _published_minus2_3(rules: list[Rule], question: str, q: int) -> None:
     # q >= 7 is odd, where both lists cover: test_a_minus2_3_knot_has_odd_q_from_7.
-    listed = facts.known_cyclic_minus2_3 if question == CYCLIC else facts.known_finite_minus2_3
-    known = listed(q)
+    known = facts.published_minus2_3(question, q)
     rules.append(Rule(f"published_minus2_3_{question}", {"q": q, "slopes": list(known)}))
     if known:
         rules.append(Rule("known_examples", {"slopes": list(known)}))

@@ -3,13 +3,14 @@
 Subcommands: classify, sweep, norm, chars, group (present | coxeter).
 Output is deterministic: fixed key order, no timestamps; JSON mode emits
 one object per line in sweeps.  Exit codes: 0 success, 1 internal error,
-2 usage error, 3 unresolved input.
+2 usage error, 3 unresolved input, 130 interrupted, 141 stdout closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import (CYCLIC, FINITE_Q, UNRESOLVED, classify, emit_certificate)
@@ -19,12 +20,14 @@ from .knots import canonicalize
 from .norms import cyclic_infeasibility_minus2_5_q
 from .presentations import coxeter_quotient, filled_presentation, wirtinger_presentation
 from .sweeps import pqr_knots, sweep_cyclic, sweep_finite
-from .triangle import irreducible_char_count, reducible_char_count, total_char_count
+from .triangle import char_counts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_UNRESOLVED = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 class UsageError(ValueError):
@@ -40,30 +43,16 @@ def _checked(build, *args):
         raise UsageError(str(exc)) from exc
 
 
-def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected p,q,r, got {text!r}")
+def _ints(text: str, shape: str, what: str) -> list[int]:
+    """The integers of ``text``, written in ``shape``: "p,q,r" or "lo:hi"."""
+    sep = "," if "," in shape else ":"
+    parts = text.split(sep)
+    if len(parts) != shape.count(sep) + 1:
+        raise UsageError(f"expected {shape}, got {text!r}")
     try:
-        p, q, r = (int(v) for v in parts)
+        return [int(v) for v in parts]
     except ValueError as exc:
-        raise UsageError(f"non-integer index in {text!r}") from exc
-    if 0 in (p, q, r):
-        raise UsageError("pretzel indices must be nonzero")
-    return p, q, r
-
-
-def _parse_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"expected lo:hi, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"non-integer bound in {text!r}") from exc
-    if lo > hi:
-        raise UsageError(f"empty range {text!r}")
-    return lo, hi
+        raise UsageError(f"non-integer {what} in {text!r}") from exc
 
 
 def _dump(payload: dict) -> str:
@@ -71,7 +60,9 @@ def _dump(payload: dict) -> str:
 
 
 def _cmd_classify(args) -> int:
-    p, q, r = _parse_triple(args.pretzel)
+    p, q, r = _ints(args.pretzel, "p,q,r", "index")
+    if 0 in (p, q, r):
+        raise UsageError("pretzel indices must be nonzero")
     knot = canonicalize(p, q, r)
     if not knot.is_knot:
         raise UsageError(f"{knot} has two or more even indices, hence is a link")
@@ -89,7 +80,12 @@ def _cmd_sweep(args) -> int:
     # Every option is checked, whichever question is asked.
     if args.bound < 1:  # no nonzero index fits: the cyclic sweep would be empty
         raise UsageError(f"--bound must be >= 1, got {args.bound}")
-    ranges = [_parse_range(text) for text in (args.p_range, args.q_range, args.r_range)]
+    ranges = []
+    for text in (args.p_range, args.q_range, args.r_range):
+        lo, hi = _ints(text, "lo:hi", "bound")
+        if lo > hi:
+            raise UsageError(f"empty range {text!r}")
+        ranges.append((lo, hi))
     # A box reaching below the (p,q,-r) family raises ValueError on the first step.
     if _checked(next, pqr_knots(*ranges), None) is None:
         raise UsageError("the ranges hold no (p,q,-r) knot with odd p <= q and even r")
@@ -136,9 +132,8 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_chars(args) -> int:
-    irreducible = _checked(irreducible_char_count, args.p, args.q, args.r)
-    total = total_char_count(args.p, args.q, args.r)
-    reducible = reducible_char_count(args.p, args.q, args.r)
+    total, reducible = _checked(char_counts, args.p, args.q, args.r)
+    irreducible = total - reducible
     if args.json:
         print(_dump({"triple": [args.p, args.q, args.r], "total": total,
                      "reducible": reducible, "irreducible": irreducible}))
@@ -207,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="classify one knot")
     c.add_argument("--pretzel", required=True, help="indices p,q,r (nonzero)")
     c.add_argument("--question", choices=[CYCLIC, FINITE_Q], required=True)
-    c.add_argument("--json", action="store_true")
-    c.add_argument("--cite", action="store_true",
-                   help="append each rule's citation to text output")
-    c.set_defaults(func=_cmd_classify)
 
     s = sub.add_parser("sweep", help="classify a whole family range")
     s.add_argument("--question", choices=[CYCLIC, FINITE_Q], required=True)
@@ -219,20 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-range", default="3:15", help="finite sweeps: odd p range")
     s.add_argument("--q-range", default="3:15", help="finite sweeps: odd q range")
     s.add_argument("--r-range", default="4:16", help="finite sweeps: even r range")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=_cmd_sweep)
 
     n = sub.add_parser("norm", help="print the (-2,5,q) norm system and verdict")
     n.add_argument("--q", type=int, required=True, help="odd q >= 9")
-    n.add_argument("--json", action="store_true")
-    n.set_defaults(func=_cmd_norm)
 
     ch = sub.add_parser("chars", help="triangle-group character counts")
     ch.add_argument("p", type=int)
     ch.add_argument("q", type=int)
     ch.add_argument("r", type=int)
-    ch.add_argument("--json", action="store_true")
-    ch.set_defaults(func=_cmd_chars)
 
     g = sub.add_parser("group", help="presentations and coset enumeration")
     gsub = g.add_subparsers(dest="group_command", required=True)
@@ -244,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--fill", type=int, help="add the integral filling relator")
     gp.add_argument("--coxeter", action="store_true",
                     help="also print the two-generator factor group")
-    gp.add_argument("--json", action="store_true")
-    gp.set_defaults(func=_cmd_group_present)
 
     gc = gsub.add_parser("coxeter", help="finiteness of (2,a,b;c)")
     gc.add_argument("a", type=int)
@@ -253,9 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("c", type=int)
     gc.add_argument("--enumerate", action="store_true")
     gc.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-    gc.add_argument("--json", action="store_true")
-    gc.set_defaults(func=_cmd_group_coxeter)
 
+    for leaf, func in ((c, _cmd_classify), (s, _cmd_sweep), (n, _cmd_norm), (ch, _cmd_chars),
+                       (gp, _cmd_group_present), (gc, _cmd_group_coxeter)):
+        leaf.add_argument("--json", action="store_true")
+        leaf.set_defaults(func=func)
+    c.add_argument("--cite", action="store_true",  # after --json: the usage line keeps its order
+                   help="append each rule's citation to text output")
     return parser
 
 
@@ -282,6 +269,16 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # The reader closed stdout, which is no internal fault.  Point stdout at
+        # devnull, so the interpreter's last flush of it raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 1
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -85,22 +85,16 @@ EXCEPTIONAL_PQR = {(3, 3, 4), (3, 5, 4), (3, 3, 6)}
 SNAPPEA_HYPERBOLIC_FILLINGS = {(-2, 5, 7): (19,)}
 
 
-def known_cyclic_minus2_3(q: int) -> tuple[int, ...] | None:
-    """Published cyclic surgeries of (-2,3,q), q >= 7 odd; None if not covered."""
-    if q % 2 == 0 or q < 7:
-        return None
-    return (18, 19) if q == 7 else ()
+# Published surgeries of (-2,3,q) by question and q; every other odd q >= 7 has none.
+PUBLISHED_MINUS2_3 = {("cyclic", 7): (18, 19), ("finite", 7): (17, 18, 19),
+                      ("finite", 9): (22, 23)}
 
 
-def known_finite_minus2_3(q: int) -> tuple[int, ...] | None:
-    """Published finite surgeries of (-2,3,q), q >= 7 odd; None if not covered."""
+def published_minus2_3(question: str, q: int) -> tuple[int, ...] | None:
+    """Published surgeries of (-2,3,q) on the question, q >= 7 odd; None if not covered."""
     if q % 2 == 0 or q < 7:
         return None
-    if q == 7:
-        return (17, 18, 19)
-    if q == 9:
-        return (22, 23)
-    return ()
+    return PUBLISHED_MINUS2_3.get((question, q), ())
 
 
 def in_residual_window(p: int, r: int) -> bool:

@@ -24,7 +24,6 @@ direction the classifier ever uses.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 from typing import NamedTuple
 
@@ -41,20 +40,19 @@ def norm_coefficients(boundary: tuple[Slope, ...], gamma: Slope) -> tuple[int, .
     return tuple(2 * distance(gamma, b) for b in boundary)
 
 
-class NormSystem(namedtuple("NormSystem", "boundary constraints")):
+class NormSystem(NamedTuple):
     """A boundary list plus norm relations  |gamma| (EQ|GE) S,  each kept as
-    gamma and its row  |gamma| - S (rel) 0  over the variables (a_1..a_n, S).
-    A system built without a constraint list gets a new empty one."""
+    gamma and its row  |gamma| - S (rel) 0  over the variables (a_1..a_n, S)."""
 
-    __slots__ = ()
+    boundary: tuple[Slope, ...]
+    constraints: tuple[tuple[Slope, LinearRow], ...]
 
-    def __new__(cls, boundary: tuple[Slope, ...],
-                constraints: list[tuple[Slope, LinearRow]] | None = None) -> NormSystem:
-        return tuple.__new__(cls, (boundary, [] if constraints is None else constraints))
-
-    def add(self, gamma: Slope, rel: str) -> None:
-        coeffs = norm_coefficients(self.boundary, gamma) + (-1,)
-        self.constraints.append((gamma, linprog.row(coeffs, rel, 0, f"|{gamma}| {rel} S")))
+    @classmethod
+    def of(cls, boundary: tuple[Slope, ...], relations: list[tuple[Slope, str]]) -> NormSystem:
+        """The system of the relations (gamma, rel), each row built from gamma once."""
+        return cls(boundary, tuple(
+            (gamma, linprog.row(norm_coefficients(boundary, gamma) + (-1,), rel, 0,
+                                f"|{gamma}| {rel} S")) for gamma, rel in relations))
 
     @property
     def nvars(self) -> int:
@@ -98,12 +96,8 @@ class PairwiseInfeasibilityReport(NamedTuple):
 def minus2_5q_norm_system(q: int) -> NormSystem:
     """The norm model asserting that 2q+5 is a minimal-norm filling of (-2,5,q):
     |mu| = S, |2q+5| = S and |2q+4| >= S over the full boundary-slope list."""
-    boundary = slope_list_minus2_5_q(q).slopes
-    system = NormSystem(boundary)
-    system.add(MERIDIAN, EQ)
-    system.add(make_slope(2 * q + 5, 1), EQ)
-    system.add(make_slope(2 * q + 4, 1), GE)
-    return system
+    return NormSystem.of(slope_list_minus2_5_q(q).slopes, [
+        (MERIDIAN, EQ), (make_slope(2 * q + 5, 1), EQ), (make_slope(2 * q + 4, 1), GE)])
 
 
 def _pair_systems(q: int) -> tuple[NormSystem, dict[tuple[int, int], list[LinearRow]]]:

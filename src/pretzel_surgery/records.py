@@ -7,8 +7,8 @@ fields, and the C JSON encoder writes it as a list (no emitted field holds one).
 Every record type in the package is a tuple record.  ``AbelianInvariants``
 and ``GroupPresentation`` are ``Record`` classes too; ``LinearRow``,
 ``FeasibilityResult``, ``PairwiseInfeasibilityReport``, ``FinitenessVerdict``,
-``EnumerationResult``, ``CoxeterQuotient`` and ``SweepReport`` are named
-tuples, as is ``NormSystem``, which gives a new empty list where none is given.
+``EnumerationResult``, ``CoxeterQuotient``, ``SweepReport`` and ``NormSystem``
+are named tuples.
 """
 
 

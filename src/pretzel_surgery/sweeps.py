@@ -39,9 +39,9 @@ def sweep_cyclic(bound: int) -> SweepReport:
         if not replay_certificate(cert):
             violations.append(f"replay failed for {k}")
         if cert.verdict == REALIZED:
-            expected = facts.known_cyclic_minus2_3(k.indices[2]) \
+            expected = facts.published_minus2_3(CYCLIC, k.indices[2]) \
                 if k.indices[:2] == (-2, 3) else None
-            if expected is None or tuple(cert.realized) != tuple(expected):
+            if expected is None or cert.realized != expected:
                 violations.append(f"unexpected realized slopes for {k}")
     return SweepReport(CYCLIC, certificates, violations)
 

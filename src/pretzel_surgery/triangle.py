@@ -13,8 +13,10 @@ from __future__ import annotations
 from math import gcd
 
 
-def _counts(p: int, q: int, r: int) -> tuple[int, int]:
-    """(total, reducible) character counts; the orders are checked here, once."""
+def char_counts(p: int, q: int, r: int) -> tuple[int, int]:
+    """(total, reducible): the number of PSL(2,C)-characters, and of those of reducible
+    representations, counted through the abelianization Z/a + Z/(b/a) with
+    a = gcd(p,q,r), b = gcd(pq,pr,qr).  The orders are checked here, once."""
     if min(p, q, r) < 2:
         raise ValueError("triangle group orders must be >= 2")
     a = gcd(p, q, r)
@@ -25,19 +27,8 @@ def _counts(p: int, q: int, r: int) -> tuple[int, int]:
             + 1), b // 2 + (2 if a % 2 == 0 else 1)
 
 
-def total_char_count(p: int, q: int, r: int) -> int:
-    """Number of PSL(2,C)-characters, reducible ones included."""
-    return _counts(p, q, r)[0]
-
-
-def reducible_char_count(p: int, q: int, r: int) -> int:
-    """Number of characters of reducible representations, counted through
-    the abelianization Z/a + Z/(b/a) with a = gcd(p,q,r), b = gcd(pq,pr,qr)."""
-    return _counts(p, q, r)[1]
-
-
 def irreducible_char_count(p: int, q: int, r: int) -> int:
-    total, reducible = _counts(p, q, r)
+    total, reducible = char_counts(p, q, r)
     if total < reducible:
         raise ArithmeticError(
             f"character counts out of order for ({p},{q},{r}): {total} < {reducible}")

@@ -21,8 +21,6 @@ def feasible_norm_model(monkeypatch):
     full = norms.minus2_5q_norm_system
 
     def meridian_only(q):
-        system = norms.NormSystem(full(q).boundary)
-        system.add(MERIDIAN, EQ)
-        return system
+        return norms.NormSystem.of(full(q).boundary, [(MERIDIAN, EQ)])
 
     monkeypatch.setattr(norms, "minus2_5q_norm_system", meridian_only)

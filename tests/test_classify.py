@@ -244,7 +244,7 @@ def test_even_norm_floor_holds_on_the_whole_family():
     """irreducible_char_count(p, q, m) >= 3 for odd 3 <= p <= q and m = r/2 >= 2
     off the exceptional table.
 
-    For odd p and q, ``triangle._counts`` is exact in closed form.  Its two
+    For odd p and q, ``triangle.char_counts`` is exact in closed form.  Its two
     products share (p-1)/2 * (q-1)/2, and their m factors, m - m//2 - 1 and
     m//2, add up to m - 1 for either parity of m.  The gcds g, h, k of (p,q),
     (p,m), (q,m) and b = gcd(pq, pm, qm) are odd, as is gcd(p,q,m), so
@@ -307,16 +307,17 @@ def test_a_minus2_3_knot_has_odd_q_from_7():
     q >= 7; both published lists are None only for even q or q < 7, so they
     cover it, and classify records each list as it stands."""
     assert facts.TORUS_TRIPLES == {(-2, 3, 3), (-2, 3, 5)}
-    lists = {CYCLIC: facts.known_cyclic_minus2_3, FINITE_Q: facts.known_finite_minus2_3}
+    assert {question for question, _ in facts.PUBLISHED_MINUS2_3} == {CYCLIC, FINITE_Q}
     for c in range(3, 400):
         k = PretzelKnot(-2, 3, c)
         tagged = k.is_knot and family(k) == KnotFamily(FamilyTag.MINUS2_PQ, (3, c), -2)
         assert tagged == (c % 2 == 1 and c >= 7), c
-        for question, known in lists.items():
-            assert (known(c) is None) == (c % 2 == 0 or c < 7), c
+        for question in (CYCLIC, FINITE_Q):
+            known = facts.published_minus2_3(question, c)
+            assert (known is None) == (c % 2 == 0 or c < 7), c
             if tagged:
                 published = classify_module.classify(k, question).rules[0]
-                assert published.inputs["slopes"] == list(known(c)), (c, question)
+                assert published.inputs["slopes"] == list(known), (c, question)
 
 
 def _candidates(p, q):
@@ -652,9 +653,10 @@ def test_replay_rejects_a_rule_copied_from_another_knot(rule_id, classifier, sou
     assert not replay_certificate(forge(cert))
 
 
-# A certificate stores neither its data nor its slope marks: both are derived
-# from the knot and the chain when read, so no forgery can set them, and an
-# in-place edit changes a copy.
+# A certificate stores neither its data nor its slope marks: the data is
+# derived from the knot when its line is written, the marks from the chain
+# when read, so no forgery can set them, and an in-place edit of the marks
+# changes a copy.
 DERIVED_FIELDS = [
     ("toroidal_slope_forged", (7, 9, -10), "data", {"toroidal_slope": "999"}),
     ("nonintegral_slopes_junk", (7, 9, -10), "data",
@@ -677,8 +679,9 @@ def test_a_derived_field_cannot_be_set(triple, field, forged):
         cert._replace(**{field: forged})
     with pytest.raises(AttributeError):
         setattr(cert, field, forged)
-    getattr(cert, field).clear()
-    assert getattr(cert, field) and getattr(cert, field) != forged
+    if field == "slopes":
+        cert.slopes.clear()
+        assert cert.slopes and cert.slopes != forged
     assert emit_certificate(cert) == genuine and replay_certificate(cert)
 
 
@@ -769,8 +772,8 @@ def test_a_certificate_cannot_be_edited():
     # set and its rules and realized slopes are tuples.
     k = canonicalize(7, 9, -10)
     cert = classify_finite(k)
-    assert cert.rules and cert.slopes and cert.data
-    for name in (*Certificate._fields, "data", "slopes", "annotations", "extra"):
+    assert cert.rules and cert.slopes and json.loads(emit_certificate(cert))["data"]
+    for name in (*Certificate._fields, "slopes", "annotations", "extra"):
         with pytest.raises(AttributeError):
             setattr(cert, name, UNRESOLVED)
     assert [type(field) for field in (cert.rules, cert.realized)] == [tuple] * 2

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -129,18 +130,48 @@ def test_internal_value_error_is_an_internal_error(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "internal error: broken invariant\n")
 
 
+def _mid_stream_sweep():
+    """A CLI process writing the sweep_cyclic(11) stream into a pipe, once its first
+    line is read.  The stream (287 kB) outgrows the pipe, so the process is still
+    writing: nothing more is read until it is interrupted or its stdout closed."""
+    proc = subprocess.Popen([sys.executable, "-m", "pretzel_surgery.cli", "sweep",
+                             "--question", "cyclic", "--bound", "11", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env())
+    assert proc.stdout.readline().startswith('{"annotations":')
+    return proc
+
+
+def test_an_interrupt_exits_130_with_one_line():
+    proc = _mid_stream_sweep()
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (130, "interrupted\n")
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    # A reader such as head closing the pipe is no internal fault: no line on stderr.
+    proc = _mid_stream_sweep()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, "")
+
+
 # The sweep_cyclic(11) digest of test_classify.py::test_certificate_streams_pinned.
 CYCLIC_11_SHA256 = "d4fc10eb7acaa78049c3031ee677c4541f98ae9e6236ca2318965d5110c56f5e"
+
+
+def _env(**extra):
+    """The environment of a new process that imports the package from src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def _stdout_digest(python_args, seed="0"):
     """sha256 of the standard output (less its last newline) of a new
     ``python *python_args`` process that imports the package from src/."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *python_args], capture_output=True, text=True,
-                          timeout=300, env={**os.environ, "PYTHONPATH": path,
-                                            "PYTHONHASHSEED": seed})
+                          timeout=300, env=_env(PYTHONHASHSEED=seed))
     assert proc.returncode == 0, proc.stderr
     return hashlib.sha256(proc.stdout.removesuffix("\n").encode()).hexdigest()
 

@@ -3,12 +3,13 @@
 ``emit_certificate(cert, "json")`` writes the line field by field, with the
 constant strings and the JSON of each rule row without a slope escaped once
 at import.  The reference below is the dict form the certificate classes
-built before, with each rule's text from ``rule_text`` and the data and
-slope marks the certificate derives, encoded by ``json.dumps`` with sorted
-keys; the two must agree byte for byte on every certificate, hostile strings
-included.  A certificate whose rules are an opened chain's shared tuple
-itself, with that chain's verdict and realized slopes, is written from the
-chain's template; the same reference holds there, on any knot.
+built before, with each rule's text from ``rule_text``, the slope marks the
+certificate derives and the data derived here from the knot's family,
+encoded by ``json.dumps`` with sorted keys; the two must agree byte for
+byte on every certificate, hostile strings included.  A certificate whose
+rules are an opened chain's shared tuple itself, with that chain's verdict
+and realized slopes, is written from the chain's template; the same
+reference holds there, on any knot.
 """
 
 import json
@@ -20,15 +21,40 @@ from hypothesis import strategies as st
 from test_replay_mutants import STREAMS
 
 import pretzel_surgery.classify as classify_module
+from pretzel_surgery import facts
+from pretzel_surgery.boundary import nonintegral_slopes_minus2_pq, nonintegral_slopes_pq_minus_r
 from pretzel_surgery.classify import (CYCLIC, FAR, FINITE_Q, PUBLISHED, RULES, SURVIVORS, WINDOW,
-                                      Certificate, Rule, certificate_data, classify,
-                                      emit_certificate, rule_text)
+                                      Certificate, Rule, classify, emit_certificate, rule_text)
 from pretzel_surgery.knots import (FamilyTag, canonicalize, enumerate_canonical, family,
                                    first_index_family)
 from pretzel_surgery.slopes import make_slope
 from pretzel_surgery.sweeps import sweep_cyclic, sweep_finite
 
 # -- the reference serializer -------------------------------------------------
+
+_TAG = {CYCLIC: FamilyTag.MINUS2_PQ, FINITE_Q: FamilyTag.PQ_MINUS_R}
+
+
+def certificate_data(question, k):
+    """The ``data`` of a certificate as a dict, derived here from the family alone: a knot
+    of the question's family off the exceptional table lists its toroidal filling 2(p+q)
+    and, save on (-2,3,q), its non-integral boundary slopes."""
+    fam = family(k)
+    if fam.tag is not _TAG[question]:
+        return {}
+    (p, q), r = fam.odd_pair, -fam.even_value
+    if (p, q, r) in facts.EXCEPTIONAL_PQR:
+        return {}
+    data = {"toroidal_slope": str(2 * (p + q))}
+    if (p, r) != (3, 2):
+        bset = (nonintegral_slopes_minus2_pq(p, q) if r == 2
+                else nonintegral_slopes_pq_minus_r(p, q, r))
+        data["nonintegral_slopes"] = {
+            "boundary_slopes": [str(s) for s in bset.slopes],
+            "completeness": bset.completeness.value,
+            "dropped_integral": [str(s) for s in bset.dropped_integral],
+        }
+    return data
 
 
 def reference_dict(cert):
@@ -43,7 +69,7 @@ def reference_dict(cert):
                    **dict(zip(("source", "citation", "conclusion"),
                               rule_text(cert.question, r.id, r.inputs)))} for r in cert.rules],
         "annotations": list(cert.annotations),
-        "data": cert.data,
+        "data": certificate_data(cert.question, cert.knot),
     }
 
 
@@ -106,7 +132,6 @@ def test_the_data_field_is_written_as_the_encoder_writes_its_dict(question, trip
 # lists no data, and on the finite question any p > -4 or odd.  Where the
 # rule answers, family would have answered the same.
 
-_TAG = {CYCLIC: FamilyTag.MINUS2_PQ, FINITE_Q: FamilyTag.PQ_MINUS_R}
 _OFF_FAMILY = (FamilyTag.TORUS, FamilyTag.UNCLASSIFIED, FamilyTag.OTHER)
 
 
@@ -242,7 +267,7 @@ def test_a_certificate_on_a_shared_chain_matches_the_reference(cert):
 def test_the_lamination_chain_on_a_family_knot_writes_that_knots_data(question, triple):
     cert = Certificate(canonicalize(*triple), question,
                        *classify_module._OPENED["lamination_form"])
-    assert cert.data  # the knot's own data, which no probe line holds
+    assert certificate_data(question, cert.knot)  # the knot's own, which no probe line holds
     assert emit_certificate(cert) == reference_json(cert)
 
 

@@ -76,13 +76,17 @@ def test_records_keep_the_guarantees_of_the_dataclasses_they_replace(record, tex
     assert str(record) == (text if string is None else string)
 
 
-def test_norm_systems_built_without_lists_share_no_list():
-    # As the dataclass default factory gave: a new empty list per system.
-    first, second = NormSystem((MERIDIAN,)), NormSystem((MERIDIAN,))
-    assert first.constraints == second.constraints == []
-    assert first.constraints is not second.constraints
-    first.add(MERIDIAN, EQ)
-    assert second.constraints == [] and NormSystem((MERIDIAN,)) == second
+def test_a_norm_system_is_built_whole():
+    # Its relations go in when it is built, so it holds no list to grow or to
+    # share: its constraints are a tuple, and neither field has a default.
+    system = NormSystem.of((MERIDIAN,), [(MERIDIAN, EQ)])
+    assert type(system.constraints) is tuple and NormSystem._field_defaults == {}
+    assert [(gamma, r.coeffs, r.label) for gamma, r in system.constraints] == \
+        [(MERIDIAN, (0, -1), "|1/0| EQ S")]
+    assert system == NormSystem.of((MERIDIAN,), [(MERIDIAN, EQ)])
+    assert not hasattr(system, "add")
+    with pytest.raises(TypeError):
+        NormSystem((MERIDIAN,))
 
 
 def test_no_record_has_a_mutable_default():

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pretzel_surgery.triangle import (irreducible_char_count, reducible_char_count,
-                                      total_char_count)
+from pretzel_surgery.triangle import char_counts, irreducible_char_count
 
 
 @pytest.mark.parametrize("triple,want", [
@@ -16,7 +15,7 @@ from pretzel_surgery.triangle import (irreducible_char_count, reducible_char_cou
     ((2, 2, 2), 5),   # 0 + 1 + 1+1+1 + 1
 ])
 def test_total_counts(triple, want):
-    assert total_char_count(*triple) == want
+    assert char_counts(*triple)[0] == want
 
 
 @pytest.mark.parametrize("triple,want", [
@@ -25,7 +24,7 @@ def test_total_counts(triple, want):
     ((2, 4, 6), 4),   # a=2, b=gcd(8,12,24)=4 -> 4/2 + 2
 ])
 def test_reducible_counts(triple, want):
-    assert reducible_char_count(*triple) == want
+    assert char_counts(*triple)[1] == want
 
 
 def test_irreducible_counts():
@@ -37,7 +36,7 @@ def test_triple_validation():
     with pytest.raises(ValueError):
         irreducible_char_count(1, 3, 3)
     with pytest.raises(ValueError):
-        total_char_count(2, 3, 1)
+        char_counts(2, 3, 1)
 
 
 orders = st.integers(2, 40)
@@ -45,9 +44,7 @@ orders = st.integers(2, 40)
 
 @given(orders, orders, orders)
 def test_counts_symmetric_under_permutation(p, q, r):
-    totals = {total_char_count(*perm) for perm in itertools.permutations((p, q, r))}
-    reds = {reducible_char_count(*perm) for perm in itertools.permutations((p, q, r))}
-    assert len(totals) == 1 and len(reds) == 1
+    assert len({char_counts(*perm) for perm in itertools.permutations((p, q, r))}) == 1
 
 
 def test_hyperbolic_triples_have_at_least_three_irreducible():
@@ -72,13 +69,12 @@ def test_counts_match_the_reference_formulas():
         for q in range(2, 41):
             for r in range(2, 41):
                 total, reducible = _counts_reference(p, q, r)
-                assert total_char_count(p, q, r) == total
-                assert reducible_char_count(p, q, r) == reducible
+                assert char_counts(p, q, r) == (total, reducible)
                 assert irreducible_char_count(p, q, r) == total - reducible
 
 
 @pytest.mark.parametrize("triple", [(1, 3, 3), (3, 1, 3), (3, 3, 1), (0, 5, 5), (2, 2, -4)])
 def test_every_count_rejects_an_order_below_two(triple):
-    for count in (total_char_count, reducible_char_count, irreducible_char_count):
+    for count in (char_counts, irreducible_char_count):
         with pytest.raises(ValueError, match="orders must be >= 2"):
             count(*triple)
